@@ -10,21 +10,21 @@ matrix.  None of them sees given labels at inference time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .data import Dataset, one_hot_batch
 from .errors import ConfigurationError, DataError, DimensionError
+from .model import accuracy, check_splits, fit
 from .nn import (
     CrossEntropyLoss,
     ForwardCorrectedLoss,
-    Network,
     SgdState,
     StepDecay,
     epoch_batches,
     forward,
     loss_and_gradients,
-    lr_at,
     mlp,
     sgd_step,
 )
@@ -96,49 +96,29 @@ def train_baseline(spec: BaselineSpec, train_set: Dataset, val_set: Dataset,
     Validation accuracy is amateur-only (no given labels at inference).
     Returns (network, history of EpochStats).
     """
-    if epochs < 1:
-        raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
-    for name, ds in (("train", train_set), ("validation", val_set)):
-        if ds.n == 0:
-            raise ConfigurationError(f"{name} set is empty")
-    if train_set.given_labels is None:
-        raise ConfigurationError("train set has no given labels; inject noise first")
-
-    from .model import EpochStats  # shared history record
-
+    check_splits(train_set, val_set, False)
     net = mlp((train_set.dim, *hidden, train_set.n_classes), hidden="relu",
               terminal="softmax", rng=derive_rng(seed, STREAM_INIT, 0))
     state = SgdState.for_network(net, momentum, weight_decay)
-    ce = CrossEntropyLoss()
-    fwd_loss = ForwardCorrectedLoss(spec.matrix) if spec.kind == "forward" else None
+    loss = ForwardCorrectedLoss(spec.matrix) if spec.kind == "forward" else CrossEntropyLoss()
 
-    history: list[EpochStats] = []
-    for epoch in range(epochs):
-        lr = lr_at(schedule, epoch)
-        losses = []
-        for idx in epoch_batches(train_set.n, batch_size, seed, epoch):
-            x = train_set.features[idx]
-            y = train_set.given_labels[idx]
-            if spec.kind == "plain-ce":
-                target = one_hot_batch(y, train_set.n_classes)
-                loss_value, grads = loss_and_gradients(net, x, target, ce)
-            elif spec.kind == "bootstrap":
-                pred, _ = forward(net, x)
-                target = bootstrap_target(pred, y, spec.beta, spec.variant)
-                loss_value, grads = loss_and_gradients(net, x, target, ce)
-            else:
-                target = one_hot_batch(y, train_set.n_classes)
-                loss_value, grads = loss_and_gradients(net, x, target, fwd_loss)
-            if lr != 0.0:
-                sgd_step(net.parameters(), grads, state, lr)
-            losses.append(loss_value)
+    def step(idx, lr):
+        x = train_set.features[idx]
+        y = train_set.given_labels[idx]
+        if spec.kind == "bootstrap":
+            pred, _ = forward(net, x)
+            target = bootstrap_target(pred, y, spec.beta, spec.variant)
+        else:
+            target = one_hot_batch(y, train_set.n_classes)
+        loss_value, grads = loss_and_gradients(net, x, target, loss)
+        if lr != 0.0:
+            sgd_step(net.parameters(), grads, state, lr)
+        return loss_value, None
+
+    def evaluate():
         preds, _ = forward(net, val_set.features)
-        acc = float(np.mean(np.argmax(preds, axis=1) == val_set.true_labels))
-        history.append(EpochStats(
-            epoch=epoch,
-            amateur_loss=float(np.mean(losses)),
-            expert_loss=None,
-            val_amateur_accuracy=acc,
-            val_full_accuracy=None,
-        ))
+        return accuracy(np.argmax(preds, axis=1), val_set.true_labels), None
+
+    history = fit(step, evaluate, epochs, schedule,
+                  partial(epoch_batches, train_set.n, batch_size, seed))
     return net, history

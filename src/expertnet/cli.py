@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from . import harness
-from .errors import ExpertNetError
+from .errors import ConfigurationError, ExpertNetError
 from .model import save_checkpoint
 from .nn import ForwardCorrectedLoss, gradient_check, mlp
 from .noise import NoiseSpec, corrupt_labels, empirical_matrix, load_matrix_csv, symmetric_matrix
@@ -59,54 +59,22 @@ def cmd_run(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.save and args.method != "expertnet":
+        raise ConfigurationError(f"--save writes expertnet checkpoints only, not {args.method}")
     config = _load_config(args)
     method = args.method
     ratio = args.ratio if args.ratio is not None else config.noise_ratios[0]
     fraction = args.fraction if args.fraction is not None else config.fractions[0]
     seed = config.seeds[0]
 
-    train_set, val_set, matrix = harness.build_cell_datasets(config, ratio, fraction, seed)
-    train_seed = harness.derive_seed(harness.cell_seed(seed, ratio, fraction),
-                                     harness.STREAM_TRAIN)
-    schedule = config.schedule()
+    model, history, train_set, val_set = harness.train_cell(config, method, ratio, fraction, seed)
     print(f"method={method} rho={ratio:g} frac={fraction:g} seed={seed} "
           f"train_n={train_set.n} val_n={val_set.n}")
-
-    if method == "expertnet":
-        from .model import build_expertnet, train
-        model = build_expertnet(train_set.dim, train_set.n_classes, seed=train_seed,
-                                amateur_hidden=config.amateur_hidden,
-                                expert_hidden=config.expert_hidden,
-                                expert_terminal=config.expert_terminal,
-                                momentum=config.momentum, weight_decay=config.weight_decay)
-        _, history = train(model, train_set, val_set, config.epochs,
-                           config.batch_size, schedule, train_seed)
-        for h in history:
-            print(f"epoch {h.epoch:3d}  amateur_loss={h.amateur_loss:.6f} "
-                  f"expert_loss={h.expert_loss:.6f}  val_amateur={h.val_amateur_accuracy:.4f} "
-                  f"val_full={h.val_full_accuracy:.4f}")
-        if args.save:
-            save_checkpoint(model, args.save)
-            print(f"checkpoint written to {args.save}")
-    else:
-        from .baselines import BaselineSpec, train_baseline
-        if method == "plain-ce":
-            spec = BaselineSpec("plain-ce")
-        elif method == "bootstrap":
-            spec = BaselineSpec("bootstrap", beta=config.bootstrap_beta,
-                                variant=config.bootstrap_variant)
-        elif method == "forward":
-            spec = BaselineSpec("forward", matrix=matrix)
-        else:
-            raise ExpertNetError(f"unknown method {method!r}")
-        _, history = train_baseline(spec, train_set, val_set, config.epochs,
-                                    config.batch_size, schedule, train_seed,
-                                    hidden=config.amateur_hidden,
-                                    momentum=config.momentum,
-                                    weight_decay=config.weight_decay)
-        for h in history:
-            print(f"epoch {h.epoch:3d}  loss={h.amateur_loss:.6f}  "
-                  f"val_amateur={h.val_amateur_accuracy:.4f}")
+    for h in history:
+        print(f"epoch {h.epoch:3d}  {h.describe()}")
+    if args.save:
+        save_checkpoint(model, args.save)
+        print(f"checkpoint written to {args.save}")
     return 0
 
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import BaselineSpec, train_baseline
+from .baselines import BASELINE_KINDS, BaselineSpec, train_baseline
 from .data import Dataset, load_table, make_blobs, stratified_split, subsample
 from .errors import ConfigurationError, DataError, ExpertNetError, InputError
-from .model import build_expertnet, train
+from .model import accuracy, build_expertnet, train
 from .nn import StepDecay
 from .noise import NoiseSpec, corrupt_labels, load_matrix_csv, symmetric_matrix
 from .seeding import (
@@ -36,9 +36,11 @@ from .seeding import (
 )
 
 CONFIG_SCHEMA = 1
-METHODS = ("expertnet", "plain-ce", "bootstrap", "forward")
 MODE_AMATEUR = "amateur-only"
 MODE_FULL = "full"
+# method -> the inference modes it reports; baselines never read given labels
+METHODS = {"expertnet": (MODE_AMATEUR, MODE_FULL),
+           **{kind: (MODE_AMATEUR,) for kind in BASELINE_KINDS}}
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,10 @@ class ExperimentConfig:
                 raise ConfigurationError(f"fraction must be in (0, 1], got {f}")
         for m in self.methods:
             if m not in METHODS:
-                raise ConfigurationError(f"unknown method {m!r} (choose from {METHODS})")
+                raise ConfigurationError(f"unknown method {m!r} (choose from {tuple(METHODS)})")
+        for key in ("epochs", "batch_size"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
 
     def schedule(self) -> StepDecay:
         return StepDecay(self.lr, self.lr_decay_factor, self.lr_decay_period)
@@ -115,17 +120,6 @@ class ResultRecord:
         return (self.method, self.mode, self.noise_ratio, self.fraction, self.seed)
 
 
-def accuracy(predictions, truths) -> float:
-    """Fraction of predictions equal to the true labels."""
-    p = np.asarray(predictions, dtype=np.int64)
-    t = np.asarray(truths, dtype=np.int64)
-    if p.shape != t.shape or p.ndim != 1:
-        raise DataError(f"prediction/truth shapes differ: {p.shape} vs {t.shape}")
-    if p.size == 0:
-        raise DataError("cannot score an empty prediction list")
-    return float(np.count_nonzero(p == t)) / p.size
-
-
 def dataset_hash(train_set: Dataset, val_set: Dataset) -> str:
     """Content hash over the exact (x, y, t) triples both splits carry."""
     digest = hashlib.blake2b(digest_size=8)
@@ -138,16 +132,6 @@ def dataset_hash(train_set: Dataset, val_set: Dataset) -> str:
 
 
 # --- config file parsing ------------------------------------------------------
-
-def _parse_scalar(text: str):
-    text = text.strip()
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
 
 def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse the flat `key = value` config format (schema 1).
@@ -166,65 +150,72 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         raw[key.strip()] = value.strip()
     raw.update({k: str(v) for k, v in (overrides or {}).items()})
 
-    schema = int(raw.pop("schema", CONFIG_SCHEMA))
+    def cast(key, text, kind):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ConfigurationError(
+                f"config key {key}: expected {kind.__name__}, got {text!r}") from None
+
+    def take(key, kind, default):
+        return cast(key, raw.pop(key), kind) if key in raw else default
+
+    def take_list(key, kind, default):
+        if key not in raw:
+            return default
+        return tuple(cast(key, i.strip(), kind) for i in raw.pop(key).split(",") if i.strip())
+
+    schema = take("schema", int, CONFIG_SCHEMA)
     if schema != CONFIG_SCHEMA:
         raise ConfigurationError(f"unsupported config schema {schema}")
 
-    def take(key, default=None):
-        return raw.pop(key) if key in raw else default
-
-    def take_list(key, default):
-        if key not in raw:
-            return default
-        items = [i.strip() for i in raw.pop(key).split(",") if i.strip()]
-        return tuple(_parse_scalar(i) for i in items)
-
-    kind = take("dataset", "blobs")
+    kind = take("dataset", str, "blobs")
     if kind == "blobs":
         dataset = BlobsSpec(
-            n_classes=int(take("blobs.classes", 4)),
-            dim=int(take("blobs.dim", 16)),
-            per_class=int(take("blobs.per_class", 500)),
-            val_per_class=int(take("blobs.val_per_class", 250)),
-            separation=float(take("blobs.separation", 6.0)),
-            spread=float(take("blobs.spread", 1.0)),
+            n_classes=take("blobs.classes", int, 4),
+            dim=take("blobs.dim", int, 16),
+            per_class=take("blobs.per_class", int, 500),
+            val_per_class=take("blobs.val_per_class", int, 250),
+            separation=take("blobs.separation", float, 6.0),
+            spread=take("blobs.spread", float, 1.0),
         )
     elif kind == "file":
-        train_path = take("file.train")
-        val_path = take("file.val")
-        label_column = take("file.label")
+        train_path = take("file.train", str, None)
+        val_path = take("file.val", str, None)
+        label_column = take("file.label", str, None)
         if not (train_path and val_path and label_column):
             raise ConfigurationError("file dataset needs file.train, file.val and file.label")
         dataset = FileSpec(
             train_path=train_path,
             val_path=val_path,
             label_column=label_column,
-            feature_columns=tuple(str(c) for c in take_list("file.features", ())),
+            feature_columns=take_list("file.features", str, ()),
         )
     else:
         raise ConfigurationError(f"unknown dataset kind {kind!r}")
 
-    period = take("lr_decay_period")
+    period = take("lr_decay_period", str, None)
     config = ExperimentConfig(
         dataset=dataset,
-        noise_ratios=tuple(float(r) for r in take_list("noise_ratios", (0.2, 0.4))),
-        fractions=tuple(float(f) for f in take_list("fractions", (1.0,))),
-        methods=tuple(str(m) for m in take_list("methods", ("expertnet",))),
-        seeds=tuple(int(s) for s in take_list("seeds", (1,))),
-        matrix_path=take("matrix"),
-        epochs=int(take("epochs", 60)),
-        batch_size=int(take("batch_size", 64)),
-        lr=float(take("lr", 0.01)),
-        lr_decay_factor=float(take("lr_decay_factor", 0.1)),
-        lr_decay_period=None if period in (None, "", "none") else int(period),
-        momentum=float(take("momentum", 0.9)),
-        weight_decay=float(take("weight_decay", 1e-4)),
-        amateur_hidden=tuple(int(w) for w in take_list("amateur_hidden", (128, 64))),
-        expert_hidden=tuple(int(w) for w in take_list("expert_hidden", (64, 32))),
-        expert_terminal=str(take("expert_terminal", "softmax")),
-        bootstrap_beta=float(take("bootstrap_beta", 0.8)),
-        bootstrap_variant=str(take("bootstrap_variant", "soft")),
-        out=str(take("out", "results")),
+        noise_ratios=take_list("noise_ratios", float, (0.2, 0.4)),
+        fractions=take_list("fractions", float, (1.0,)),
+        methods=take_list("methods", str, ("expertnet",)),
+        seeds=take_list("seeds", int, (1,)),
+        matrix_path=take("matrix", str, None),
+        epochs=take("epochs", int, 60),
+        batch_size=take("batch_size", int, 64),
+        lr=take("lr", float, 0.01),
+        lr_decay_factor=take("lr_decay_factor", float, 0.1),
+        lr_decay_period=(None if period in (None, "", "none")
+                         else cast("lr_decay_period", period, int)),
+        momentum=take("momentum", float, 0.9),
+        weight_decay=take("weight_decay", float, 1e-4),
+        amateur_hidden=take_list("amateur_hidden", int, (128, 64)),
+        expert_hidden=take_list("expert_hidden", int, (64, 32)),
+        expert_terminal=take("expert_terminal", str, "softmax"),
+        bootstrap_beta=take("bootstrap_beta", float, 0.8),
+        bootstrap_variant=take("bootstrap_variant", str, "soft"),
+        out=take("out", str, "results"),
     )
     if raw:
         raise ConfigurationError(f"unknown config keys: {sorted(raw)}")
@@ -278,17 +269,16 @@ def build_cell_datasets(config: ExperimentConfig, ratio: float, fraction: float,
     return train_set, val_set, matrix
 
 
-def _run_cell(config: ExperimentConfig, method: str, ratio: float, fraction: float,
-              master_seed: int):
-    """Train one method in one cell; returns (records, log lines)."""
-    started = time.perf_counter()
-    label = f"[{method} rho={ratio:g} frac={fraction:g} seed={master_seed}]"
+def train_cell(config: ExperimentConfig, method: str, ratio: float, fraction: float,
+               master_seed: int):
+    """Build one cell's data and train one method on it.
+
+    Returns (model, history, train_set, val_set); the model is an ExpertNet
+    for `expertnet` and the trained network for a baseline.
+    """
     train_set, val_set, matrix = build_cell_datasets(config, ratio, fraction, master_seed)
-    dhash = dataset_hash(train_set, val_set)
     train_seed = derive_seed(cell_seed(master_seed, ratio, fraction), STREAM_TRAIN)
     schedule = config.schedule()
-    logs = [f"{label} dataset_hash={dhash} train_n={train_set.n} val_n={val_set.n}"]
-
     if method == "expertnet":
         model = build_expertnet(
             train_set.dim, train_set.n_classes, seed=train_seed,
@@ -297,39 +287,48 @@ def _run_cell(config: ExperimentConfig, method: str, ratio: float, fraction: flo
             momentum=config.momentum, weight_decay=config.weight_decay)
         _, history = train(model, train_set, val_set, config.epochs,
                            config.batch_size, schedule, train_seed)
-        for h in history:
-            logs.append(f"{label} epoch={h.epoch} amateur_loss={h.amateur_loss:.6f} "
-                        f"expert_loss={h.expert_loss:.6f} val_amateur={h.val_amateur_accuracy:.4f} "
-                        f"val_full={h.val_full_accuracy:.4f}")
-        final = history[-1]
-        results = [
-            (MODE_AMATEUR, final.val_amateur_accuracy),
-            (MODE_FULL, final.val_full_accuracy),
-        ]
     else:
-        if method == "plain-ce":
-            spec = BaselineSpec("plain-ce")
-        elif method == "bootstrap":
-            spec = BaselineSpec("bootstrap", beta=config.bootstrap_beta,
-                                variant=config.bootstrap_variant)
-        else:
-            spec = BaselineSpec("forward", matrix=matrix)
-        _, history = train_baseline(spec, train_set, val_set, config.epochs,
-                                    config.batch_size, schedule, train_seed,
-                                    hidden=config.amateur_hidden,
-                                    momentum=config.momentum,
-                                    weight_decay=config.weight_decay)
-        for h in history:
-            logs.append(f"{label} epoch={h.epoch} loss={h.amateur_loss:.6f} "
-                        f"val_amateur={h.val_amateur_accuracy:.4f}")
-        results = [(MODE_AMATEUR, history[-1].val_amateur_accuracy)]
+        spec = BaselineSpec(method, beta=config.bootstrap_beta,
+                            variant=config.bootstrap_variant,
+                            matrix=matrix if method == "forward" else None)
+        model, history = train_baseline(spec, train_set, val_set, config.epochs,
+                                        config.batch_size, schedule, train_seed,
+                                        hidden=config.amateur_hidden,
+                                        momentum=config.momentum,
+                                        weight_decay=config.weight_decay)
+    return model, history, train_set, val_set
 
+
+def _run_cell(config: ExperimentConfig, method: str, ratio: float, fraction: float,
+              master_seed: int):
+    """Train one method in one cell; returns (records, log lines).
+
+    A failing cell yields failed records carrying its diagnostic instead of
+    raising, so the rest of the grid still runs.
+    """
+    started = time.perf_counter()
+    label = f"[{method} rho={ratio:g} frac={fraction:g} seed={master_seed}]"
+    try:
+        _, history, train_set, val_set = train_cell(config, method, ratio, fraction, master_seed)
+    except ExpertNetError as exc:
+        diagnostic = f"{type(exc).__name__}: {exc}"
+        records = [ResultRecord(method=method, mode=mode, noise_ratio=ratio,
+                                fraction=fraction, seed=master_seed, accuracy=None,
+                                epochs=config.epochs, dataset_hash="",
+                                status="failed", diagnostic=diagnostic)
+                   for mode in METHODS[method]]
+        return records, [f"{label} FAILED {diagnostic}"]
+    dhash = dataset_hash(train_set, val_set)
+    logs = [f"{label} dataset_hash={dhash} train_n={train_set.n} val_n={val_set.n}"]
+    logs.extend(f"{label} epoch={h.epoch} {h.describe()}" for h in history)
     elapsed = time.perf_counter() - started
     logs.append(f"{label} done in {elapsed:.2f}s")
+    final = history[-1]
+    accuracies = (final.val_amateur_accuracy, final.val_full_accuracy)
     records = [ResultRecord(method=method, mode=mode, noise_ratio=ratio,
                             fraction=fraction, seed=master_seed, accuracy=acc,
                             epochs=config.epochs, dataset_hash=dhash)
-               for mode, acc in results]
+               for mode, acc in zip(METHODS[method], accuracies)]
     return records, logs
 
 
@@ -345,19 +344,7 @@ def run_grid(config: ExperimentConfig, threads: int = 1,
                                   config.fractions, config.seeds))
 
     def run_one(item):
-        method, ratio, fraction, seed = item
-        try:
-            return _run_cell(config, method, ratio, fraction, seed)
-        except ExpertNetError as exc:
-            diagnostic = f"{type(exc).__name__}: {exc}"
-            modes = (MODE_AMATEUR, MODE_FULL) if method == "expertnet" else (MODE_AMATEUR,)
-            records = [ResultRecord(method=method, mode=mode, noise_ratio=ratio,
-                                    fraction=fraction, seed=seed, accuracy=None,
-                                    epochs=config.epochs, dataset_hash="",
-                                    status="failed", diagnostic=diagnostic)
-                       for mode in modes]
-            label = f"[{method} rho={ratio:g} frac={fraction:g} seed={seed}]"
-            return records, [f"{label} FAILED {diagnostic}"]
+        return _run_cell(config, *item)
 
     if threads <= 1:
         outcomes = [run_one(item) for item in work]

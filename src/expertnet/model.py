@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -69,6 +70,14 @@ class EpochStats:
     expert_loss: float | None
     val_amateur_accuracy: float
     val_full_accuracy: float | None
+
+    def describe(self) -> str:
+        """Losses and validation accuracies as `run.log` and `expertnet train` print them."""
+        if self.expert_loss is None:
+            return f"loss={self.amateur_loss:.6f} val_amateur={self.val_amateur_accuracy:.4f}"
+        return (f"amateur_loss={self.amateur_loss:.6f} expert_loss={self.expert_loss:.6f} "
+                f"val_amateur={self.val_amateur_accuracy:.4f} "
+                f"val_full={self.val_full_accuracy:.4f}")
 
 
 def build_expertnet(feature_dim: int, n_classes: int, seed: int,
@@ -143,6 +152,17 @@ def train_step(model: ExpertNet, x, given_labels, true_labels, lr: float):
     return amateur_loss, expert_loss
 
 
+def accuracy(predictions, truths) -> float:
+    """Fraction of predictions equal to the true labels."""
+    p = np.asarray(predictions, dtype=np.int64)
+    t = np.asarray(truths, dtype=np.int64)
+    if p.shape != t.shape or p.ndim != 1:
+        raise DataError(f"prediction/truth shapes differ: {p.shape} vs {t.shape}")
+    if p.size == 0:
+        raise DataError("cannot score an empty prediction list")
+    return float(np.count_nonzero(p == t)) / p.size
+
+
 def infer_amateur(model: ExpertNet, x):
     """Argmax of the amateur's probabilities; ties go to the lowest class index."""
     arr = np.asarray(x, dtype=float)
@@ -160,6 +180,44 @@ def infer_full(model: ExpertNet, x, given_labels):
     return int(preds[0]) if arr.ndim == 1 else preds
 
 
+def check_splits(train_set: Dataset, val_set: Dataset, val_given: bool) -> None:
+    """Reject empty splits and a train split without given labels.
+
+    The validation split needs given labels only when inference reads them
+    (`val_given`).
+    """
+    for name, ds, needs_given in (("train", train_set, True), ("validation", val_set, val_given)):
+        if ds.n == 0:
+            raise ConfigurationError(f"{name} set is empty")
+        if needs_given and ds.given_labels is None:
+            raise ConfigurationError(f"{name} set has no given labels; inject noise first")
+
+
+def fit(step, evaluate, epochs: int, schedule: StepDecay, batches):
+    """The epoch loop every training procedure shares.
+
+    Per epoch: `batches(epoch)` yields index arrays, `step(idx, lr)` updates
+    on one batch and returns (amateur loss, expert loss or None), and
+    `evaluate()` returns (amateur accuracy, full accuracy or None) on the
+    validation split.  Returns the history of EpochStats.
+    """
+    if epochs < 1:
+        raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
+    history: list[EpochStats] = []
+    for epoch in range(epochs):
+        lr = lr_at(schedule, epoch)
+        amateur_losses, expert_losses = zip(*[step(idx, lr) for idx in batches(epoch)])
+        acc_amateur, acc_full = evaluate()
+        history.append(EpochStats(
+            epoch=epoch,
+            amateur_loss=float(np.mean(amateur_losses)),
+            expert_loss=None if expert_losses[0] is None else float(np.mean(expert_losses)),
+            val_amateur_accuracy=acc_amateur,
+            val_full_accuracy=acc_full,
+        ))
+    return history
+
+
 def train(model: ExpertNet, train_set: Dataset, val_set: Dataset, epochs: int,
           batch_size: int, schedule: StepDecay, seed: int):
     """Seeded epochs of alternating minibatch updates.
@@ -167,40 +225,19 @@ def train(model: ExpertNet, train_set: Dataset, val_set: Dataset, epochs: int,
     Records per-epoch mean losses and validation accuracy in both inference
     modes.  Deterministic per seed.
     """
-    if epochs < 1:
-        raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
-    for name, ds in (("train", train_set), ("validation", val_set)):
-        if ds.n == 0:
-            raise ConfigurationError(f"{name} set is empty")
-        if ds.given_labels is None:
-            raise ConfigurationError(f"{name} set has no given labels; inject noise first")
-    history: list[EpochStats] = []
-    for epoch in range(epochs):
-        lr = lr_at(schedule, epoch)
-        amateur_losses, expert_losses = [], []
-        for idx in epoch_batches(train_set.n, batch_size, seed, epoch):
-            l_a, l_e = train_step(
-                model,
-                train_set.features[idx],
-                train_set.given_labels[idx],
-                train_set.true_labels[idx],
-                lr,
-            )
-            amateur_losses.append(l_a)
-            expert_losses.append(l_e)
-        acc_amateur = float(np.mean(
-            infer_amateur(model, val_set.features) == val_set.true_labels
-        ))
-        acc_full = float(np.mean(
-            infer_full(model, val_set.features, val_set.given_labels) == val_set.true_labels
-        ))
-        history.append(EpochStats(
-            epoch=epoch,
-            amateur_loss=float(np.mean(amateur_losses)),
-            expert_loss=float(np.mean(expert_losses)),
-            val_amateur_accuracy=acc_amateur,
-            val_full_accuracy=acc_full,
-        ))
+    check_splits(train_set, val_set, True)
+
+    def step(idx, lr):
+        return train_step(model, train_set.features[idx], train_set.given_labels[idx],
+                          train_set.true_labels[idx], lr)
+
+    def evaluate():
+        return (accuracy(infer_amateur(model, val_set.features), val_set.true_labels),
+                accuracy(infer_full(model, val_set.features, val_set.given_labels),
+                         val_set.true_labels))
+
+    history = fit(step, evaluate, epochs, schedule,
+                  partial(epoch_batches, train_set.n, batch_size, seed))
     return model, history
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, NumericError
+from .noise import validate_transition_matrix
 from .seeding import STREAM_SHUFFLE, derive_rng
 
 LOG_EPS = 1e-12  # clamp inside logarithms
@@ -194,12 +195,7 @@ class ForwardCorrectedLoss:
     kind = "forward-corrected"
 
     def __init__(self, matrix):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise DimensionError(f"transition matrix must be square, got {matrix.shape}")
-        if not np.allclose(matrix.sum(axis=1), 1.0, atol=1e-9):
-            raise ConfigurationError("transition matrix rows must sum to 1")
-        self.matrix = matrix
+        self.matrix = validate_transition_matrix(matrix)
 
     def value(self, prediction, target) -> float:
         return cross_entropy(target, prediction @ self.matrix)

@@ -92,3 +92,25 @@ def test_error_exit_code(tmp_path, capsys):
     bad.write_text("schema = 9", encoding="utf-8")
     assert main(["run", "--config", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_train_save_rejected_for_baseline(config_path, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--config", config_path, "--method", "plain-ce",
+                 "--save", str(ckpt)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "epoch" not in captured.out  # rejected before training
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("override, key", [
+    ("epochs=abc", "epochs"),
+    ("seeds=1.5", "seeds"),
+    ("batch_size=0", "batch_size"),
+])
+def test_run_rejects_unusable_config_values(config_path, tmp_path, capsys, override, key):
+    assert main(["run", "--config", config_path, "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()  # no cell ran

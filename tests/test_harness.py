@@ -269,3 +269,28 @@ def test_dataset_hash_tracks_content():
     assert dataset_hash(a_train, a_val) == dataset_hash(b_train, b_val)
     c_train, c_val, _ = build_cell_datasets(config, 0.4, 1.0, master_seed=1)
     assert dataset_hash(c_train, c_val) != dataset_hash(a_train, a_val)
+
+
+def test_failed_expertnet_cell_reports_both_modes_and_grid_continues(monkeypatch):
+    def boom(*args, **kwargs):
+        raise NumericError("intentional test failure")
+
+    monkeypatch.setattr(harness, "train", boom)
+    config = tiny_config(methods=("expertnet", "plain-ce"), epochs=1)
+    records = run_grid(config)
+    failed = [r for r in records if r.method == "expertnet"]
+    assert sorted(r.mode for r in failed) == ["amateur-only", "full"]
+    assert all(r.status == "failed" and r.accuracy is None for r in failed)
+    (plain,) = [r for r in records if r.method == "plain-ce"]
+    assert plain.status == "ok" and plain.accuracy is not None
+
+
+@pytest.mark.parametrize("text, key", [
+    ("epochs = abc", "epochs"),
+    ("seeds = 1.5", "seeds"),
+    ("batch_size = 0", "batch_size"),
+    ("epochs = 0", "epochs"),
+])
+def test_parse_config_rejects_unusable_values(text, key):
+    with pytest.raises(ConfigurationError, match=key):
+        parse_config(text)

@@ -228,6 +228,11 @@ def test_gradients_unknown_loss_kind():
         gradients(net, np.zeros((1, 2)), np.array([[1.0, 0.0]]), "hinge")
 
 
+def test_forward_corrected_loss_rejects_negative_entries():
+    with pytest.raises(ConfigurationError):
+        ForwardCorrectedLoss(np.array([[1.2, -0.2], [0.0, 1.0]]))
+
+
 def test_sgd_plain_step():
     params = [np.array([1.0])]
     state = SgdState(velocity=[np.array([0.0])], momentum=0.0, weight_decay=0.0)
