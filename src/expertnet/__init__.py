@@ -2,7 +2,7 @@
 corrector trained alternately per minibatch, with a label-noise engine,
 reference baselines, and a reproducible experiment harness."""
 
-from .baselines import BaselineSpec, bootstrap_target, forward_corrected_prediction, train_baseline
+from .baselines import BaselineSpec, bootstrap_target, train_baseline
 from .data import (
     Dataset,
     load_table,
@@ -54,7 +54,6 @@ from .nn import (
     cross_entropy,
     forward,
     gradient_check,
-    gradients,
     loss_and_gradients,
     lr_at,
     mlp,

@@ -15,10 +15,10 @@ from functools import partial
 import numpy as np
 
 from .data import Dataset, one_hot_batch
-from .errors import ConfigurationError, DataError, DimensionError
+from .errors import ConfigurationError, DataError
 from .model import accuracy, check_splits, fit
 from .nn import (
-    CrossEntropyLoss,
+    CROSS_ENTROPY,
     ForwardCorrectedLoss,
     SgdState,
     StepDecay,
@@ -28,7 +28,6 @@ from .nn import (
     mlp,
     sgd_step,
 )
-from .noise import validate_transition_matrix
 from .seeding import STREAM_INIT, derive_rng
 
 BASELINE_KINDS = ("plain-ce", "bootstrap", "forward")
@@ -49,10 +48,8 @@ class BaselineSpec:
                 raise ConfigurationError(f"bootstrap beta must be in (0, 1], got {self.beta}")
             if self.variant not in ("soft", "hard"):
                 raise ConfigurationError(f"bootstrap variant must be soft or hard, got {self.variant!r}")
-        if self.kind == "forward":
-            if self.matrix is None:
-                raise ConfigurationError("forward baseline needs a transition matrix")
-            object.__setattr__(self, "matrix", validate_transition_matrix(self.matrix))
+        if self.kind == "forward" and self.matrix is None:
+            raise ConfigurationError("forward baseline needs a transition matrix")
 
 
 def bootstrap_target(pred, given_labels, beta: float, variant: str = "soft") -> np.ndarray:
@@ -77,15 +74,6 @@ def bootstrap_target(pred, given_labels, beta: float, variant: str = "soft") -> 
     return out[0] if single else out
 
 
-def forward_corrected_prediction(pred, matrix) -> np.ndarray:
-    """Predicted noisy-label distribution: out_j = sum_i T[i, j] * pred_i."""
-    matrix = validate_transition_matrix(matrix)
-    p = np.asarray(pred, dtype=float)
-    if p.shape[-1] != matrix.shape[0]:
-        raise DimensionError(f"prediction width {p.shape[-1]} != matrix size {matrix.shape[0]}")
-    return p @ matrix
-
-
 def train_baseline(spec: BaselineSpec, train_set: Dataset, val_set: Dataset,
                    epochs: int, batch_size: int, schedule: StepDecay, seed: int,
                    hidden=(128, 64), momentum: float = 0.9, weight_decay: float = 1e-4):
@@ -100,7 +88,7 @@ def train_baseline(spec: BaselineSpec, train_set: Dataset, val_set: Dataset,
     net = mlp((train_set.dim, *hidden, train_set.n_classes), hidden="relu",
               terminal="softmax", rng=derive_rng(seed, STREAM_INIT, 0))
     state = SgdState.for_network(net, momentum, weight_decay)
-    loss = ForwardCorrectedLoss(spec.matrix) if spec.kind == "forward" else CrossEntropyLoss()
+    loss = ForwardCorrectedLoss(spec.matrix) if spec.kind == "forward" else CROSS_ENTROPY
 
     def step(idx, lr):
         x = train_set.features[idx]

@@ -12,22 +12,22 @@ import numpy as np
 from . import harness
 from .errors import ConfigurationError, ExpertNetError
 from .model import save_checkpoint
-from .nn import ForwardCorrectedLoss, gradient_check, mlp
+from .nn import CROSS_ENTROPY, ForwardCorrectedLoss, gradient_check, mlp
 from .noise import NoiseSpec, corrupt_labels, empirical_matrix, load_matrix_csv, symmetric_matrix
 from .seeding import derive_rng
 
 
-def _add_common(parser, config=True):
-    if config:
-        parser.add_argument("--config", help="experiment config file")
+def _add_common(parser):
+    parser.add_argument("--config", help="experiment config file")
     parser.add_argument("--seed", type=int, help="override the seed list with one seed")
     parser.add_argument("--out", help="output directory override")
-    parser.add_argument("--threads", type=int, default=1, help="worker pool size")
+    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="override a config key (repeatable)")
 
 
 def _load_config(args) -> harness.ExperimentConfig:
     overrides = {}
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         if "=" not in item:
             raise ExpertNetError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
@@ -120,10 +120,7 @@ def cmd_gradcheck(args) -> int:
         x = rng.standard_normal((3, dims[0]))
         targets = rng.random((3, k))
         targets /= targets.sum(axis=1, keepdims=True)
-        if case % 2 == 0:
-            loss = "cross-entropy"
-        else:
-            loss = ForwardCorrectedLoss(symmetric_matrix(k, 0.3))
+        loss = CROSS_ENTROPY if case % 2 == 0 else ForwardCorrectedLoss(symmetric_matrix(k, 0.3))
         err = gradient_check(net, x, targets, loss)
         worst = max(worst, err)
         if err > 1e-4:
@@ -144,8 +141,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run the full experiment grid from a config")
     _add_common(p_run)
-    p_run.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a config key (repeatable)")
+    p_run.add_argument("--threads", type=int, default=1, help="worker pool size")
     p_run.set_defaults(fn=cmd_run)
 
     p_train = sub.add_parser("train", help="train a single grid cell and print history")
@@ -154,7 +150,6 @@ def main(argv=None) -> int:
     p_train.add_argument("--ratio", type=float, help="noise ratio (default: first in config)")
     p_train.add_argument("--fraction", type=float, help="training-data fraction")
     p_train.add_argument("--save", help="write a model checkpoint here (expertnet only)")
-    p_train.add_argument("--set", action="append", metavar="KEY=VALUE")
     p_train.set_defaults(fn=cmd_train)
 
     p_noise = sub.add_parser("noise-stats", help="empirical transition-matrix report")

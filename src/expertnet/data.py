@@ -146,6 +146,15 @@ def normalization_stats(features) -> tuple[np.ndarray, np.ndarray]:
     return feats.mean(axis=0), feats.std(axis=0)
 
 
+def read_text(path) -> str:
+    """A whole UTF-8 file; a file that cannot be read raises InputError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def load_table(path, label_column: str, feature_columns=None,
                stats: tuple[np.ndarray, np.ndarray] | None = None,
                label_map: dict | None = None):
@@ -158,8 +167,7 @@ def load_table(path, label_column: str, feature_columns=None,
 
     Returns (dataset, stats, label_map).
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise InputError(f"{path}:1: empty file")
     header = [h.strip() for h in lines[0].split(",")]

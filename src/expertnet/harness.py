@@ -11,18 +11,20 @@ goes to the run log, never into results.csv.
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import itertools
 import os
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .baselines import BASELINE_KINDS, BaselineSpec, train_baseline
-from .data import Dataset, load_table, make_blobs, stratified_split, subsample
+from .data import Dataset, load_table, make_blobs, read_text, stratified_split, subsample
 from .errors import ConfigurationError, DataError, ExpertNetError, InputError
-from .model import accuracy, build_expertnet, train
+from .model import ExpertNet, accuracy, build_expertnet, train
 from .nn import StepDecay
 from .noise import NoiseSpec, corrupt_labels, load_matrix_csv, symmetric_matrix
 from .seeding import (
@@ -41,6 +43,11 @@ MODE_FULL = "full"
 # method -> the inference modes it reports; baselines never read given labels
 METHODS = {"expertnet": (MODE_AMATEUR, MODE_FULL),
            **{kind: (MODE_AMATEUR,) for kind in BASELINE_KINDS}}
+
+
+def pivot_name(ratio: float) -> str:
+    """File name of the pivot table for one noise ratio."""
+    return f"pivot_rho{round(ratio * 100):02d}.csv"
 
 
 @dataclass(frozen=True)
@@ -86,21 +93,34 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.noise_ratios or not self.fractions or not self.methods or not self.seeds:
             raise ConfigurationError("noise_ratios, fractions, methods and seeds must be nonempty")
-        for r in self.noise_ratios:
-            if not 0.0 <= r < 1.0:
-                raise ConfigurationError(f"noise ratio must be in [0, 1), got {r}")
         for f in self.fractions:
             if not 0.0 < f <= 1.0:
                 raise ConfigurationError(f"fraction must be in (0, 1], got {f}")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigurationError(f"unknown method {m!r} (choose from {tuple(METHODS)})")
-        for key in ("epochs", "batch_size"):
-            if getattr(self, key) < 1:
+        pivots: dict[str, float] = {}
+        for r in self.noise_ratios:
+            NoiseSpec.symmetric(r, 0)
+            if pivots.setdefault(pivot_name(r), r) != r:
+                raise ConfigurationError(
+                    f"noise ratios {pivots[pivot_name(r)]:g} and {r:g} share {pivot_name(r)}")
+        for key in ("epochs", "batch_size", "amateur_hidden", "expert_hidden"):
+            if min(np.atleast_1d(getattr(self, key)), default=1) < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
+        # the objects that own the remaining rules reject bad values before any cell runs
+        self.schedule()
+        self.expertnet(1, 2, 0)
+        BaselineSpec("bootstrap", self.bootstrap_beta, self.bootstrap_variant)
 
     def schedule(self) -> StepDecay:
         return StepDecay(self.lr, self.lr_decay_factor, self.lr_decay_period)
+
+    def expertnet(self, feature_dim: int, n_classes: int, seed: int) -> ExpertNet:
+        return build_expertnet(feature_dim, n_classes, seed, amateur_hidden=self.amateur_hidden,
+                               expert_hidden=self.expert_hidden,
+                               expert_terminal=self.expert_terminal,
+                               momentum=self.momentum, weight_decay=self.weight_decay)
 
 
 @dataclass(frozen=True)
@@ -133,11 +153,53 @@ def dataset_hash(train_set: Dataset, val_set: Dataset) -> str:
 
 # --- config file parsing ------------------------------------------------------
 
+DATASETS = {"blobs": BlobsSpec, "file": FileSpec}
+# config keys whose names differ from their field (`<dataset kind>.<field>` or `<field>`)
+KEY_NAMES = {"blobs.n_classes": "blobs.classes", "file.train_path": "file.train",
+             "file.val_path": "file.val", "file.label_column": "file.label",
+             "file.feature_columns": "file.features", "matrix_path": "matrix"}
+
+
+def _cast(key, text, kind):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigurationError(
+            f"config key {key}: expected {kind.__name__}, got {text!r}") from None
+
+
+def _section(cls, prefix: str, raw: dict) -> dict:
+    """Keyword arguments for `cls` from its config keys in `raw`, which are popped.
+
+    Each value is cast to its field's type: a tuple takes a comma list, and
+    `X | None` takes an empty value or `none` as None.
+    """
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        key = KEY_NAMES.get(prefix + f.name, prefix + f.name)
+        if key in raw:
+            text, hint = raw.pop(key), hints[f.name]
+            kinds = [k for k in typing.get_args(hint) if k is not type(None)]
+            if typing.get_origin(hint) is tuple:
+                value = tuple(_cast(key, i.strip(), kinds[0]) for i in text.split(",") if i.strip())
+            elif kinds:
+                value = None if text in ("", "none") else _cast(key, text, kinds[0])
+            else:
+                value = _cast(key, text, hint)
+            kwargs[f.name] = value
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if required and not kwargs.get(f.name):
+            raise ConfigurationError(f"config key {key} needs a value")
+    return kwargs
+
+
 def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse the flat `key = value` config format (schema 1).
 
     Lists are comma separated; `#` starts a comment; later keys win; CLI
-    overrides win over file keys.
+    overrides win over file keys.  Types and defaults are the fields of
+    ExperimentConfig and of the dataset spec that `dataset` names.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -150,81 +212,21 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         raw[key.strip()] = value.strip()
     raw.update({k: str(v) for k, v in (overrides or {}).items()})
 
-    def cast(key, text, kind):
-        try:
-            return kind(text)
-        except ValueError:
-            raise ConfigurationError(
-                f"config key {key}: expected {kind.__name__}, got {text!r}") from None
-
-    def take(key, kind, default):
-        return cast(key, raw.pop(key), kind) if key in raw else default
-
-    def take_list(key, kind, default):
-        if key not in raw:
-            return default
-        return tuple(cast(key, i.strip(), kind) for i in raw.pop(key).split(",") if i.strip())
-
-    schema = take("schema", int, CONFIG_SCHEMA)
+    schema = _cast("schema", raw.pop("schema", str(CONFIG_SCHEMA)), int)
     if schema != CONFIG_SCHEMA:
         raise ConfigurationError(f"unsupported config schema {schema}")
-
-    kind = take("dataset", str, "blobs")
-    if kind == "blobs":
-        dataset = BlobsSpec(
-            n_classes=take("blobs.classes", int, 4),
-            dim=take("blobs.dim", int, 16),
-            per_class=take("blobs.per_class", int, 500),
-            val_per_class=take("blobs.val_per_class", int, 250),
-            separation=take("blobs.separation", float, 6.0),
-            spread=take("blobs.spread", float, 1.0),
-        )
-    elif kind == "file":
-        train_path = take("file.train", str, None)
-        val_path = take("file.val", str, None)
-        label_column = take("file.label", str, None)
-        if not (train_path and val_path and label_column):
-            raise ConfigurationError("file dataset needs file.train, file.val and file.label")
-        dataset = FileSpec(
-            train_path=train_path,
-            val_path=val_path,
-            label_column=label_column,
-            feature_columns=take_list("file.features", str, ()),
-        )
-    else:
+    kind = raw.pop("dataset", "blobs")
+    if kind not in DATASETS:
         raise ConfigurationError(f"unknown dataset kind {kind!r}")
-
-    period = take("lr_decay_period", str, None)
-    config = ExperimentConfig(
-        dataset=dataset,
-        noise_ratios=take_list("noise_ratios", float, (0.2, 0.4)),
-        fractions=take_list("fractions", float, (1.0,)),
-        methods=take_list("methods", str, ("expertnet",)),
-        seeds=take_list("seeds", int, (1,)),
-        matrix_path=take("matrix", str, None),
-        epochs=take("epochs", int, 60),
-        batch_size=take("batch_size", int, 64),
-        lr=take("lr", float, 0.01),
-        lr_decay_factor=take("lr_decay_factor", float, 0.1),
-        lr_decay_period=(None if period in (None, "", "none")
-                         else cast("lr_decay_period", period, int)),
-        momentum=take("momentum", float, 0.9),
-        weight_decay=take("weight_decay", float, 1e-4),
-        amateur_hidden=take_list("amateur_hidden", int, (128, 64)),
-        expert_hidden=take_list("expert_hidden", int, (64, 32)),
-        expert_terminal=take("expert_terminal", str, "softmax"),
-        bootstrap_beta=take("bootstrap_beta", float, 0.8),
-        bootstrap_variant=take("bootstrap_variant", str, "soft"),
-        out=take("out", str, "results"),
-    )
+    dataset = DATASETS[kind](**_section(DATASETS[kind], kind + ".", raw))
+    config = ExperimentConfig(dataset=dataset, **_section(ExperimentConfig, "", raw))
     if raw:
         raise ConfigurationError(f"unknown config keys: {sorted(raw)}")
     return config
 
 
 def read_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read(), overrides)
+    return parse_config(read_text(path), overrides)
 
 
 # --- grid execution -----------------------------------------------------------
@@ -280,17 +282,12 @@ def train_cell(config: ExperimentConfig, method: str, ratio: float, fraction: fl
     train_seed = derive_seed(cell_seed(master_seed, ratio, fraction), STREAM_TRAIN)
     schedule = config.schedule()
     if method == "expertnet":
-        model = build_expertnet(
-            train_set.dim, train_set.n_classes, seed=train_seed,
-            amateur_hidden=config.amateur_hidden, expert_hidden=config.expert_hidden,
-            expert_terminal=config.expert_terminal,
-            momentum=config.momentum, weight_decay=config.weight_decay)
+        model = config.expertnet(train_set.dim, train_set.n_classes, train_seed)
         _, history = train(model, train_set, val_set, config.epochs,
                            config.batch_size, schedule, train_seed)
     else:
-        spec = BaselineSpec(method, beta=config.bootstrap_beta,
-                            variant=config.bootstrap_variant,
-                            matrix=matrix if method == "forward" else None)
+        spec = BaselineSpec(method, config.bootstrap_beta, config.bootstrap_variant,
+                            matrix if method == "forward" else None)
         model, history = train_baseline(spec, train_set, val_set, config.epochs,
                                         config.batch_size, schedule, train_seed,
                                         hidden=config.amateur_hidden,
@@ -413,7 +410,7 @@ def emit_report(records, out_dir) -> list[str]:
                 else:
                     cells.append("")
             lines.append(",".join(cells))
-        path = os.path.join(out_dir, f"pivot_rho{round(ratio * 100):02d}.csv")
+        path = os.path.join(out_dir, pivot_name(ratio))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         paths.append(path)

@@ -16,9 +16,10 @@ from functools import partial
 
 import numpy as np
 
-from .data import Dataset, one_hot_batch
+from .data import Dataset, one_hot_batch, read_text
 from .errors import ConfigurationError, DataError, DimensionError
 from .nn import (
+    CROSS_ENTROPY,
     Activation,
     Dense,
     Network,
@@ -133,20 +134,18 @@ def train_step(model: ExpertNet, x, given_labels, true_labels, lr: float):
     the amateur updates toward that output as a constant soft target.  With
     lr == 0 both losses are still measured and the model is left untouched.
     """
-    if lr < 0.0:
-        raise ConfigurationError(f"learning rate must be >= 0, got {lr}")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[0] == 0:
         raise DataError("empty batch")
     amateur_probs, _ = forward(model.amateur, x)
     z = expert_input(amateur_probs, given_labels)
     true_onehot = one_hot_batch(true_labels, model.n_classes)
-    expert_loss, expert_grads = loss_and_gradients(model.expert, z, true_onehot, "cross-entropy")
+    expert_loss, expert_grads = loss_and_gradients(model.expert, z, true_onehot, CROSS_ENTROPY)
     if lr != 0.0:
         sgd_step(model.expert.parameters(), expert_grads, model.expert_state, lr)
     expert_out, _ = forward(model.expert, z)
     amateur_target = _soft_target(model, expert_out)
-    amateur_loss, amateur_grads = loss_and_gradients(model.amateur, x, amateur_target, "cross-entropy")
+    amateur_loss, amateur_grads = loss_and_gradients(model.amateur, x, amateur_target, CROSS_ENTROPY)
     if lr != 0.0:
         sgd_step(model.amateur.parameters(), amateur_grads, model.amateur_state, lr)
     return amateur_loss, expert_loss
@@ -282,8 +281,7 @@ def save_checkpoint(model: ExpertNet, path) -> None:
 
 def load_checkpoint(path) -> ExpertNet:
     """Rebuild a model for inference; optimizer velocity starts at zero."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = json.loads(read_text(path))
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ConfigurationError(f"{path} is not an {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:

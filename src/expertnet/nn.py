@@ -172,8 +172,6 @@ def forward(net: Network, batch) -> tuple[np.ndarray, list[np.ndarray]]:
 class CrossEntropyLoss:
     """Mean cross-entropy of predictions against (possibly soft) target rows."""
 
-    kind = "cross-entropy"
-
     def value(self, prediction, target) -> float:
         return cross_entropy(target, prediction)
 
@@ -184,37 +182,33 @@ class CrossEntropyLoss:
         return np.where(prediction > LOG_EPS, -target / clamped, 0.0) / n
 
 
-class ForwardCorrectedLoss:
+CROSS_ENTROPY = CrossEntropyLoss()
+
+
+class ForwardCorrectedLoss(CrossEntropyLoss):
     """Cross-entropy of noisy targets against matrix-mixed predictions.
 
     The prediction rows are pushed through a row-stochastic transition matrix
-    (out_j = sum_i T[i, j] * pred_i) before the usual cross-entropy, so the
-    model is scored on the noisy-label distribution it should induce.
+    (`noisy`) before the usual cross-entropy, so the model is scored on the
+    noisy-label distribution it should induce.
     """
-
-    kind = "forward-corrected"
 
     def __init__(self, matrix):
         self.matrix = validate_transition_matrix(matrix)
 
+    def noisy(self, prediction) -> np.ndarray:
+        """Predicted noisy-label distribution: out_j = sum_i T[i, j] * pred_i."""
+        p = np.asarray(prediction, dtype=float)
+        if p.shape[-1] != self.matrix.shape[0]:
+            raise DimensionError(
+                f"prediction width {p.shape[-1]} != matrix size {self.matrix.shape[0]}")
+        return p @ self.matrix
+
     def value(self, prediction, target) -> float:
-        return cross_entropy(target, prediction @ self.matrix)
+        return super().value(self.noisy(prediction), target)
 
     def prediction_grad(self, prediction, target):
-        mixed = prediction @ self.matrix
-        n = prediction.shape[0]
-        g_mixed = np.where(mixed > LOG_EPS, -target / np.maximum(mixed, LOG_EPS), 0.0) / n
-        return g_mixed @ self.matrix.T
-
-
-def resolve_loss(loss):
-    if isinstance(loss, (CrossEntropyLoss, ForwardCorrectedLoss)):
-        return loss
-    if loss == "cross-entropy":
-        return CrossEntropyLoss()
-    if loss == "forward-corrected":
-        raise ConfigurationError("forward-corrected loss needs a matrix; pass ForwardCorrectedLoss(T)")
-    raise ConfigurationError(f"unknown loss kind {loss!r}")
+        return super().prediction_grad(self.noisy(prediction), target) @ self.matrix.T
 
 
 def loss_and_gradients(net: Network, batch, targets, loss):
@@ -222,7 +216,6 @@ def loss_and_gradients(net: Network, batch, targets, loss):
 
     Gradients are returned as a flat list aligned with net.parameters().
     """
-    loss = resolve_loss(loss)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     out, acts = forward(net, batch)
     if targets.shape != out.shape:
@@ -236,10 +229,6 @@ def loss_and_gradients(net: Network, batch, targets, loss):
         grad, layer_grads = net.layers[i].backward(acts[i], acts[i + 1], grad)
         grads[:0] = layer_grads
     return value, grads
-
-
-def gradients(net: Network, batch, targets, loss):
-    return loss_and_gradients(net, batch, targets, loss)[1]
 
 
 @dataclass
@@ -342,7 +331,6 @@ def epoch_batches(n: int, batch_size: int, seed: int, epoch: int):
 
 def finite_difference_gradients(net: Network, batch, targets, loss, h: float = 1e-5):
     """Central-difference gradients of the scalar loss; checks the backward pass."""
-    loss = resolve_loss(loss)
 
     def value():
         out, _ = forward(net, batch)
@@ -367,7 +355,7 @@ def finite_difference_gradients(net: Network, batch, targets, loss, h: float = 1
 
 def gradient_check(net: Network, batch, targets, loss, h: float = 1e-5) -> float:
     """Max relative error between analytic and finite-difference gradients."""
-    analytic = gradients(net, batch, targets, loss)
+    analytic = loss_and_gradients(net, batch, targets, loss)[1]
     numeric = finite_difference_gradients(net, batch, targets, loss, h=h)
     worst = 0.0
     for a, fd in zip(analytic, numeric):

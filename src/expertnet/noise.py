@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, DimensionError
+from .data import read_text
+from .errors import ConfigurationError, DataError, DimensionError, InputError
 from .seeding import derive_rng
 
 ROW_SUM_TOL = 1e-9
@@ -129,10 +130,16 @@ def save_matrix_csv(matrix, path) -> None:
 
 
 def load_matrix_csv(path) -> np.ndarray:
+    """K lines of K comma-separated entries; a bad cell or a ragged row raises InputError."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rows.append([float(v) for v in line.split(",")])
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: expected numbers, got {line.strip()!r}") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise InputError(f"{path}:{lineno}: expected {len(rows[0])} entries, "
+                             f"got {len(rows[-1])}")
     return validate_transition_matrix(np.array(rows))

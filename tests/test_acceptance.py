@@ -15,7 +15,7 @@ from expertnet.baselines import BaselineSpec, train_baseline
 from expertnet.data import make_blobs, one_hot_batch, stratified_split
 from expertnet.harness import BlobsSpec, ExperimentConfig, emit_report, run_grid
 from expertnet.model import build_expertnet, train_step
-from expertnet.nn import ForwardCorrectedLoss, StepDecay, gradient_check, mlp
+from expertnet.nn import CROSS_ENTROPY, ForwardCorrectedLoss, StepDecay, gradient_check, mlp
 from expertnet.noise import NoiseSpec, corrupt_labels, empirical_matrix, symmetric_matrix
 from expertnet.seeding import derive_rng
 
@@ -59,7 +59,7 @@ def test_criterion_1_gradient_correctness():
         x = rng.standard_normal((3, dims[0]))
         targets = rng.random((3, k))
         targets /= targets.sum(axis=1, keepdims=True)
-        loss = "cross-entropy" if case % 2 == 0 else \
+        loss = CROSS_ENTROPY if case % 2 == 0 else \
             ForwardCorrectedLoss(symmetric_matrix(k, float(rng.uniform(0.0, 0.6))))
         worst = max(worst, gradient_check(net, x, targets, loss, h=1e-5))
     report(1, "gradient correctness", worst < 1e-4,

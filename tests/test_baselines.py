@@ -9,13 +9,12 @@ import expertnet.model as model_mod
 from expertnet.baselines import (
     BaselineSpec,
     bootstrap_target,
-    forward_corrected_prediction,
     train_baseline,
 )
 from expertnet.data import make_blobs, stratified_split
 from expertnet.errors import ConfigurationError, DimensionError
 from expertnet.model import build_expertnet, train
-from expertnet.nn import StepDecay
+from expertnet.nn import ForwardCorrectedLoss, StepDecay
 from expertnet.noise import NoiseSpec, corrupt_labels, symmetric_matrix
 from expertnet.seeding import derive_rng
 
@@ -65,7 +64,7 @@ def test_bootstrap_target_validation():
 
 def test_forward_corrected_identity_matrix():
     pred = np.array([0.2, 0.5, 0.3])
-    np.testing.assert_array_equal(forward_corrected_prediction(pred, np.eye(3)), pred)
+    np.testing.assert_array_equal(ForwardCorrectedLoss(np.eye(3)).noisy(pred), pred)
 
 
 def test_forward_corrected_one_hot_prediction_selects_row():
@@ -73,7 +72,7 @@ def test_forward_corrected_one_hot_prediction_selects_row():
     for i in range(3):
         pred = np.zeros(3)
         pred[i] = 1.0
-        np.testing.assert_allclose(forward_corrected_prediction(pred, matrix), matrix[i],
+        np.testing.assert_allclose(ForwardCorrectedLoss(matrix).noisy(pred), matrix[i],
                                    atol=1e-15)
 
 
@@ -84,7 +83,7 @@ def test_forward_corrected_matches_matvec_oracle():
         pred = rng.random(k)
         pred /= pred.sum()
         matrix = symmetric_matrix(k, float(rng.uniform(0.0, 0.8)))
-        out = forward_corrected_prediction(pred, matrix)
+        out = ForwardCorrectedLoss(matrix).noisy(pred)
         oracle = [sum(matrix[i][j] * pred[i] for i in range(k)) for j in range(k)]
         np.testing.assert_allclose(out, oracle, atol=1e-12)
         assert out.sum() == pytest.approx(1.0, abs=1e-9)  # mass preserved
@@ -92,7 +91,7 @@ def test_forward_corrected_matches_matvec_oracle():
 
 def test_forward_corrected_dimension_mismatch():
     with pytest.raises(DimensionError):
-        forward_corrected_prediction(np.array([0.5, 0.5]), np.eye(3))
+        ForwardCorrectedLoss(np.eye(3)).noisy(np.array([0.5, 0.5]))
 
 
 def test_baseline_spec_validation():

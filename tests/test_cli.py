@@ -108,9 +108,46 @@ def test_train_save_rejected_for_baseline(config_path, tmp_path, capsys):
     ("epochs=abc", "epochs"),
     ("seeds=1.5", "seeds"),
     ("batch_size=0", "batch_size"),
+    ("amateur_hidden=0", "amateur_hidden"),
+    ("lr=0", "learning rate"),
+    ("bootstrap_variant=medium", "bootstrap variant"),
+    ("noise_ratios=0.12,0.125", "pivot_rho12"),
 ])
 def test_run_rejects_unusable_config_values(config_path, tmp_path, capsys, override, key):
     assert main(["run", "--config", config_path, "--set", override]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()  # no cell ran
+
+
+def test_missing_config_file_exits_two(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nope.cfg" in err and err.count("\n") == 1
+
+
+def test_run_missing_matrix_file_records_failed_cells(config_path, tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    assert main(["run", "--config", config_path, "--set", f"matrix={missing}"]) == 1
+    out = capsys.readouterr().out
+    assert "3 records, 3 failed" in out and "InputError" in out
+    assert (tmp_path / "out" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("text, where", [
+    ("0.5,0.5\n0.5,abc\n", ":2:"),
+    ("1.0,0.0\n1.0\n", ":2:"),
+])
+def test_noise_stats_malformed_matrix_exits_two(tmp_path, capsys, text, where):
+    path = tmp_path / "matrix.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["noise-stats", "--matrix", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and where in err and err.count("\n") == 1
+
+
+def test_threads_is_a_run_only_flag(config_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", config_path, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err

@@ -215,3 +215,8 @@ def test_load_table_parse_error_reports_line(tmp_path):
         load_table(short, "label")
     with pytest.raises(InputError, match="no column"):
         load_table(path, "target")
+
+
+def test_load_table_missing_file_is_input_error(tmp_path):
+    with pytest.raises(InputError, match="nope.csv: "):
+        load_table(tmp_path / "nope.csv", "label")

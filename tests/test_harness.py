@@ -290,7 +290,64 @@ def test_failed_expertnet_cell_reports_both_modes_and_grid_continues(monkeypatch
     ("seeds = 1.5", "seeds"),
     ("batch_size = 0", "batch_size"),
     ("epochs = 0", "epochs"),
+    ("amateur_hidden = 0", "amateur_hidden"),
+    ("expert_hidden = 8, 0", "expert_hidden"),
+    ("lr = 0", "learning rate"),
+    ("lr_decay_factor = -0.1", "decay factor"),
+    ("lr_decay_period = 0", "decay period"),
+    ("momentum = 1", "momentum"),
+    ("momentum = -0.1", "momentum"),
+    ("weight_decay = -1e-4", "weight decay"),
+    ("bootstrap_beta = 0", "bootstrap beta"),
+    ("bootstrap_beta = 1.5", "bootstrap beta"),
+    ("bootstrap_variant = medium", "bootstrap variant"),
+    ("expert_terminal = tanh", "expert terminal"),
+    ("noise_ratios = 0.12, 0.125", "pivot_rho12"),
 ])
 def test_parse_config_rejects_unusable_values(text, key):
     with pytest.raises(ConfigurationError, match=key):
         parse_config(text)
+
+
+FILE_CONFIG_TEXT = """
+dataset = file
+file.train = train.csv
+file.val = val.csv
+file.label = y
+file.features = f1, f2
+matrix = none
+lr_decay_period = none
+"""
+
+
+def test_parse_config_file_section_and_none_values():
+    config = parse_config(FILE_CONFIG_TEXT)
+    assert config.dataset == FileSpec("train.csv", "val.csv", "y", ("f1", "f2"))
+    assert config.matrix_path is None and config.lr_decay_period is None
+    with pytest.raises(ConfigurationError, match="file.label"):
+        parse_config(FILE_CONFIG_TEXT.replace("file.label = y", "file.label ="))
+    with pytest.raises(ConfigurationError, match="file.val"):
+        parse_config(FILE_CONFIG_TEXT.replace("file.val = val.csv", ""))
+    with pytest.raises(ConfigurationError, match="blobs.dim"):
+        parse_config(FILE_CONFIG_TEXT + "blobs.dim = 3\n")
+
+
+@pytest.mark.parametrize("missing", ["train", "matrix"])
+def test_missing_input_file_fails_cells_and_grid_continues(tmp_path, missing):
+    ds = make_blobs(3, 20, 4, 5.0, 1.0, seed=9)
+    text = "f0,f1,f2,f3,label\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + f",c{label}\n"
+        for row, label in zip(ds.features, ds.true_labels))
+    for name in ("train", "val"):
+        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+    save_matrix_csv(np.eye(3), tmp_path / "matrix.csv")
+    (tmp_path / f"{missing}.csv").unlink()
+    config = tiny_config(
+        dataset=FileSpec(str(tmp_path / "train.csv"), str(tmp_path / "val.csv"), "label"),
+        matrix_path=str(tmp_path / "matrix.csv"), methods=("expertnet", "plain-ce"),
+        noise_ratios=(0.2, 0.4), epochs=1)
+    records = run_grid(config)
+    assert len(records) == 6  # 3 (method, mode) pairs x 2 ratios
+    assert all(r.status == "failed" for r in records)
+    assert all(r.diagnostic.startswith("InputError: ") and f"{missing}.csv" in r.diagnostic
+               for r in records)

@@ -10,6 +10,7 @@ import pytest
 
 from expertnet.errors import ConfigurationError, DimensionError, NumericError
 from expertnet.nn import (
+    CROSS_ENTROPY,
     Activation,
     CrossEntropyLoss,
     Dense,
@@ -21,7 +22,6 @@ from expertnet.nn import (
     epoch_batches,
     forward,
     gradient_check,
-    gradients,
     loss_and_gradients,
     lr_at,
     mlp,
@@ -184,7 +184,7 @@ def test_gradients_zero_at_symmetric_stationary_point():
     k = 4
     net = Network([Dense(np.zeros((k, k)), np.zeros(k)), Activation("softmax")])
     targets = np.full((3, k), 1.0 / k)
-    grads = gradients(net, np.ones((3, k)), targets, "cross-entropy")
+    grads = loss_and_gradients(net, np.ones((3, k)), targets, CROSS_ENTROPY)[1]
     for g in grads:
         np.testing.assert_array_equal(g, np.zeros_like(g))
 
@@ -200,7 +200,7 @@ def test_gradients_match_finite_differences_all_kinds_and_losses():
         x = rng.standard_normal((3, dims[0]))
         targets = rng.random((3, k))
         targets /= targets.sum(axis=1, keepdims=True)
-        loss = "cross-entropy" if case % 2 == 0 else ForwardCorrectedLoss(symmetric_matrix(k, 0.3))
+        loss = CROSS_ENTROPY if case % 2 == 0 else ForwardCorrectedLoss(symmetric_matrix(k, 0.3))
         assert gradient_check(net, x, targets, loss) < 1e-4
 
 
@@ -216,16 +216,10 @@ def test_softmax_cross_entropy_terminal_gradient_closed_form():
     targets /= targets.sum(axis=1, keepdims=True)
     probs, _ = forward(net, x)
     dz = (probs - targets) / b
-    grad_w, grad_b = gradients(net, x, targets, "cross-entropy")
+    grad_w, grad_b = loss_and_gradients(net, x, targets, CROSS_ENTROPY)[1]
     np.testing.assert_allclose(grad_w, dz.T @ x, atol=1e-12)
     np.testing.assert_allclose(grad_b, dz.sum(axis=0), atol=1e-12)
-    assert gradient_check(net, x, targets, "cross-entropy") < 1e-4
-
-
-def test_gradients_unknown_loss_kind():
-    net = mlp((2, 2), rng=derive_rng(0))
-    with pytest.raises(ConfigurationError):
-        gradients(net, np.zeros((1, 2)), np.array([[1.0, 0.0]]), "hinge")
+    assert gradient_check(net, x, targets, CROSS_ENTROPY) < 1e-4
 
 
 def test_forward_corrected_loss_rejects_negative_entries():
@@ -284,9 +278,9 @@ def test_weight_decay_equals_l2_penalty_gradient():
     targets = rng.random((6, 2))
     targets /= targets.sum(axis=1, keepdims=True)
     for _ in range(5):
-        ga = gradients(net_a, x, targets, "cross-entropy")
+        ga = loss_and_gradients(net_a, x, targets, CROSS_ENTROPY)[1]
         sgd_step(net_a.parameters(), ga, state_a, lr)
-        gb = gradients(net_b, x, targets, "cross-entropy")
+        gb = loss_and_gradients(net_b, x, targets, CROSS_ENTROPY)[1]
         gb = [g + lam * p for g, p in zip(gb, net_b.parameters())]
         sgd_step(net_b.parameters(), gb, state_b, lr)
     for pa, pb in zip(net_a.parameters(), net_b.parameters()):
@@ -315,7 +309,7 @@ def test_training_is_bit_deterministic():
         targets /= targets.sum(axis=1, keepdims=True)
         for epoch in range(3):
             for idx in epoch_batches(8, 3, seed=77, epoch=epoch):
-                g = gradients(net, x[idx], targets[idx], "cross-entropy")
+                g = loss_and_gradients(net, x[idx], targets[idx], CROSS_ENTROPY)[1]
                 sgd_step(net.parameters(), g, state, 0.05)
         return [p.copy() for p in net.parameters()]
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from expertnet.errors import ConfigurationError, DataError
+from expertnet.errors import ConfigurationError, DataError, InputError
 from expertnet.noise import (
     NoiseSpec,
     corrupt_labels,
@@ -164,6 +164,19 @@ def test_matrix_csv_round_trip(tmp_path):
     path = tmp_path / "matrix.csv"
     save_matrix_csv(matrix, path)
     np.testing.assert_array_equal(load_matrix_csv(path), matrix)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("0.5,0.5\n0.5,abc\n", ":2:"),     # a cell that is not a number
+    ("1.0,0.0\n1.0\n", ":2:"),         # a ragged row
+    (None, "matrix.csv: "),            # no such file
+])
+def test_load_matrix_csv_input_errors_name_the_file(tmp_path, text, where):
+    path = tmp_path / "matrix.csv"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError, match=where):
+        load_matrix_csv(path)
 
 
 def test_noise_spec_validation():
