@@ -105,6 +105,8 @@ class ExperimentConfig:
             if pivots.setdefault(pivot_name(r), r) != r:
                 raise ConfigurationError(
                     f"noise ratios {pivots[pivot_name(r)]:g} and {r:g} share {pivot_name(r)}")
+        if not self.out:
+            raise ConfigurationError("out must name an output directory, got ''")
         for key in ("epochs", "batch_size", "amateur_hidden", "expert_hidden"):
             if min(np.atleast_1d(getattr(self, key)), default=1) < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
@@ -238,29 +240,43 @@ def cell_seed(master_seed: int, ratio: float, fraction: float) -> int:
                        stable_hash64(f"frac={fraction:.12g}"))
 
 
+def load_source(config: ExperimentConfig):
+    """The inputs every cell shares, read from disk once per run.
+
+    Returns (tables, matrix): a file dataset's standardized (train, val)
+    Datasets, or None for blobs; and the user transition matrix, or None.
+    """
+    spec, tables, matrix = config.dataset, None, None
+    if isinstance(spec, FileSpec):
+        columns = list(spec.feature_columns) or None
+        train_set, stats, label_map = load_table(spec.train_path, spec.label_column, columns)
+        val_set, _, _ = load_table(spec.val_path, spec.label_column, columns,
+                                   stats=stats, label_map=label_map)
+        tables = (train_set, val_set)
+    if config.matrix_path:
+        matrix = load_matrix_csv(config.matrix_path)
+    return tables, matrix
+
+
 def build_cell_datasets(config: ExperimentConfig, ratio: float, fraction: float,
-                        master_seed: int):
+                        master_seed: int, source=None):
     """Dataset pair plus the transition matrix shared by every method in a cell.
 
     Train split is subsampled to `fraction` before noise injection; the
-    validation split gets given labels from an independent stream.
+    validation split gets given labels from an independent stream.  `source`
+    is `load_source(config)`, which is called here when it is omitted.
     """
+    tables, matrix = load_source(config) if source is None else source
     cell = cell_seed(master_seed, ratio, fraction)
     spec = config.dataset
-    if isinstance(spec, BlobsSpec):
+    if tables is None:
         full = make_blobs(spec.n_classes, spec.per_class + spec.val_per_class, spec.dim,
                           spec.separation, spec.spread, derive_seed(cell, STREAM_DATA))
         train_set, val_set = stratified_split(full, spec.per_class)
     else:
-        train_set, stats, label_map = load_table(
-            spec.train_path, spec.label_column, list(spec.feature_columns) or None)
-        val_set, _, _ = load_table(
-            spec.val_path, spec.label_column, list(spec.feature_columns) or None,
-            stats=stats, label_map=label_map)
+        train_set, val_set = tables
     train_set = subsample(train_set, fraction, derive_seed(cell, STREAM_SUBSAMPLE))
-    if config.matrix_path:
-        matrix = load_matrix_csv(config.matrix_path)
-    else:
+    if matrix is None:
         matrix = symmetric_matrix(train_set.n_classes, ratio)
     train_noise = NoiseSpec.from_matrix(matrix, derive_seed(cell, STREAM_NOISE_TRAIN))
     val_noise = NoiseSpec.from_matrix(matrix, derive_seed(cell, STREAM_NOISE_VAL))
@@ -272,13 +288,15 @@ def build_cell_datasets(config: ExperimentConfig, ratio: float, fraction: float,
 
 
 def train_cell(config: ExperimentConfig, method: str, ratio: float, fraction: float,
-               master_seed: int):
+               master_seed: int, source=None):
     """Build one cell's data and train one method on it.
 
     Returns (model, history, train_set, val_set); the model is an ExpertNet
-    for `expertnet` and the trained network for a baseline.
+    for `expertnet` and the trained network for a baseline.  `source` is as
+    for `build_cell_datasets`.
     """
-    train_set, val_set, matrix = build_cell_datasets(config, ratio, fraction, master_seed)
+    train_set, val_set, matrix = build_cell_datasets(config, ratio, fraction, master_seed,
+                                                     source)
     train_seed = derive_seed(cell_seed(master_seed, ratio, fraction), STREAM_TRAIN)
     schedule = config.schedule()
     if method == "expertnet":
@@ -296,25 +314,36 @@ def train_cell(config: ExperimentConfig, method: str, ratio: float, fraction: fl
     return model, history, train_set, val_set
 
 
+def _cell_label(method: str, ratio: float, fraction: float, master_seed: int) -> str:
+    return f"[{method} rho={ratio:g} frac={fraction:g} seed={master_seed}]"
+
+
+def _failed_cell(config: ExperimentConfig, method: str, ratio: float, fraction: float,
+                 master_seed: int, exc: ExpertNetError):
+    """Failed records, one per reported mode, and the FAILED log line for one cell."""
+    diagnostic = f"{type(exc).__name__}: {exc}"
+    records = [ResultRecord(method=method, mode=mode, noise_ratio=ratio,
+                            fraction=fraction, seed=master_seed, accuracy=None,
+                            epochs=config.epochs, dataset_hash="",
+                            status="failed", diagnostic=diagnostic)
+               for mode in METHODS[method]]
+    return records, [f"{_cell_label(method, ratio, fraction, master_seed)} FAILED {diagnostic}"]
+
+
 def _run_cell(config: ExperimentConfig, method: str, ratio: float, fraction: float,
-              master_seed: int):
+              master_seed: int, source=None):
     """Train one method in one cell; returns (records, log lines).
 
     A failing cell yields failed records carrying its diagnostic instead of
     raising, so the rest of the grid still runs.
     """
     started = time.perf_counter()
-    label = f"[{method} rho={ratio:g} frac={fraction:g} seed={master_seed}]"
+    label = _cell_label(method, ratio, fraction, master_seed)
     try:
-        _, history, train_set, val_set = train_cell(config, method, ratio, fraction, master_seed)
+        _, history, train_set, val_set = train_cell(config, method, ratio, fraction,
+                                                    master_seed, source)
     except ExpertNetError as exc:
-        diagnostic = f"{type(exc).__name__}: {exc}"
-        records = [ResultRecord(method=method, mode=mode, noise_ratio=ratio,
-                                fraction=fraction, seed=master_seed, accuracy=None,
-                                epochs=config.epochs, dataset_hash="",
-                                status="failed", diagnostic=diagnostic)
-                   for mode in METHODS[method]]
-        return records, [f"{label} FAILED {diagnostic}"]
+        return _failed_cell(config, method, ratio, fraction, master_seed, exc)
     dhash = dataset_hash(train_set, val_set)
     logs = [f"{label} dataset_hash={dhash} train_n={train_set.n} val_n={val_set.n}"]
     logs.extend(f"{label} epoch={h.epoch} {h.describe()}" for h in history)
@@ -334,20 +363,27 @@ def run_grid(config: ExperimentConfig, threads: int = 1,
     """Run every (method, ratio, fraction, seed) cell and return sorted records.
 
     A failing cell yields a failed record with its diagnostic; the rest of the
-    grid still runs.  Per-cell log lines (incl. timing) land in `log_lines`
-    in canonical order when a list is supplied.
+    grid still runs.  The input files are read once, before any cell; when
+    one cannot be read, every cell fails with its diagnostic.  Per-cell log
+    lines (incl. timing) land in `log_lines` in canonical order when a list
+    is supplied.
     """
     work = list(itertools.product(config.methods, config.noise_ratios,
                                   config.fractions, config.seeds))
 
     def run_one(item):
-        return _run_cell(config, *item)
+        return _run_cell(config, *item, source)
 
-    if threads <= 1:
-        outcomes = [run_one(item) for item in work]
+    try:
+        source = load_source(config)
+    except ExpertNetError as exc:
+        outcomes = [_failed_cell(config, *item, exc) for item in work]
     else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_one, work))
+        if threads <= 1:
+            outcomes = [run_one(item) for item in work]
+        else:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+                outcomes = list(pool.map(run_one, work))
 
     records: list[ResultRecord] = []
     keyed_logs = []

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .data import Dataset, one_hot_batch, read_text
-from .errors import ConfigurationError, DataError, DimensionError
+from .errors import ConfigurationError, DataError, DimensionError, InputError
 from .nn import (
     CROSS_ENTROPY,
     Activation,
@@ -281,17 +281,23 @@ def save_checkpoint(model: ExpertNet, path) -> None:
 
 def load_checkpoint(path) -> ExpertNet:
     """Rebuild a model for inference; optimizer velocity starts at zero."""
-    doc = json.loads(read_text(path))
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ConfigurationError(f"{path} is not an {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ConfigurationError(f"unsupported checkpoint version {doc.get('version')}")
-    amateur = Network([_layer_from_json(e) for e in doc["amateur"]])
-    expert = Network([_layer_from_json(e) for e in doc["expert"]])
-    return ExpertNet(
-        amateur=amateur,
-        expert=expert,
-        amateur_state=SgdState.for_network(amateur, **doc["amateur_opt"]),
-        expert_state=SgdState.for_network(expert, **doc["expert_opt"]),
-        n_classes=doc["n_classes"],
-    )
+    try:
+        amateur = Network([_layer_from_json(e) for e in doc["amateur"]])
+        expert = Network([_layer_from_json(e) for e in doc["expert"]])
+        return ExpertNet(
+            amateur=amateur,
+            expert=expert,
+            amateur_state=SgdState.for_network(amateur, **doc["amateur_opt"]),
+            expert_state=SgdState.for_network(expert, **doc["expert_opt"]),
+            n_classes=doc["n_classes"],
+        )
+    except KeyError as exc:
+        raise InputError(f"{path}: checkpoint entry {exc} is missing") from None

@@ -112,6 +112,7 @@ def test_train_save_rejected_for_baseline(config_path, tmp_path, capsys):
     ("lr=0", "learning rate"),
     ("bootstrap_variant=medium", "bootstrap variant"),
     ("noise_ratios=0.12,0.125", "pivot_rho12"),
+    ("out=", "out must"),
 ])
 def test_run_rejects_unusable_config_values(config_path, tmp_path, capsys, override, key):
     assert main(["run", "--config", config_path, "--set", override]) == 2

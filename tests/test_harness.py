@@ -351,3 +351,45 @@ def test_missing_input_file_fails_cells_and_grid_continues(tmp_path, missing):
     assert all(r.status == "failed" for r in records)
     assert all(r.diagnostic.startswith("InputError: ") and f"{missing}.csv" in r.diagnostic
                for r in records)
+
+
+def file_grid_config(tmp_path):
+    """A 2 methods x 2 fractions grid on train/val CSV tables and a matrix file."""
+    ds = make_blobs(3, 30, 4, 5.0, 1.0, seed=9)
+    text = "f0,f1,f2,f3,label\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + f",c{label}\n"
+        for row, label in zip(ds.features, ds.true_labels))
+    for name in ("train", "val"):
+        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+    save_matrix_csv(np.roll(np.eye(3), 1, axis=1) * 0.3 + np.eye(3) * 0.7,
+                    tmp_path / "matrix.csv")
+    return tiny_config(
+        dataset=FileSpec(str(tmp_path / "train.csv"), str(tmp_path / "val.csv"), "label"),
+        matrix_path=str(tmp_path / "matrix.csv"), methods=("expertnet", "forward"),
+        fractions=(1.0, 0.5), epochs=1)
+
+
+def test_run_grid_reads_each_input_file_once(tmp_path, monkeypatch):
+    calls = {"load_table": 0, "load_matrix_csv": 0}
+
+    def counting(name):
+        original = getattr(harness, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counting(name))
+    records = run_grid(file_grid_config(tmp_path))
+    assert len(records) == 6 and all(r.status == "ok" for r in records)
+    assert calls == {"load_table": 2, "load_matrix_csv": 1}
+
+
+def test_file_grid_results_identical_across_thread_counts(tmp_path):
+    config = file_grid_config(tmp_path)
+    for threads in (1, 3):
+        emit_report(run_grid(config, threads=threads), tmp_path / f"t{threads}")
+    assert (tmp_path / "t1" / "results.csv").read_bytes() == \
+        (tmp_path / "t3" / "results.csv").read_bytes()

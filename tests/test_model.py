@@ -9,7 +9,7 @@ import pytest
 
 import expertnet.model as model_mod
 from expertnet.data import make_blobs, one_hot_batch, stratified_split
-from expertnet.errors import ConfigurationError, DataError, DimensionError
+from expertnet.errors import ConfigurationError, DataError, DimensionError, InputError
 from expertnet.model import (
     ExpertNet,
     build_expertnet,
@@ -465,3 +465,16 @@ def test_checkpoint_sigmoid_variant_and_bad_file(tmp_path):
     bad.write_text('{"format": "something-else"}', encoding="utf-8")
     with pytest.raises(ConfigurationError):
         load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("text, error, what", [
+    ("not json", InputError, "not JSON"),
+    ('{"format": "expertnet-checkpoint", "version": 1}', InputError, "'amateur'"),
+    ("[]", ConfigurationError, "not an expertnet-checkpoint"),
+])
+def test_malformed_checkpoint_names_the_file(tmp_path, text, error, what):
+    path = tmp_path / "bad.ckpt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error, match=what) as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value)
