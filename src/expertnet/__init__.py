@@ -61,7 +61,6 @@ from .nn import (
     softmax,
 )
 from .noise import (
-    NoiseSpec,
     corrupt_labels,
     empirical_matrix,
     load_matrix_csv,

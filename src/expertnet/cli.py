@@ -13,7 +13,7 @@ from . import harness
 from .errors import ConfigurationError, ExpertNetError
 from .model import save_checkpoint
 from .nn import CROSS_ENTROPY, ForwardCorrectedLoss, gradient_check, mlp
-from .noise import NoiseSpec, corrupt_labels, empirical_matrix, load_matrix_csv, symmetric_matrix
+from .noise import corrupt_labels, empirical_matrix, load_matrix_csv, symmetric_matrix
 from .seeding import derive_rng
 
 
@@ -67,7 +67,8 @@ def cmd_train(args) -> int:
     fraction = args.fraction if args.fraction is not None else config.fractions[0]
     seed = config.seeds[0]
 
-    model, history, train_set, val_set = harness.train_cell(config, method, ratio, fraction, seed)
+    model, history, train_set, val_set = harness.train_cell(config, method, ratio, fraction, seed,
+                                                            harness.load_source(config))
     print(f"method={method} rho={ratio:g} frac={fraction:g} seed={seed} "
           f"train_n={train_set.n} val_n={val_set.n}")
     for h in history:
@@ -80,17 +81,13 @@ def cmd_train(args) -> int:
 
 def cmd_noise_stats(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    if args.matrix:
-        matrix = load_matrix_csv(args.matrix)
-        k = matrix.shape[0]
-        spec = NoiseSpec.from_matrix(matrix, seed)
-    else:
-        k = args.classes
-        matrix = symmetric_matrix(k, args.ratio)
-        spec = NoiseSpec.symmetric(args.ratio, seed)
-    per_class = args.samples // k
-    true = np.repeat(np.arange(k), per_class)
-    given = corrupt_labels(true, spec, k)
+    matrix = (load_matrix_csv(args.matrix) if args.matrix
+              else symmetric_matrix(args.classes, args.ratio))
+    k = matrix.shape[0]
+    if args.samples < k:
+        raise ConfigurationError(f"--samples must be >= the class count {k}, got {args.samples}")
+    true = np.repeat(np.arange(k), args.samples // k)
+    given = corrupt_labels(true, matrix, seed)
     observed = empirical_matrix(true, given, k)
     flip_rate = float(np.mean(given != true))
     print(f"classes={k} samples={true.size} seed={seed}")
@@ -106,6 +103,8 @@ def cmd_noise_stats(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.cases < 1:
+        raise ConfigurationError(f"--cases must be >= 1, got {args.cases}")
     rng = derive_rng(args.seed if args.seed is not None else 0)
     hiddens = ["relu", "leaky-relu", "sigmoid"]
     terminals = ["softmax", "sigmoid"]

@@ -11,6 +11,7 @@ goes to the run log, never into results.csv.
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import dataclasses
 import hashlib
 import itertools
@@ -23,10 +24,10 @@ import numpy as np
 
 from .baselines import BASELINE_KINDS, BaselineSpec, train_baseline
 from .data import Dataset, load_table, make_blobs, read_text, stratified_split, subsample
-from .errors import ConfigurationError, DataError, ExpertNetError, InputError
+from .errors import ConfigurationError, DataError, DimensionError, ExpertNetError, InputError
 from .model import ExpertNet, accuracy, build_expertnet, train
 from .nn import StepDecay
-from .noise import NoiseSpec, corrupt_labels, load_matrix_csv, symmetric_matrix
+from .noise import corrupt_labels, load_matrix_csv, symmetric_matrix
 from .seeding import (
     STREAM_DATA,
     STREAM_NOISE_TRAIN,
@@ -101,7 +102,7 @@ class ExperimentConfig:
                 raise ConfigurationError(f"unknown method {m!r} (choose from {tuple(METHODS)})")
         pivots: dict[str, float] = {}
         for r in self.noise_ratios:
-            NoiseSpec.symmetric(r, 0)
+            symmetric_matrix(2, r)
             if pivots.setdefault(pivot_name(r), r) != r:
                 raise ConfigurationError(
                     f"noise ratios {pivots[pivot_name(r)]:g} and {r:g} share {pivot_name(r)}")
@@ -241,10 +242,11 @@ def cell_seed(master_seed: int, ratio: float, fraction: float) -> int:
 
 
 def load_source(config: ExperimentConfig):
-    """The inputs every cell shares, read from disk once per run.
+    """The inputs every cell shares, read from disk and checked once per run.
 
     Returns (tables, matrix): a file dataset's standardized (train, val)
     Datasets, or None for blobs; and the user transition matrix, or None.
+    A user matrix must be KxK for the data's K classes.
     """
     spec, tables, matrix = config.dataset, None, None
     if isinstance(spec, FileSpec):
@@ -255,18 +257,22 @@ def load_source(config: ExperimentConfig):
         tables = (train_set, val_set)
     if config.matrix_path:
         matrix = load_matrix_csv(config.matrix_path)
+        n_classes = spec.n_classes if tables is None else tables[0].n_classes
+        if matrix.shape[0] != n_classes:
+            raise DimensionError(f"matrix is {matrix.shape[0]}x{matrix.shape[0]} "
+                                 f"but data has {n_classes} classes")
     return tables, matrix
 
 
 def build_cell_datasets(config: ExperimentConfig, ratio: float, fraction: float,
-                        master_seed: int, source=None):
+                        master_seed: int, source):
     """Dataset pair plus the transition matrix shared by every method in a cell.
 
-    Train split is subsampled to `fraction` before noise injection; the
-    validation split gets given labels from an independent stream.  `source`
-    is `load_source(config)`, which is called here when it is omitted.
+    `source` is `load_source(config)`.  Train split is subsampled to
+    `fraction` before noise injection; the validation split gets given labels
+    from an independent stream.
     """
-    tables, matrix = load_source(config) if source is None else source
+    tables, matrix = source
     cell = cell_seed(master_seed, ratio, fraction)
     spec = config.dataset
     if tables is None:
@@ -278,22 +284,19 @@ def build_cell_datasets(config: ExperimentConfig, ratio: float, fraction: float,
     train_set = subsample(train_set, fraction, derive_seed(cell, STREAM_SUBSAMPLE))
     if matrix is None:
         matrix = symmetric_matrix(train_set.n_classes, ratio)
-    train_noise = NoiseSpec.from_matrix(matrix, derive_seed(cell, STREAM_NOISE_TRAIN))
-    val_noise = NoiseSpec.from_matrix(matrix, derive_seed(cell, STREAM_NOISE_VAL))
-    train_set = train_set.with_given(
-        corrupt_labels(train_set.true_labels, train_noise, train_set.n_classes))
-    val_set = val_set.with_given(
-        corrupt_labels(val_set.true_labels, val_noise, val_set.n_classes))
+    train_set = train_set.with_given(corrupt_labels(
+        train_set.true_labels, matrix, derive_seed(cell, STREAM_NOISE_TRAIN)))
+    val_set = val_set.with_given(corrupt_labels(
+        val_set.true_labels, matrix, derive_seed(cell, STREAM_NOISE_VAL)))
     return train_set, val_set, matrix
 
 
 def train_cell(config: ExperimentConfig, method: str, ratio: float, fraction: float,
-               master_seed: int, source=None):
-    """Build one cell's data and train one method on it.
+               master_seed: int, source):
+    """Build one cell's data from `source` (`load_source(config)`) and train one method on it.
 
     Returns (model, history, train_set, val_set); the model is an ExpertNet
-    for `expertnet` and the trained network for a baseline.  `source` is as
-    for `build_cell_datasets`.
+    for `expertnet` and the trained network for a baseline.
     """
     train_set, val_set, matrix = build_cell_datasets(config, ratio, fraction, master_seed,
                                                      source)
@@ -331,7 +334,7 @@ def _failed_cell(config: ExperimentConfig, method: str, ratio: float, fraction: 
 
 
 def _run_cell(config: ExperimentConfig, method: str, ratio: float, fraction: float,
-              master_seed: int, source=None):
+              master_seed: int, source):
     """Train one method in one cell; returns (records, log lines).
 
     A failing cell yields failed records carrying its diagnostic instead of
@@ -366,8 +369,10 @@ def run_grid(config: ExperimentConfig, threads: int = 1,
     grid still runs.  The input files are read once, before any cell; when
     one cannot be read, every cell fails with its diagnostic.  Per-cell log
     lines (incl. timing) land in `log_lines` in canonical order when a list
-    is supplied.
+    is supplied.  `threads` above 1 runs cells on a pool of that many threads.
     """
+    if threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
     work = list(itertools.product(config.methods, config.noise_ratios,
                                   config.fractions, config.seeds))
 
@@ -379,7 +384,7 @@ def run_grid(config: ExperimentConfig, threads: int = 1,
     except ExpertNetError as exc:
         outcomes = [_failed_cell(config, *item, exc) for item in work]
     else:
-        if threads <= 1:
+        if threads == 1:
             outcomes = [run_one(item) for item in work]
         else:
             with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
@@ -418,15 +423,12 @@ def emit_report(records, out_dir) -> list[str]:
         raise DataError("no records to report")
     os.makedirs(out_dir, exist_ok=True)
     paths = [os.path.join(out_dir, "results.csv")]
-    rows = [LONG_CSV_HEADER]
-    for r in records:
-        rows.append(",".join([
-            r.method, r.mode, f"{r.noise_ratio:g}", f"{r.fraction:g}", str(r.seed),
-            _fmt_accuracy(r.accuracy), str(r.epochs), r.status, r.dataset_hash,
-            r.diagnostic.replace(",", ";"),
-        ]))
-    with open(paths[0], "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+    with open(paths[0], "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(LONG_CSV_HEADER.split(","))
+        writer.writerows([r.method, r.mode, f"{r.noise_ratio:g}", f"{r.fraction:g}", r.seed,
+                          _fmt_accuracy(r.accuracy), r.epochs, r.status, r.dataset_hash,
+                          r.diagnostic] for r in records)
 
     ok = [r for r in records if r.status == "ok"]
     for ratio in sorted({r.noise_ratio for r in records}):

@@ -8,7 +8,6 @@ label pairs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,56 +41,23 @@ def symmetric_matrix(n_classes: int, ratio: float) -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Either symmetric(ratio) or an explicit matrix, plus the stream seed."""
+def corrupt_labels(true_labels, matrix, seed: int) -> np.ndarray:
+    """Draw each given label from the row of the transition matrix for its true class.
 
-    seed: int
-    ratio: float | None = None
-    matrix: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.ratio is None) == (self.matrix is None):
-            raise ConfigurationError("specify exactly one of ratio or matrix")
-        if self.ratio is not None and not 0.0 <= self.ratio < 1.0:
-            raise ConfigurationError(f"noise ratio must be in [0, 1), got {self.ratio}")
-        if self.matrix is not None:
-            object.__setattr__(self, "matrix", validate_transition_matrix(self.matrix))
-
-    @classmethod
-    def symmetric(cls, ratio: float, seed: int) -> "NoiseSpec":
-        return cls(seed=seed, ratio=ratio)
-
-    @classmethod
-    def from_matrix(cls, matrix, seed: int) -> "NoiseSpec":
-        return cls(seed=seed, matrix=matrix)
-
-    def transition_matrix(self, n_classes: int) -> np.ndarray:
-        if self.matrix is not None:
-            if self.matrix.shape[0] != n_classes:
-                raise DimensionError(
-                    f"matrix is {self.matrix.shape[0]}x{self.matrix.shape[0]} "
-                    f"but data has {n_classes} classes"
-                )
-            return self.matrix
-        return symmetric_matrix(n_classes, self.ratio)
-
-
-def corrupt_labels(true_labels, spec: NoiseSpec, n_classes: int) -> np.ndarray:
-    """Draw each given label from the matrix row of its true class.
-
-    Deterministic per (labels, seed): one uniform variate per sample, mapped
-    through the row's cumulative distribution.
+    The class count is the matrix size.  Deterministic per (labels, matrix,
+    seed): one uniform variate per sample, mapped through the row's
+    cumulative distribution.
     """
+    matrix = validate_transition_matrix(matrix)
+    n_classes = matrix.shape[0]
     labels = np.asarray(true_labels, dtype=np.int64)
     if labels.ndim != 1:
         raise DataError(f"labels must be 1-D, got shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise DataError(f"label out of range [0, {n_classes})")
-    matrix = spec.transition_matrix(n_classes)
     cumulative = np.cumsum(matrix, axis=1)
     cumulative[:, -1] = 1.0  # guard against rounding in the final bin
-    u = derive_rng(spec.seed).random(labels.size)
+    u = derive_rng(seed).random(labels.size)
     given = (u[:, None] >= cumulative[labels]).sum(axis=1)
     return given.astype(np.int64)
 

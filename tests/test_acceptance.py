@@ -16,7 +16,7 @@ from expertnet.data import make_blobs, one_hot_batch, stratified_split
 from expertnet.harness import BlobsSpec, ExperimentConfig, emit_report, run_grid
 from expertnet.model import build_expertnet, train_step
 from expertnet.nn import CROSS_ENTROPY, ForwardCorrectedLoss, StepDecay, gradient_check, mlp
-from expertnet.noise import NoiseSpec, corrupt_labels, empirical_matrix, symmetric_matrix
+from expertnet.noise import corrupt_labels, empirical_matrix, symmetric_matrix
 from expertnet.seeding import derive_rng
 
 
@@ -145,7 +145,7 @@ def test_criterion_3_noise_engine_statistics():
     labels = derive_rng(1003).integers(0, 10, size=n)
     flip_ok, flip_detail = True, []
     for ratio in (0.2, 0.3, 0.4, 0.5):
-        given = corrupt_labels(labels, NoiseSpec.symmetric(ratio, seed=31), 10)
+        given = corrupt_labels(labels, symmetric_matrix(10, ratio), 31)
         realized = float(np.mean(given != labels))
         band = 3.0 * np.sqrt(ratio * (1.0 - ratio) / n)
         flip_ok &= abs(realized - ratio) < band
@@ -153,7 +153,7 @@ def test_criterion_3_noise_engine_statistics():
 
     k, per_class = 4, 25_000
     true = np.repeat(np.arange(k), per_class)
-    given = corrupt_labels(true, NoiseSpec.symmetric(0.3, seed=32), k)
+    given = corrupt_labels(true, symmetric_matrix(k, 0.3), 32)
     deviation = float(np.abs(empirical_matrix(true, given, k) - symmetric_matrix(k, 0.3)).max())
     empirical_ok = deviation < 0.02
 
@@ -221,9 +221,9 @@ def _reduction_sets(seed=81):
     ds = make_blobs(3, 60, 4, 4.0, 1.0, seed=seed)
     train_set, val_set = stratified_split(ds, 40)
     train_set = train_set.with_given(
-        corrupt_labels(train_set.true_labels, NoiseSpec.symmetric(0.3, seed + 1), 3))
+        corrupt_labels(train_set.true_labels, symmetric_matrix(3, 0.3), seed + 1))
     val_set = val_set.with_given(
-        corrupt_labels(val_set.true_labels, NoiseSpec.symmetric(0.3, seed + 2), 3))
+        corrupt_labels(val_set.true_labels, symmetric_matrix(3, 0.3), seed + 2))
     return train_set, val_set
 
 

@@ -15,7 +15,7 @@ from expertnet.data import make_blobs, stratified_split
 from expertnet.errors import ConfigurationError, DimensionError
 from expertnet.model import build_expertnet, train
 from expertnet.nn import ForwardCorrectedLoss, StepDecay
-from expertnet.noise import NoiseSpec, corrupt_labels, symmetric_matrix
+from expertnet.noise import corrupt_labels, symmetric_matrix
 from expertnet.seeding import derive_rng
 
 
@@ -107,9 +107,9 @@ def noisy_sets(ratio=0.3, seed=70, n_classes=3, per_class=40):
     ds = make_blobs(n_classes, per_class + 20, 4, 4.0, 1.0, seed=seed)
     train_set, val_set = stratified_split(ds, per_class)
     train_set = train_set.with_given(
-        corrupt_labels(train_set.true_labels, NoiseSpec.symmetric(ratio, seed + 1), n_classes))
+        corrupt_labels(train_set.true_labels, symmetric_matrix(n_classes, ratio), seed + 1))
     val_set = val_set.with_given(
-        corrupt_labels(val_set.true_labels, NoiseSpec.symmetric(ratio, seed + 2), n_classes))
+        corrupt_labels(val_set.true_labels, symmetric_matrix(n_classes, ratio), seed + 2))
     return train_set, val_set
 
 

@@ -1,10 +1,12 @@
 """CLI smoke tests for every subcommand and the exit-code contract."""
 
+import numpy as np
 import pytest
 
 import expertnet.harness as harness
 from expertnet.cli import main
 from expertnet.errors import NumericError
+from expertnet.noise import save_matrix_csv
 
 SMOKE_CONFIG = """
 schema = 1
@@ -152,3 +154,33 @@ def test_threads_is_a_run_only_flag(config_path, capsys):
         main(["train", "--config", config_path, "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_run_rejects_threads_below_one(config_path, tmp_path, capsys, threads):
+    assert main(["run", "--config", config_path, "--threads", threads]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: threads must be >= 1") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()  # no cell ran
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["noise-stats", "--samples", "5", "--classes", "10"], "--samples"),
+    (["noise-stats", "--samples", "-5"], "--samples"),
+    (["gradcheck", "--cases", "0"], "--cases"),
+    (["gradcheck", "--cases", "-3"], "--cases"),
+])
+def test_too_small_counts_exit_two(capsys, argv, key):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and key in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_train_matrix_class_mismatch_exits_two(config_path, tmp_path, capsys):
+    matrix = tmp_path / "matrix.csv"
+    save_matrix_csv(np.eye(4), matrix)
+    assert main(["train", "--config", config_path, "--set", f"matrix={matrix}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: matrix is 4x4 but data has 3 classes\n"
+    assert "epoch" not in captured.out  # rejected before training

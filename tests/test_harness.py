@@ -1,6 +1,8 @@
 """Harness tests: grid counting, fair-comparison dataset hashes, byte-level
 determinism of emitted CSVs, failed-cell handling, and config parsing."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,11 @@ from expertnet.harness import (
     cell_seed,
     dataset_hash,
     emit_report,
+    load_source,
     parse_config,
     run_grid,
 )
-from expertnet.noise import save_matrix_csv
+from expertnet.noise import save_matrix_csv, symmetric_matrix
 
 
 def tiny_config(**kwargs):
@@ -181,7 +184,7 @@ def test_build_cell_datasets_noise_after_subsample():
     config = tiny_config(dataset=BlobsSpec(n_classes=4, dim=4, per_class=2500,
                                            val_per_class=100, separation=5.0, spread=1.0))
     train_set, val_set, matrix = build_cell_datasets(config, ratio=0.3, fraction=0.2,
-                                                     master_seed=5)
+                                                     master_seed=5, source=load_source(config))
     assert train_set.n == 2000  # 0.2 of 10000
     realized = np.mean(train_set.given_labels != train_set.true_labels)
     band = 4.0 * np.sqrt(0.3 * 0.7 / train_set.n)
@@ -198,7 +201,7 @@ def test_build_cell_datasets_honors_matrix_file(tmp_path):
     save_matrix_csv(permutation, path)
     config = tiny_config(matrix_path=str(path))
     train_set, val_set, matrix = build_cell_datasets(config, ratio=0.2, fraction=1.0,
-                                                     master_seed=3)
+                                                     master_seed=3, source=load_source(config))
     np.testing.assert_array_equal(matrix, permutation)
     np.testing.assert_array_equal(train_set.given_labels, (train_set.true_labels + 1) % 3)
     np.testing.assert_array_equal(val_set.given_labels, (val_set.true_labels + 1) % 3)
@@ -264,10 +267,11 @@ def test_emit_report_requires_records(tmp_path):
 
 def test_dataset_hash_tracks_content():
     config = tiny_config()
-    a_train, a_val, _ = build_cell_datasets(config, 0.2, 1.0, master_seed=1)
-    b_train, b_val, _ = build_cell_datasets(config, 0.2, 1.0, master_seed=1)
+    source = load_source(config)
+    a_train, a_val, _ = build_cell_datasets(config, 0.2, 1.0, master_seed=1, source=source)
+    b_train, b_val, _ = build_cell_datasets(config, 0.2, 1.0, master_seed=1, source=source)
     assert dataset_hash(a_train, a_val) == dataset_hash(b_train, b_val)
-    c_train, c_val, _ = build_cell_datasets(config, 0.4, 1.0, master_seed=1)
+    c_train, c_val, _ = build_cell_datasets(config, 0.4, 1.0, master_seed=1, source=source)
     assert dataset_hash(c_train, c_val) != dataset_hash(a_train, a_val)
 
 
@@ -393,3 +397,38 @@ def test_file_grid_results_identical_across_thread_counts(tmp_path):
         emit_report(run_grid(config, threads=threads), tmp_path / f"t{threads}")
     assert (tmp_path / "t1" / "results.csv").read_bytes() == \
         (tmp_path / "t3" / "results.csv").read_bytes()
+
+
+def test_matrix_class_mismatch_fails_every_cell_before_building_data(tmp_path, monkeypatch):
+    builds = []
+
+    def spy(*args, **kwargs):
+        builds.append(args)
+        return build_cell_datasets(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_cell_datasets", spy)
+    save_matrix_csv(symmetric_matrix(3, 0.2), tmp_path / "matrix.csv")
+    config = tiny_config(dataset=BlobsSpec(n_classes=4, dim=4, per_class=25, val_per_class=15),
+                         matrix_path=str(tmp_path / "matrix.csv"),
+                         methods=("expertnet", "forward"), noise_ratios=(0.2, 0.4))
+    records = run_grid(config)
+    assert len(records) == 6  # 3 (method, mode) pairs x 2 ratios
+    assert all(r.status == "failed" for r in records)
+    assert {r.diagnostic for r in records} == {
+        "DimensionError: matrix is 3x3 but data has 4 classes"}
+    assert builds == []
+
+
+def test_results_csv_quotes_a_diagnostic_with_a_comma(tmp_path):
+    text = "f0,f1,f2,f3,label\n" + "0,0,0,0,a\n" * 3 + "0,0,0,b\n"
+    for name in ("train", "val"):
+        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+    config = tiny_config(
+        dataset=FileSpec(str(tmp_path / "train.csv"), str(tmp_path / "val.csv"), "label"))
+    records = run_grid(config)
+    diagnostic = f"InputError: {tmp_path / 'train.csv'}:5: expected 5 cells, got 4"
+    assert {r.diagnostic for r in records} == {diagnostic}
+    emit_report(records, tmp_path / "out")
+    with open(tmp_path / "out" / "results.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["diagnostic"] for row in rows] == [diagnostic] * len(records)

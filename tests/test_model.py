@@ -22,7 +22,7 @@ from expertnet.model import (
     train_step,
 )
 from expertnet.nn import Activation, Dense, Network, SgdState, StepDecay, cross_entropy, forward
-from expertnet.noise import NoiseSpec, corrupt_labels
+from expertnet.noise import corrupt_labels, symmetric_matrix
 from expertnet.seeding import derive_rng
 
 
@@ -341,9 +341,9 @@ def noisy_blob_sets(seed=30, n_classes=3, per_class=40, ratio=0.2):
     ds = make_blobs(n_classes, per_class + 20, 4, 6.0, 1.0, seed=seed)
     train_set, val_set = stratified_split(ds, per_class)
     train_set = train_set.with_given(
-        corrupt_labels(train_set.true_labels, NoiseSpec.symmetric(ratio, seed + 1), n_classes))
+        corrupt_labels(train_set.true_labels, symmetric_matrix(n_classes, ratio), seed + 1))
     val_set = val_set.with_given(
-        corrupt_labels(val_set.true_labels, NoiseSpec.symmetric(ratio, seed + 2), n_classes))
+        corrupt_labels(val_set.true_labels, symmetric_matrix(n_classes, ratio), seed + 2))
     return train_set, val_set
 
 

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expertnet.errors import ConfigurationError, DataError, InputError
 from expertnet.noise import (
-    NoiseSpec,
     corrupt_labels,
     empirical_matrix,
     load_matrix_csv,
@@ -61,7 +62,7 @@ def test_symmetric_matrix_validation():
 
 def test_corrupt_labels_no_noise_is_identity():
     labels = derive_rng(1).integers(0, 7, size=500)
-    out = corrupt_labels(labels, NoiseSpec.symmetric(0.0, seed=9), 7)
+    out = corrupt_labels(labels, symmetric_matrix(7, 0.0), 9)
     np.testing.assert_array_equal(out, labels)
 
 
@@ -69,15 +70,50 @@ def test_corrupt_labels_one_hot_row_is_deterministic_map():
     # class 0 always becomes class 2, class 1 stays put
     matrix = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     labels = np.array([0, 1, 0, 1, 2, 0])
-    out = corrupt_labels(labels, NoiseSpec.from_matrix(matrix, seed=4), 3)
+    out = corrupt_labels(labels, matrix, 4)
     np.testing.assert_array_equal(out, [2, 1, 2, 1, 2, 2])
+
+
+@st.composite
+def labels_and_matrix(draw):
+    """A row-stochastic KxK matrix (zero entries allowed) and labels in [0, K)."""
+    k = draw(st.integers(2, 6))
+    weights = np.array(draw(st.lists(st.lists(st.integers(0, 20), min_size=k, max_size=k),
+                                     min_size=k, max_size=k)), dtype=float)
+    weights[weights.sum(axis=1) == 0, 0] = 1.0
+    labels = np.array(draw(st.lists(st.integers(0, k - 1), max_size=300)), dtype=np.int64)
+    return labels, weights / weights.sum(axis=1, keepdims=True)
+
+
+seeds = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labels_and_matrix(), seeds)
+def test_corrupt_labels_output_is_in_range_and_repeats_per_seed(case, seed):
+    labels, matrix = case
+    out = corrupt_labels(labels, matrix, seed)
+    assert out.shape == labels.shape and out.dtype == np.int64
+    assert np.all((out >= 0) & (out < matrix.shape[0]))
+    assert np.all(matrix[labels, out] > 0)  # never draws a zero-probability label
+    np.testing.assert_array_equal(out, corrupt_labels(labels, matrix, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda k: st.tuples(st.permutations(range(k)),
+                                                     st.lists(st.integers(0, k - 1)))),
+       seeds)
+def test_corrupt_labels_permutation_matrix_is_a_deterministic_map(case, seed):
+    target, labels = np.array(case[0]), np.array(case[1], dtype=np.int64)
+    matrix = np.eye(len(target))[target]  # row i is one-hot at target[i]
+    np.testing.assert_array_equal(corrupt_labels(labels, matrix, seed), target[labels])
 
 
 def test_corrupt_labels_flip_rate_within_binomial_band():
     n = 10_000
     labels = derive_rng(2).integers(0, 10, size=n)
     for ratio in (0.2, 0.3, 0.4, 0.5):
-        out = corrupt_labels(labels, NoiseSpec.symmetric(ratio, seed=21), 10)
+        out = corrupt_labels(labels, symmetric_matrix(10, ratio), 21)
         realized = np.mean(out != labels)
         band = 3.0 * np.sqrt(ratio * (1.0 - ratio) / n)
         assert abs(realized - ratio) < band
@@ -85,10 +121,9 @@ def test_corrupt_labels_flip_rate_within_binomial_band():
 
 def test_corrupt_labels_seed_determinism_and_independence():
     labels = derive_rng(3).integers(0, 10, size=10_000)
-    spec = NoiseSpec.symmetric(0.3, seed=77)
-    a = corrupt_labels(labels, spec, 10)
-    np.testing.assert_array_equal(a, corrupt_labels(labels, spec, 10))
-    b = corrupt_labels(labels, NoiseSpec.symmetric(0.3, seed=78), 10)
+    a = corrupt_labels(labels, symmetric_matrix(10, 0.3), 77)
+    np.testing.assert_array_equal(a, corrupt_labels(labels, symmetric_matrix(10, 0.3), 77))
+    b = corrupt_labels(labels, symmetric_matrix(10, 0.3), 78)
     # two independent draws from row p differ with prob 1 - sum p_k^2
     p_same = (1 - 0.3) ** 2 + 0.3 ** 2 / 9
     expected = 1.0 - p_same
@@ -99,7 +134,7 @@ def test_corrupt_labels_seed_determinism_and_independence():
 
 def test_corrupt_labels_out_of_range():
     with pytest.raises(DataError):
-        corrupt_labels([0, 5], NoiseSpec.symmetric(0.1, seed=0), 4)
+        corrupt_labels([0, 5], symmetric_matrix(4, 0.1), 0)
 
 
 def test_empirical_matrix_identity_when_clean():
@@ -121,7 +156,7 @@ def test_empirical_matrix_single_pair():
 def test_empirical_matrix_against_independent_tally():
     k, per_class = 5, 10_000
     true = np.repeat(np.arange(k), per_class)
-    given = corrupt_labels(true, NoiseSpec.symmetric(0.3, seed=5), k)
+    given = corrupt_labels(true, symmetric_matrix(k, 0.3), 5)
 
     counts = Counter(zip(true.tolist(), given.tolist()))
     tally = np.zeros((k, k))
@@ -147,14 +182,14 @@ def test_constructed_and_estimated_matrices_are_row_stochastic():
         matrix = symmetric_matrix(k, ratio)
         assert np.allclose(matrix.sum(axis=1), 1.0, atol=1e-9)
         labels = rng.integers(0, k, size=400)
-        est = empirical_matrix(labels, corrupt_labels(labels, NoiseSpec.symmetric(ratio, 8), k), k)
+        est = empirical_matrix(labels, corrupt_labels(labels, symmetric_matrix(k, ratio), 8), k)
         assert np.allclose(est.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_composition_converges_to_nominal_matrix():
     k, n = 4, 100_000
     true = np.repeat(np.arange(k), n // k)
-    given = corrupt_labels(true, NoiseSpec.symmetric(0.25, seed=123), k)
+    given = corrupt_labels(true, symmetric_matrix(k, 0.25), 123)
     estimated = empirical_matrix(true, given, k)
     assert np.abs(estimated - symmetric_matrix(k, 0.25)).max() < 0.01
 
@@ -181,10 +216,6 @@ def test_load_matrix_csv_input_errors_name_the_file(tmp_path, text, where):
 
 def test_noise_spec_validation():
     with pytest.raises(ConfigurationError):
-        NoiseSpec(seed=0)
-    with pytest.raises(ConfigurationError):
-        NoiseSpec(seed=0, ratio=0.2, matrix=np.eye(2))
-    with pytest.raises(ConfigurationError):
-        NoiseSpec.from_matrix(np.array([[0.5, 0.2], [0.0, 1.0]]), seed=0)
+        corrupt_labels([0, 1], np.array([[0.5, 0.2], [0.0, 1.0]]), 0)
     with pytest.raises(ConfigurationError):
         validate_transition_matrix(np.array([[1.2, -0.2], [0.0, 1.0]]))
