@@ -7,7 +7,6 @@ from .data import (
     Dataset,
     load_table,
     make_blobs,
-    one_hot,
     one_hot_batch,
     stratified_split,
     subsample,
@@ -25,7 +24,6 @@ from .harness import (
     ExperimentConfig,
     FileSpec,
     ResultRecord,
-    accuracy,
     emit_report,
     parse_config,
     read_config,
@@ -34,6 +32,7 @@ from .harness import (
 from .model import (
     EpochStats,
     ExpertNet,
+    accuracy,
     build_expertnet,
     expert_input,
     infer_amateur,

@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .data import Dataset, one_hot_batch
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, DimensionError
 from .model import accuracy, check_splits, fit
 from .nn import (
     CROSS_ENTROPY,
@@ -53,7 +53,7 @@ class BaselineSpec:
 
 
 def bootstrap_target(pred, given_labels, beta: float, variant: str = "soft") -> np.ndarray:
-    """beta*onehot(given) + (1-beta)*(pred or onehot(argmax pred)).
+    """beta*onehot(given) + (1-beta)*(pred or onehot(argmax pred)), over (B, K) rows.
 
     beta = 0 is allowed here (degenerate: the prediction itself); BaselineSpec
     restricts configured runs to (0, 1].
@@ -63,15 +63,14 @@ def bootstrap_target(pred, given_labels, beta: float, variant: str = "soft") -> 
     if variant not in ("soft", "hard"):
         raise ConfigurationError(f"variant must be soft or hard, got {variant!r}")
     p = np.asarray(pred, dtype=float)
-    single = p.ndim == 1
-    p = np.atleast_2d(p)
-    labels = np.atleast_1d(np.asarray(given_labels, dtype=np.int64))
+    if p.ndim != 2:
+        raise DimensionError(f"predictions must be (B, K) rows, got shape {p.shape}")
+    labels = np.asarray(given_labels, dtype=np.int64)
     if labels.shape != (p.shape[0],):
         raise DataError(f"{p.shape[0]} prediction rows but {labels.shape} labels")
     given = one_hot_batch(labels, p.shape[1])
     model_part = p if variant == "soft" else one_hot_batch(np.argmax(p, axis=1), p.shape[1])
-    out = beta * given + (1.0 - beta) * model_part
-    return out[0] if single else out
+    return beta * given + (1.0 - beta) * model_part
 
 
 def train_baseline(spec: BaselineSpec, train_set: Dataset, val_set: Dataset,

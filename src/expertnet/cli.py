@@ -19,30 +19,26 @@ from .seeding import derive_rng
 
 def _add_common(parser):
     parser.add_argument("--config", help="experiment config file")
-    parser.add_argument("--seed", type=int, help="override the seed list with one seed")
-    parser.add_argument("--out", help="output directory override")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a config key (repeatable)")
 
 
-def _load_config(args) -> harness.ExperimentConfig:
+def _load_config(args, flags: dict) -> harness.ExperimentConfig:
+    """The --config file with the --set pairs and then `flags` (key -> value) on top."""
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
             raise ExpertNetError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    if args.seed is not None:
-        overrides["seeds"] = str(args.seed)
-    if args.out:
-        overrides["out"] = args.out
+    overrides.update(flags)
     if args.config:
         return harness.read_config(args.config, overrides)
     return harness.parse_config("", overrides)
 
 
 def cmd_run(args) -> int:
-    config = _load_config(args)
+    config = _load_config(args, {} if args.out is None else {"out": args.out})
     log_lines: list[str] = []
     records = harness.run_grid(config, threads=args.threads, log_lines=log_lines)
     paths = harness.emit_report(records, config.out)
@@ -61,11 +57,9 @@ def cmd_run(args) -> int:
 def cmd_train(args) -> int:
     if args.save and args.method != "expertnet":
         raise ConfigurationError(f"--save writes expertnet checkpoints only, not {args.method}")
-    config = _load_config(args)
+    config = _load_config(args, {})
     method = args.method
-    ratio = args.ratio if args.ratio is not None else config.noise_ratios[0]
-    fraction = args.fraction if args.fraction is not None else config.fractions[0]
-    seed = config.seeds[0]
+    ratio, fraction, seed = config.noise_ratios[0], config.fractions[0], config.seeds[0]
 
     model, history, train_set, val_set = harness.train_cell(config, method, ratio, fraction, seed,
                                                             harness.load_source(config))
@@ -80,17 +74,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_noise_stats(args) -> int:
-    seed = args.seed if args.seed is not None else 0
     matrix = (load_matrix_csv(args.matrix) if args.matrix
               else symmetric_matrix(args.classes, args.ratio))
     k = matrix.shape[0]
     if args.samples < k:
         raise ConfigurationError(f"--samples must be >= the class count {k}, got {args.samples}")
     true = np.repeat(np.arange(k), args.samples // k)
-    given = corrupt_labels(true, matrix, seed)
+    given = corrupt_labels(true, matrix, args.seed)
     observed = empirical_matrix(true, given, k)
     flip_rate = float(np.mean(given != true))
-    print(f"classes={k} samples={true.size} seed={seed}")
+    print(f"classes={k} samples={true.size} seed={args.seed}")
     print(f"realized flip rate: {flip_rate:.4f}")
     print(f"max |observed - nominal| entry: {np.abs(observed - matrix).max():.4f}")
     print("nominal matrix:")
@@ -105,7 +98,7 @@ def cmd_noise_stats(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.cases < 1:
         raise ConfigurationError(f"--cases must be >= 1, got {args.cases}")
-    rng = derive_rng(args.seed if args.seed is not None else 0)
+    rng = derive_rng(args.seed)
     hiddens = ["relu", "leaky-relu", "sigmoid"]
     terminals = ["softmax", "sigmoid"]
     worst = 0.0
@@ -140,14 +133,13 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run the full experiment grid from a config")
     _add_common(p_run)
+    p_run.add_argument("--out", help="output directory; wins over --set out=")
     p_run.add_argument("--threads", type=int, default=1, help="worker pool size")
     p_run.set_defaults(fn=cmd_run)
 
-    p_train = sub.add_parser("train", help="train a single grid cell and print history")
+    p_train = sub.add_parser("train", help="train the config's first grid cell and print history")
     _add_common(p_train)
     p_train.add_argument("--method", default="expertnet", choices=harness.METHODS)
-    p_train.add_argument("--ratio", type=float, help="noise ratio (default: first in config)")
-    p_train.add_argument("--fraction", type=float, help="training-data fraction")
     p_train.add_argument("--save", help="write a model checkpoint here (expertnet only)")
     p_train.set_defaults(fn=cmd_train)
 
@@ -156,12 +148,12 @@ def main(argv=None) -> int:
     p_noise.add_argument("--ratio", type=float, default=0.3)
     p_noise.add_argument("--samples", type=int, default=100000)
     p_noise.add_argument("--matrix", help="transition matrix CSV instead of symmetric noise")
-    p_noise.add_argument("--seed", type=int)
+    p_noise.add_argument("--seed", type=int, default=0)
     p_noise.set_defaults(fn=cmd_noise_stats)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference check of the gradient engine")
     p_grad.add_argument("--cases", type=int, default=100)
-    p_grad.add_argument("--seed", type=int)
+    p_grad.add_argument("--seed", type=int, default=0)
     p_grad.set_defaults(fn=cmd_gradcheck)
 
     args = parser.parse_args(argv)

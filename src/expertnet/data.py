@@ -68,14 +68,6 @@ class Dataset:
                        self.n_classes, given)
 
 
-def one_hot(label: int, n_classes: int) -> np.ndarray:
-    if not 0 <= label < n_classes:
-        raise DataError(f"label {label} out of range [0, {n_classes})")
-    vec = np.zeros(n_classes)
-    vec[label] = 1.0
-    return vec
-
-
 def one_hot_batch(labels, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):

@@ -25,7 +25,7 @@ import numpy as np
 from .baselines import BASELINE_KINDS, BaselineSpec, train_baseline
 from .data import Dataset, load_table, make_blobs, read_text, stratified_split, subsample
 from .errors import ConfigurationError, DataError, DimensionError, ExpertNetError, InputError
-from .model import ExpertNet, accuracy, build_expertnet, train
+from .model import ExpertNet, build_expertnet, train
 from .nn import StepDecay
 from .noise import corrupt_labels, load_matrix_csv, symmetric_matrix
 from .seeding import (
@@ -53,7 +53,7 @@ def pivot_name(ratio: float) -> str:
 
 @dataclass(frozen=True)
 class BlobsSpec:
-    n_classes: int = 4
+    classes: int = 4
     dim: int = 16
     per_class: int = 500
     val_per_class: int = 250
@@ -63,10 +63,10 @@ class BlobsSpec:
 
 @dataclass(frozen=True)
 class FileSpec:
-    train_path: str
-    val_path: str
-    label_column: str
-    feature_columns: tuple[str, ...] = ()  # empty = every non-label column
+    train: str
+    val: str
+    label: str
+    features: tuple[str, ...] = ()  # empty = every non-label column
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class ExperimentConfig:
     fractions: tuple[float, ...] = (1.0,)
     methods: tuple[str, ...] = ("expertnet",)
     seeds: tuple[int, ...] = (1,)
-    matrix_path: str | None = None  # user transition matrix; overrides symmetric noise
+    matrix: str | None = None  # user transition matrix; overrides symmetric noise
     epochs: int = 60
     batch_size: int = 64
     lr: float = 0.01
@@ -92,8 +92,10 @@ class ExperimentConfig:
     out: str = "results"
 
     def __post_init__(self):
-        if not self.noise_ratios or not self.fractions or not self.methods or not self.seeds:
-            raise ConfigurationError("noise_ratios, fractions, methods and seeds must be nonempty")
+        for key in ("noise_ratios", "fractions", "methods", "seeds"):
+            values = getattr(self, key)
+            if not values or len(set(values)) != len(values):
+                raise ConfigurationError(f"{key} must list distinct values, got {values}")
         for f in self.fractions:
             if not 0.0 < f <= 1.0:
                 raise ConfigurationError(f"fraction must be in (0, 1], got {f}")
@@ -157,10 +159,6 @@ def dataset_hash(train_set: Dataset, val_set: Dataset) -> str:
 # --- config file parsing ------------------------------------------------------
 
 DATASETS = {"blobs": BlobsSpec, "file": FileSpec}
-# config keys whose names differ from their field (`<dataset kind>.<field>` or `<field>`)
-KEY_NAMES = {"blobs.n_classes": "blobs.classes", "file.train_path": "file.train",
-             "file.val_path": "file.val", "file.label_column": "file.label",
-             "file.feature_columns": "file.features", "matrix_path": "matrix"}
 
 
 def _cast(key, text, kind):
@@ -180,7 +178,7 @@ def _section(cls, prefix: str, raw: dict) -> dict:
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for f in dataclasses.fields(cls):
-        key = KEY_NAMES.get(prefix + f.name, prefix + f.name)
+        key = prefix + f.name
         if key in raw:
             text, hint = raw.pop(key), hints[f.name]
             kinds = [k for k in typing.get_args(hint) if k is not type(None)]
@@ -250,14 +248,14 @@ def load_source(config: ExperimentConfig):
     """
     spec, tables, matrix = config.dataset, None, None
     if isinstance(spec, FileSpec):
-        columns = list(spec.feature_columns) or None
-        train_set, stats, label_map = load_table(spec.train_path, spec.label_column, columns)
-        val_set, _, _ = load_table(spec.val_path, spec.label_column, columns,
+        columns = list(spec.features) or None
+        train_set, stats, label_map = load_table(spec.train, spec.label, columns)
+        val_set, _, _ = load_table(spec.val, spec.label, columns,
                                    stats=stats, label_map=label_map)
         tables = (train_set, val_set)
-    if config.matrix_path:
-        matrix = load_matrix_csv(config.matrix_path)
-        n_classes = spec.n_classes if tables is None else tables[0].n_classes
+    if config.matrix:
+        matrix = load_matrix_csv(config.matrix)
+        n_classes = spec.classes if tables is None else tables[0].n_classes
         if matrix.shape[0] != n_classes:
             raise DimensionError(f"matrix is {matrix.shape[0]}x{matrix.shape[0]} "
                                  f"but data has {n_classes} classes")
@@ -276,7 +274,7 @@ def build_cell_datasets(config: ExperimentConfig, ratio: float, fraction: float,
     cell = cell_seed(master_seed, ratio, fraction)
     spec = config.dataset
     if tables is None:
-        full = make_blobs(spec.n_classes, spec.per_class + spec.val_per_class, spec.dim,
+        full = make_blobs(spec.classes, spec.per_class + spec.val_per_class, spec.dim,
                           spec.separation, spec.spread, derive_seed(cell, STREAM_DATA))
         train_set, val_set = stratified_split(full, spec.per_class)
     else:
@@ -411,6 +409,12 @@ def _fmt_accuracy(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
+def _write_csv(path, rows) -> str:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return path
+
+
 def emit_report(records, out_dir) -> list[str]:
     """Write results.csv plus one pivot CSV per noise ratio; returns the paths.
 
@@ -422,20 +426,18 @@ def emit_report(records, out_dir) -> list[str]:
     if not records:
         raise DataError("no records to report")
     os.makedirs(out_dir, exist_ok=True)
-    paths = [os.path.join(out_dir, "results.csv")]
-    with open(paths[0], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LONG_CSV_HEADER.split(","))
-        writer.writerows([r.method, r.mode, f"{r.noise_ratio:g}", f"{r.fraction:g}", r.seed,
-                          _fmt_accuracy(r.accuracy), r.epochs, r.status, r.dataset_hash,
-                          r.diagnostic] for r in records)
+    table = [LONG_CSV_HEADER.split(",")] + [
+        [r.method, r.mode, f"{r.noise_ratio:g}", f"{r.fraction:g}", r.seed,
+         _fmt_accuracy(r.accuracy), r.epochs, r.status, r.dataset_hash, r.diagnostic]
+        for r in records]
+    paths = [_write_csv(os.path.join(out_dir, "results.csv"), table)]
 
     ok = [r for r in records if r.status == "ok"]
     for ratio in sorted({r.noise_ratio for r in records}):
         subset = [r for r in ok if r.noise_ratio == ratio]
         columns = sorted({(r.method, r.mode) for r in subset})
         fractions = sorted({r.fraction for r in records if r.noise_ratio == ratio}, reverse=True)
-        lines = ["fraction," + ",".join(f"{m}/{mode}" for m, mode in columns)]
+        rows = [["fraction", *(f"{m}/{mode}" for m, mode in columns)]]
         for fraction in fractions:
             cells = [f"{fraction:g}"]
             for method, mode in columns:
@@ -447,9 +449,6 @@ def emit_report(records, out_dir) -> list[str]:
                     cells.append(f"{mean:.4f}±{std:.4f}")
                 else:
                     cells.append("")
-            lines.append(",".join(cells))
-        path = os.path.join(out_dir, pivot_name(ratio))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        paths.append(path)
+            rows.append(cells)
+        paths.append(_write_csv(os.path.join(out_dir, pivot_name(ratio)), rows))
     return paths

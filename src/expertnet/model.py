@@ -103,20 +103,19 @@ def build_expertnet(feature_dim: int, n_classes: int, seed: int,
 
 
 def expert_input(amateur_probs, given_labels) -> np.ndarray:
-    """Concatenate probability rows with one-hot given labels, in that order."""
+    """Concatenate (B, K) probability rows with one-hot given labels, in that order."""
     probs = np.asarray(amateur_probs, dtype=float)
-    single = probs.ndim == 1
-    probs = np.atleast_2d(probs)
+    if probs.ndim != 2:
+        raise DimensionError(f"probabilities must be (B, K) rows, got shape {probs.shape}")
     k = probs.shape[1]
     if np.any(probs < -DISTRIBUTION_TOL) or np.any(probs > 1.0 + DISTRIBUTION_TOL):
         raise DataError("probability entries outside [0, 1]")
     if np.any(np.abs(probs.sum(axis=1) - 1.0) > DISTRIBUTION_TOL):
         raise DataError("probability rows must sum to 1")
-    labels = np.atleast_1d(np.asarray(given_labels, dtype=np.int64))
+    labels = np.asarray(given_labels, dtype=np.int64)
     if labels.shape != (probs.shape[0],):
         raise DimensionError(f"{probs.shape[0]} probability rows but {labels.shape} labels")
-    out = np.concatenate([probs, one_hot_batch(labels, k)], axis=1)
-    return out[0] if single else out
+    return np.concatenate([probs, one_hot_batch(labels, k)], axis=1)
 
 
 def _soft_target(model: ExpertNet, expert_out: np.ndarray) -> np.ndarray:
@@ -162,21 +161,17 @@ def accuracy(predictions, truths) -> float:
     return float(np.count_nonzero(p == t)) / p.size
 
 
-def infer_amateur(model: ExpertNet, x):
+def infer_amateur(model: ExpertNet, x) -> np.ndarray:
     """Argmax of the amateur's probabilities; ties go to the lowest class index."""
-    arr = np.asarray(x, dtype=float)
-    probs, _ = forward(model.amateur, arr)
-    preds = np.argmax(probs, axis=1)
-    return int(preds[0]) if arr.ndim == 1 else preds
+    probs, _ = forward(model.amateur, x)
+    return np.argmax(probs, axis=1)
 
 
-def infer_full(model: ExpertNet, x, given_labels):
+def infer_full(model: ExpertNet, x, given_labels) -> np.ndarray:
     """Argmax of the expert applied to (amateur probabilities, given label)."""
-    arr = np.asarray(x, dtype=float)
-    probs, _ = forward(model.amateur, arr)
+    probs, _ = forward(model.amateur, x)
     out, _ = forward(model.expert, expert_input(probs, given_labels))
-    preds = np.argmax(out, axis=1)
-    return int(preds[0]) if arr.ndim == 1 else preds
+    return np.argmax(out, axis=1)
 
 
 def check_splits(train_set: Dataset, val_set: Dataset, val_given: bool) -> None:

@@ -96,7 +96,7 @@ def save_matrix_csv(matrix, path) -> None:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    """K lines of K comma-separated entries; a bad cell or a ragged row raises InputError."""
+    """K lines of K comma-separated entries; a bad cell, row or matrix raises InputError."""
     rows = []
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
@@ -108,4 +108,7 @@ def load_matrix_csv(path) -> np.ndarray:
         if len(rows[-1]) != len(rows[0]):
             raise InputError(f"{path}:{lineno}: expected {len(rows[0])} entries, "
                              f"got {len(rows[-1])}")
-    return validate_transition_matrix(np.array(rows))
+    try:
+        return validate_transition_matrix(np.array(rows))
+    except (ConfigurationError, DimensionError) as exc:
+        raise InputError(f"{path}: {exc}") from None

@@ -162,13 +162,13 @@ def test_criterion_3_noise_engine_statistics():
            f"empirical max deviation {deviation:.4f} < 0.02 at N=10^5")
 
 
-ZERO_NOISE_BLOBS = BlobsSpec(n_classes=4, dim=16, per_class=500, val_per_class=250,
+ZERO_NOISE_BLOBS = BlobsSpec(classes=4, dim=16, per_class=500, val_per_class=250,
                              separation=6.0, spread=1.0)
 # separations below re-tuned so the orderings are observable at desk scale;
 # at 6.0 the amateur saturates >= 0.99 and no 2-point gap can exist
-ORDERING_BLOBS = BlobsSpec(n_classes=4, dim=16, per_class=500, val_per_class=250,
+ORDERING_BLOBS = BlobsSpec(classes=4, dim=16, per_class=500, val_per_class=250,
                            separation=2.2, spread=1.0)
-FRACTION_BLOBS = BlobsSpec(n_classes=4, dim=16, per_class=500, val_per_class=250,
+FRACTION_BLOBS = BlobsSpec(classes=4, dim=16, per_class=500, val_per_class=250,
                            separation=1.5, spread=1.0)
 
 

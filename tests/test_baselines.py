@@ -20,31 +20,31 @@ from expertnet.seeding import derive_rng
 
 
 def test_bootstrap_target_beta_one_is_exactly_one_hot():
-    pred = np.array([0.3, 0.7])
-    out = bootstrap_target(pred, 0, beta=1.0)
-    np.testing.assert_array_equal(out, [1.0, 0.0])
+    pred = np.array([[0.3, 0.7]])
+    out = bootstrap_target(pred, [0], beta=1.0)
+    np.testing.assert_array_equal(out, [[1.0, 0.0]])
 
 
 def test_bootstrap_target_beta_zero_keeps_prediction():
-    pred = np.array([0.3, 0.7])
-    np.testing.assert_array_equal(bootstrap_target(pred, 0, beta=0.0), pred)
+    pred = np.array([[0.3, 0.7]])
+    np.testing.assert_array_equal(bootstrap_target(pred, [0], beta=0.0), pred)
 
 
 def test_bootstrap_target_direct_arithmetic():
-    out = bootstrap_target(np.array([0.3, 0.7]), 0, beta=0.8, variant="soft")
+    out = bootstrap_target(np.array([[0.3, 0.7]]), [0], beta=0.8, variant="soft")
     # 0.8*[1,0] + 0.2*[0.3,0.7]
-    np.testing.assert_allclose(out, [0.86, 0.14], atol=1e-15)
-    hard = bootstrap_target(np.array([0.3, 0.7]), 0, beta=0.8, variant="hard")
-    np.testing.assert_allclose(hard, [0.8, 0.2], atol=1e-15)
+    np.testing.assert_allclose(out, [[0.86, 0.14]], atol=1e-15)
+    hard = bootstrap_target(np.array([[0.3, 0.7]]), [0], beta=0.8, variant="hard")
+    np.testing.assert_allclose(hard, [[0.8, 0.2]], atol=1e-15)
 
 
 def test_bootstrap_target_is_distribution_and_affine_in_pred():
     rng = derive_rng(61)
     for _ in range(50):
         k = int(rng.integers(2, 7))
-        p1 = rng.random(k); p1 /= p1.sum()
-        p2 = rng.random(k); p2 /= p2.sum()
-        y = int(rng.integers(0, k))
+        p1 = rng.random((1, k)); p1 /= p1.sum()
+        p2 = rng.random((1, k)); p2 /= p2.sum()
+        y = [int(rng.integers(0, k))]
         beta = float(rng.uniform(0.1, 1.0))
         out = bootstrap_target(p1, y, beta)
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
@@ -57,9 +57,11 @@ def test_bootstrap_target_is_distribution_and_affine_in_pred():
 
 def test_bootstrap_target_validation():
     with pytest.raises(ConfigurationError):
-        bootstrap_target(np.array([1.0, 0.0]), 0, beta=1.5)
+        bootstrap_target(np.array([[1.0, 0.0]]), [0], beta=1.5)
     with pytest.raises(ConfigurationError):
-        bootstrap_target(np.array([1.0, 0.0]), 0, beta=0.5, variant="medium")
+        bootstrap_target(np.array([[1.0, 0.0]]), [0], beta=0.5, variant="medium")
+    with pytest.raises(DimensionError):
+        bootstrap_target(np.array([1.0, 0.0]), [0], beta=0.5)  # a single row must be (1, K)
 
 
 def test_forward_corrected_identity_matrix():

@@ -115,6 +115,8 @@ def test_train_save_rejected_for_baseline(config_path, tmp_path, capsys):
     ("bootstrap_variant=medium", "bootstrap variant"),
     ("noise_ratios=0.12,0.125", "pivot_rho12"),
     ("out=", "out must"),
+    ("seeds=1,1", "seeds"),
+    ("methods=plain-ce,plain-ce", "methods"),
 ])
 def test_run_rejects_unusable_config_values(config_path, tmp_path, capsys, override, key):
     assert main(["run", "--config", config_path, "--set", override]) == 2
@@ -184,3 +186,32 @@ def test_train_matrix_class_mismatch_exits_two(config_path, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: matrix is 4x4 but data has 3 classes\n"
     assert "epoch" not in captured.out  # rejected before training
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--ratio", "0.3"],
+    ["train", "--fraction", "0.5"],
+    ["train", "--seed", "1"],
+    ["train", "--out", "x"],
+    ["run", "--seed", "1"],
+])
+def test_alias_flags_are_gone(config_path, tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--config", config_path, *argv[1:]])
+    assert exc.value.code == 2
+    assert argv[1] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_out_flag_wins_over_set_out(config_path, tmp_path):
+    assert main(["run", "--config", config_path, "--out", str(tmp_path / "x"),
+                 "--set", f"out={tmp_path / 'y'}", "--set", "methods=plain-ce"]) == 0
+    assert (tmp_path / "x" / "results.csv").exists()
+    assert not (tmp_path / "y").exists() and not (tmp_path / "out").exists()
+
+
+def test_train_cell_is_set_through_set(config_path, capsys):
+    assert main(["train", "--config", config_path, "--method", "plain-ce",
+                 "--set", "noise_ratios=0.3", "--set", "fractions=0.5",
+                 "--set", "seeds=4"]) == 0
+    assert "method=plain-ce rho=0.3 frac=0.5 seed=4 " in capsys.readouterr().out

@@ -10,7 +10,6 @@ from expertnet.data import (
     load_table,
     make_blobs,
     normalization_stats,
-    one_hot,
     one_hot_batch,
     stratified_split,
     subsample,
@@ -111,18 +110,17 @@ def test_subsample_carries_given_labels():
 
 
 def test_one_hot_basic():
-    np.testing.assert_array_equal(one_hot(0, 3), [1.0, 0.0, 0.0])
-    np.testing.assert_array_equal(one_hot(2, 3), [0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(one_hot_batch([0, 2], 3), [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(DataError):
-        one_hot(3, 3)
+        one_hot_batch([3], 3)
     with pytest.raises(DataError):
-        one_hot(-1, 3)
+        one_hot_batch([-1], 3)
 
 
 def test_one_hot_round_trip_exhaustive():
     k = 1000
     for c in range(k):
-        assert int(np.argmax(one_hot(c, k))) == c
+        assert int(np.argmax(one_hot_batch([c], k)[0])) == c
     batch = one_hot_batch(np.arange(k), k)
     np.testing.assert_array_equal(np.argmax(batch, axis=1), np.arange(k))
     np.testing.assert_array_equal(batch.sum(axis=1), np.ones(k))

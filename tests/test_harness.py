@@ -2,33 +2,39 @@
 determinism of emitted CSVs, failed-cell handling, and config parsing."""
 
 import csv
+import dataclasses
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import expertnet.harness as harness
 from expertnet.data import make_blobs
 from expertnet.errors import ConfigurationError, DataError, InputError, NumericError
 from expertnet.harness import (
+    METHODS,
     BlobsSpec,
     ExperimentConfig,
     FileSpec,
     ResultRecord,
-    accuracy,
     build_cell_datasets,
     cell_seed,
     dataset_hash,
     emit_report,
     load_source,
     parse_config,
+    pivot_name,
     run_grid,
 )
+from expertnet.model import accuracy
 from expertnet.noise import save_matrix_csv, symmetric_matrix
 
 
 def tiny_config(**kwargs):
     defaults = dict(
-        dataset=BlobsSpec(n_classes=3, dim=4, per_class=25, val_per_class=15,
+        dataset=BlobsSpec(classes=3, dim=4, per_class=25, val_per_class=15,
                           separation=5.0, spread=1.0),
         noise_ratios=(0.2,),
         fractions=(1.0,),
@@ -181,7 +187,7 @@ def test_cell_seed_depends_on_all_coordinates():
 
 
 def test_build_cell_datasets_noise_after_subsample():
-    config = tiny_config(dataset=BlobsSpec(n_classes=4, dim=4, per_class=2500,
+    config = tiny_config(dataset=BlobsSpec(classes=4, dim=4, per_class=2500,
                                            val_per_class=100, separation=5.0, spread=1.0))
     train_set, val_set, matrix = build_cell_datasets(config, ratio=0.3, fraction=0.2,
                                                      master_seed=5, source=load_source(config))
@@ -199,7 +205,7 @@ def test_build_cell_datasets_honors_matrix_file(tmp_path):
     permutation = np.roll(np.eye(3), 1, axis=1)
     path = tmp_path / "matrix.csv"
     save_matrix_csv(permutation, path)
-    config = tiny_config(matrix_path=str(path))
+    config = tiny_config(matrix=str(path))
     train_set, val_set, matrix = build_cell_datasets(config, ratio=0.2, fraction=1.0,
                                                      master_seed=3, source=load_source(config))
     np.testing.assert_array_equal(matrix, permutation)
@@ -248,6 +254,13 @@ def test_emit_report_pivot_mean_and_sample_stdev(tmp_path):
     pivot = (tmp_path / "out" / "pivot_rho20.csv").read_text().splitlines()
     assert pivot[0] == "fraction,expertnet/full"
     assert pivot[1] == "1,0.8100±0.0141"
+
+
+def test_emit_report_all_failed_pivot_bytes(tmp_path):
+    records = [make_record(fraction=f, accuracy=None, status="failed", diagnostic="boom")
+               for f in (0.5, 1.0)]
+    emit_report(records, tmp_path / "out")
+    assert (tmp_path / "out" / "pivot_rho20.csv").read_bytes() == b"fraction\n1\n0.5\n"
 
 
 def test_emit_report_is_byte_deterministic(tmp_path):
@@ -307,6 +320,10 @@ def test_failed_expertnet_cell_reports_both_modes_and_grid_continues(monkeypatch
     ("bootstrap_variant = medium", "bootstrap variant"),
     ("expert_terminal = tanh", "expert terminal"),
     ("noise_ratios = 0.12, 0.125", "pivot_rho12"),
+    ("seeds = 1, 1", "seeds"),
+    ("noise_ratios = 0.2, 0.4, 0.2", "noise_ratios"),
+    ("fractions = 1.0, 1", "fractions"),
+    ("methods = expertnet, plain-ce, expertnet", "methods"),
 ])
 def test_parse_config_rejects_unusable_values(text, key):
     with pytest.raises(ConfigurationError, match=key):
@@ -327,13 +344,93 @@ lr_decay_period = none
 def test_parse_config_file_section_and_none_values():
     config = parse_config(FILE_CONFIG_TEXT)
     assert config.dataset == FileSpec("train.csv", "val.csv", "y", ("f1", "f2"))
-    assert config.matrix_path is None and config.lr_decay_period is None
+    assert config.matrix is None and config.lr_decay_period is None
     with pytest.raises(ConfigurationError, match="file.label"):
         parse_config(FILE_CONFIG_TEXT.replace("file.label = y", "file.label ="))
     with pytest.raises(ConfigurationError, match="file.val"):
         parse_config(FILE_CONFIG_TEXT.replace("file.val = val.csv", ""))
     with pytest.raises(ConfigurationError, match="blobs.dim"):
         parse_config(FILE_CONFIG_TEXT + "blobs.dim = 3\n")
+
+
+# --- config round trips ------------------------------------------------------------
+
+names = st.text(string.ascii_lowercase + string.digits + "_./-", min_size=1, max_size=12)
+file_names = names.filter(lambda text: text != "none")  # `none` unsets an optional key
+finite = dict(allow_nan=False, allow_infinity=False)
+widths = st.lists(st.integers(1, 8), max_size=2).map(tuple)
+
+
+def distinct(elements, **kwargs):
+    return st.lists(elements, min_size=1, max_size=3, unique=True, **kwargs).map(tuple)
+
+
+DATASET_SPECS = {
+    "blobs": st.builds(BlobsSpec, classes=st.integers(2, 9), dim=st.integers(1, 64),
+                       per_class=st.integers(1, 999), val_per_class=st.integers(1, 999),
+                       separation=st.floats(0.01, 50, **finite),
+                       spread=st.floats(0.01, 50, **finite)),
+    "file": st.builds(FileSpec, train=file_names, val=file_names, label=names,
+                      features=distinct(names) | st.just(())),
+}
+
+
+def configs(kind):
+    return st.builds(
+        ExperimentConfig, dataset=DATASET_SPECS[kind],
+        noise_ratios=st.lists(st.floats(0, 0.99, **finite), min_size=1, max_size=3,
+                              unique_by=pivot_name).map(tuple),
+        fractions=distinct(st.floats(0, 1, exclude_min=True, **finite)),
+        methods=distinct(st.sampled_from(tuple(METHODS))),
+        seeds=distinct(st.integers(0, 2**32)),
+        matrix=st.none() | file_names, epochs=st.integers(1, 500), batch_size=st.integers(1, 512),
+        lr=st.floats(1e-6, 10, **finite), lr_decay_factor=st.floats(1e-6, 10, **finite),
+        lr_decay_period=st.none() | st.integers(1, 100),
+        momentum=st.floats(0, 1, exclude_max=True, **finite),
+        weight_decay=st.floats(0, 1, **finite), amateur_hidden=widths, expert_hidden=widths,
+        expert_terminal=st.sampled_from(("softmax", "sigmoid")),
+        bootstrap_beta=st.floats(0, 1, exclude_min=True, **finite),
+        bootstrap_variant=st.sampled_from(("soft", "hard")), out=names)
+
+
+def config_pairs():
+    """Two configs over the same dataset kind."""
+    return st.sampled_from(tuple(DATASET_SPECS)).flatmap(
+        lambda kind: st.tuples(configs(kind), configs(kind)))
+
+
+def render_value(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, tuple):
+        return ", ".join(render_value(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def render(config) -> dict:
+    """Every config key of `config` with its value as a config file spells it."""
+    kind = "blobs" if isinstance(config.dataset, BlobsSpec) else "file"
+    keys = {"dataset": kind}
+    for obj, prefix in ((config.dataset, kind + "."), (config, "")):
+        keys.update((prefix + f.name, render_value(getattr(obj, f.name)))
+                    for f in dataclasses.fields(obj) if f.name != "dataset")
+    return keys
+
+
+@settings(max_examples=60, deadline=None)
+@given(config_pairs(), st.data())
+def test_config_renders_parses_and_overrides_round_trip(pair, data):
+    config, other = pair
+    text = "".join(f"{key} = {value}\n" for key, value in render(config).items())
+    assert parse_config(text) == config
+    key = data.draw(st.sampled_from(sorted(set(render(config)) - {"dataset"})))
+    prefix, _, name = key.rpartition(".")
+    if prefix:
+        expected = dataclasses.replace(config, dataset=dataclasses.replace(
+            config.dataset, **{name: getattr(other.dataset, name)}))
+    else:
+        expected = dataclasses.replace(config, **{name: getattr(other, name)})
+    assert parse_config(text, {key: render(other)[key]}) == expected
 
 
 @pytest.mark.parametrize("missing", ["train", "matrix"])
@@ -348,7 +445,7 @@ def test_missing_input_file_fails_cells_and_grid_continues(tmp_path, missing):
     (tmp_path / f"{missing}.csv").unlink()
     config = tiny_config(
         dataset=FileSpec(str(tmp_path / "train.csv"), str(tmp_path / "val.csv"), "label"),
-        matrix_path=str(tmp_path / "matrix.csv"), methods=("expertnet", "plain-ce"),
+        matrix=str(tmp_path / "matrix.csv"), methods=("expertnet", "plain-ce"),
         noise_ratios=(0.2, 0.4), epochs=1)
     records = run_grid(config)
     assert len(records) == 6  # 3 (method, mode) pairs x 2 ratios
@@ -369,7 +466,7 @@ def file_grid_config(tmp_path):
                     tmp_path / "matrix.csv")
     return tiny_config(
         dataset=FileSpec(str(tmp_path / "train.csv"), str(tmp_path / "val.csv"), "label"),
-        matrix_path=str(tmp_path / "matrix.csv"), methods=("expertnet", "forward"),
+        matrix=str(tmp_path / "matrix.csv"), methods=("expertnet", "forward"),
         fractions=(1.0, 0.5), epochs=1)
 
 
@@ -408,8 +505,8 @@ def test_matrix_class_mismatch_fails_every_cell_before_building_data(tmp_path, m
 
     monkeypatch.setattr(harness, "build_cell_datasets", spy)
     save_matrix_csv(symmetric_matrix(3, 0.2), tmp_path / "matrix.csv")
-    config = tiny_config(dataset=BlobsSpec(n_classes=4, dim=4, per_class=25, val_per_class=15),
-                         matrix_path=str(tmp_path / "matrix.csv"),
+    config = tiny_config(dataset=BlobsSpec(classes=4, dim=4, per_class=25, val_per_class=15),
+                         matrix=str(tmp_path / "matrix.csv"),
                          methods=("expertnet", "forward"), noise_ratios=(0.2, 0.4))
     records = run_grid(config)
     assert len(records) == 6  # 3 (method, mode) pairs x 2 ratios

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import expertnet.model as model_mod
 from expertnet.data import make_blobs, one_hot_batch, stratified_split
@@ -41,8 +43,8 @@ def small_model(seed=0, n_classes=2, feature_dim=3):
 # --- expert_input --------------------------------------------------------------
 
 def test_expert_input_examples():
-    np.testing.assert_array_equal(expert_input([0.5, 0.5], 1), [0.5, 0.5, 0.0, 1.0])
-    np.testing.assert_array_equal(expert_input([1.0, 0.0, 0.0], 0), [1, 0, 0, 1, 0, 0])
+    np.testing.assert_array_equal(expert_input([[0.5, 0.5]], [1]), [[0.5, 0.5, 0.0, 1.0]])
+    np.testing.assert_array_equal(expert_input([[1.0, 0.0, 0.0]], [0]), [[1, 0, 0, 1, 0, 0]])
 
 
 def test_expert_input_round_trip():
@@ -52,7 +54,7 @@ def test_expert_input_round_trip():
         probs = rng.random(k)
         probs /= probs.sum()
         label = int(rng.integers(0, k))
-        z = expert_input(probs, label)
+        z = expert_input(probs[None, :], [label])[0]
         np.testing.assert_array_equal(z[:k], probs)
         assert int(np.argmax(z[k:])) == label
         np.testing.assert_array_equal(np.sort(z[k:]), [0.0] * (k - 1) + [1.0])
@@ -60,11 +62,13 @@ def test_expert_input_round_trip():
 
 def test_expert_input_validation():
     with pytest.raises(DataError):
-        expert_input([0.9, 0.3], 0)  # not a distribution
+        expert_input([[0.9, 0.3]], [0])  # not a distribution
     with pytest.raises(DataError):
-        expert_input([0.5, 0.5], 2)  # label out of range
+        expert_input([[0.5, 0.5]], [2])  # label out of range
     with pytest.raises(DimensionError):
         expert_input(np.full((3, 2), 0.5), [0, 1])  # label count mismatch
+    with pytest.raises(DimensionError):
+        expert_input([0.5, 0.5], [1])  # a single row must be a (1, K) batch
 
 
 # --- train_step order, isolation, and targets ----------------------------------
@@ -281,12 +285,13 @@ def test_infer_amateur_one_hot_and_tie():
     expert = copy_expert(k)
     model = ExpertNet(amateur, expert, SgdState.for_network(amateur),
                       SgdState.for_network(expert), n_classes=k)
-    assert infer_amateur(model, [1.0, 2.0, 3.0]) == 3
+    np.testing.assert_array_equal(infer_amateur(model, [[1.0, 2.0, 3.0]]), [3])
 
     flat = Network([Dense(np.zeros((2, 3)), np.zeros(2)), Activation("softmax")])
     model2 = ExpertNet(flat, copy_expert(2), SgdState.for_network(flat),
                        SgdState.for_network(copy_expert(2)), n_classes=2)
-    assert infer_amateur(model2, [0.3, -0.4, 0.9]) == 0  # exact tie -> class 0
+    # exact tie -> class 0
+    np.testing.assert_array_equal(infer_amateur(model2, [[0.3, -0.4, 0.9]]), [0])
 
 
 def test_infer_amateur_matches_argmax_scan():
@@ -332,7 +337,7 @@ def test_infer_full_matches_forward_replay():
     pa = scalar_softmax(affine(wa, ba, x))
     pe = scalar_softmax(affine(we, be, pa + [0.0, 1.0]))
     expected = max(range(2), key=lambda c: pe[c])
-    assert infer_full(model, x, y) == expected
+    np.testing.assert_array_equal(infer_full(model, [x], [y]), [expected])
 
 
 # --- train loop -----------------------------------------------------------------
@@ -453,6 +458,41 @@ def test_checkpoint_round_trip(tmp_path):
         infer_full(model, x, val_set.given_labels),
         infer_full(loaded, x, val_set.given_labels),
     )
+
+
+widths = st.lists(st.integers(1, 6), max_size=2).map(tuple)
+
+
+def describe(layer):
+    """A layer's kind plus the one setting of its kind that a checkpoint stores."""
+    if layer.kind == "dense":
+        return "dense", layer.weight.shape
+    return layer.kind, layer.slope if layer.kind == "leaky-relu" else None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 4), st.integers(0, 2**32), widths, widths,
+       st.sampled_from(("softmax", "sigmoid")),
+       st.floats(0, 1, exclude_min=True, exclude_max=True, allow_nan=False))
+def test_checkpoint_round_trip_over_architectures(tmp_path_factory, dim, k, seed,
+                                                  amateur_hidden, expert_hidden,
+                                                  terminal, slope):
+    model = build_expertnet(dim, k, seed, amateur_hidden=amateur_hidden,
+                            expert_hidden=expert_hidden, expert_terminal=terminal,
+                            leaky_slope=slope)
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    for net, copy in ((model.amateur, loaded.amateur), (model.expert, loaded.expert)):
+        assert [describe(layer) for layer in copy.layers] == \
+            [describe(layer) for layer in net.layers]
+        for p, q in zip(net.parameters(), copy.parameters(), strict=True):
+            assert q.dtype == np.float64 and np.array_equal(p, q)
+    rng = derive_rng(seed)
+    x = rng.standard_normal((7, dim))
+    given_labels = rng.integers(0, k, 7)
+    np.testing.assert_array_equal(infer_full(loaded, x, given_labels),
+                                  infer_full(model, x, given_labels))
 
 
 def test_checkpoint_sigmoid_variant_and_bad_file(tmp_path):

@@ -205,6 +205,8 @@ def test_matrix_csv_round_trip(tmp_path):
     ("0.5,0.5\n0.5,abc\n", ":2:"),     # a cell that is not a number
     ("1.0,0.0\n1.0\n", ":2:"),         # a ragged row
     (None, "matrix.csv: "),            # no such file
+    ("0.5,0.4\n0.0,1.0\n", "matrix.csv: transition matrix rows must sum to 1"),
+    ("", "matrix.csv: transition matrix must be square"),  # empty file
 ])
 def test_load_matrix_csv_input_errors_name_the_file(tmp_path, text, where):
     path = tmp_path / "matrix.csv"
