@@ -50,6 +50,7 @@ from .nn import (
     Network,
     SgdState,
     StepDecay,
+    backward,
     cross_entropy,
     forward,
     gradient_check,

@@ -22,9 +22,9 @@ from .nn import (
     ForwardCorrectedLoss,
     SgdState,
     StepDecay,
+    backward,
     epoch_batches,
     forward,
-    loss_and_gradients,
     mlp,
     sgd_step,
 )
@@ -92,12 +92,12 @@ def train_baseline(spec: BaselineSpec, train_set: Dataset, val_set: Dataset,
     def step(idx, lr):
         x = train_set.features[idx]
         y = train_set.given_labels[idx]
+        pred, acts = forward(net, x)
         if spec.kind == "bootstrap":
-            pred, _ = forward(net, x)
             target = bootstrap_target(pred, y, spec.beta, spec.variant)
         else:
             target = one_hot_batch(y, train_set.n_classes)
-        loss_value, grads = loss_and_gradients(net, x, target, loss)
+        loss_value, grads = backward(net, acts, target, loss)
         if lr != 0.0:
             sgd_step(net.parameters(), grads, state, lr)
         return loss_value, None

@@ -25,6 +25,7 @@ from .nn import (
     Network,
     SgdState,
     StepDecay,
+    backward,
     epoch_batches,
     forward,
     loss_and_gradients,
@@ -107,15 +108,19 @@ def expert_input(amateur_probs, given_labels) -> np.ndarray:
     probs = np.asarray(amateur_probs, dtype=float)
     if probs.ndim != 2:
         raise DimensionError(f"probabilities must be (B, K) rows, got shape {probs.shape}")
-    k = probs.shape[1]
     if np.any(probs < -DISTRIBUTION_TOL) or np.any(probs > 1.0 + DISTRIBUTION_TOL):
         raise DataError("probability entries outside [0, 1]")
     if np.any(np.abs(probs.sum(axis=1) - 1.0) > DISTRIBUTION_TOL):
         raise DataError("probability rows must sum to 1")
+    return _join_given(probs, given_labels)
+
+
+def _join_given(probs: np.ndarray, given_labels) -> np.ndarray:
+    # (B, K) rows + one-hot given labels; the caller vouches that rows are distributions
     labels = np.asarray(given_labels, dtype=np.int64)
     if labels.shape != (probs.shape[0],):
         raise DimensionError(f"{probs.shape[0]} probability rows but {labels.shape} labels")
-    return np.concatenate([probs, one_hot_batch(labels, k)], axis=1)
+    return np.concatenate([probs, one_hot_batch(labels, probs.shape[1])], axis=1)
 
 
 def _soft_target(model: ExpertNet, expert_out: np.ndarray) -> np.ndarray:
@@ -132,19 +137,24 @@ def train_step(model: ExpertNet, x, given_labels, true_labels, lr: float):
     expert updates toward the true labels, the updated expert re-predicts, and
     the amateur updates toward that output as a constant soft target.  With
     lr == 0 both losses are still measured and the model is left untouched.
+    Each network's forward pass on the batch runs once per parameter state:
+    the amateur does not change before its own update, so its backward pass
+    reuses the activations of its prediction.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[0] == 0:
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2 and x.shape[0] == 0:
         raise DataError("empty batch")
-    amateur_probs, _ = forward(model.amateur, x)
-    z = expert_input(amateur_probs, given_labels)
+    amateur_probs, amateur_acts = forward(model.amateur, x)
+    # the amateur ends in softmax (ExpertNet checks), so its rows are distributions
+    z = _join_given(amateur_probs, given_labels)
     true_onehot = one_hot_batch(true_labels, model.n_classes)
     expert_loss, expert_grads = loss_and_gradients(model.expert, z, true_onehot, CROSS_ENTROPY)
     if lr != 0.0:
         sgd_step(model.expert.parameters(), expert_grads, model.expert_state, lr)
     expert_out, _ = forward(model.expert, z)
     amateur_target = _soft_target(model, expert_out)
-    amateur_loss, amateur_grads = loss_and_gradients(model.amateur, x, amateur_target, CROSS_ENTROPY)
+    amateur_loss, amateur_grads = backward(model.amateur, amateur_acts, amateur_target,
+                                           CROSS_ENTROPY)
     if lr != 0.0:
         sgd_step(model.amateur.parameters(), amateur_grads, model.amateur_state, lr)
     return amateur_loss, expert_loss
@@ -170,6 +180,11 @@ def infer_amateur(model: ExpertNet, x) -> np.ndarray:
 def infer_full(model: ExpertNet, x, given_labels) -> np.ndarray:
     """Argmax of the expert applied to (amateur probabilities, given label)."""
     probs, _ = forward(model.amateur, x)
+    return _full_predictions(model, probs, given_labels)
+
+
+def _full_predictions(model: ExpertNet, probs, given_labels) -> np.ndarray:
+    # full mode from an amateur pass already taken, so evaluation can share it
     out, _ = forward(model.expert, expert_input(probs, given_labels))
     return np.argmax(out, axis=1)
 
@@ -226,8 +241,10 @@ def train(model: ExpertNet, train_set: Dataset, val_set: Dataset, epochs: int,
                           train_set.true_labels[idx], lr)
 
     def evaluate():
-        return (accuracy(infer_amateur(model, val_set.features), val_set.true_labels),
-                accuracy(infer_full(model, val_set.features, val_set.given_labels),
+        # one amateur pass feeds both inference modes
+        probs, _ = forward(model.amateur, val_set.features)
+        return (accuracy(np.argmax(probs, axis=1), val_set.true_labels),
+                accuracy(_full_predictions(model, probs, val_set.given_labels),
                          val_set.true_labels))
 
     history = fit(step, evaluate, epochs, schedule,

@@ -157,7 +157,9 @@ def forward(net: Network, batch) -> tuple[np.ndarray, list[np.ndarray]]:
     Returns the (B, out) output and the list of per-layer activations
     (input first, output last), which backward passes reuse.
     """
-    x = np.atleast_2d(np.asarray(batch, dtype=float))
+    x = np.asarray(batch, dtype=float)
+    if x.ndim != 2:
+        raise DimensionError(f"batch must be (B, {net.input_dim}) rows, got shape {x.shape}")
     if x.shape[1] != net.input_dim:
         raise DimensionError(f"batch width {x.shape[1]} != network input dim {net.input_dim}")
     acts = [x]
@@ -211,13 +213,17 @@ class ForwardCorrectedLoss(CrossEntropyLoss):
         return super().prediction_grad(self.noisy(prediction), target) @ self.matrix.T
 
 
-def loss_and_gradients(net: Network, batch, targets, loss):
-    """Mean-over-batch loss value and its gradient for every parameter.
+def backward(net: Network, acts, targets, loss):
+    """Loss value and parameter gradients of a finished forward pass.
 
-    Gradients are returned as a flat list aligned with net.parameters().
+    `acts` is the activation list `forward(net, batch)` returned, taken with
+    the parameters the gradients are for.  Gradients are returned as a flat
+    list aligned with net.parameters().
     """
+    if len(acts) != len(net.layers) + 1:
+        raise DimensionError(f"{len(acts)} activations for a {len(net.layers)}-layer network")
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    out, acts = forward(net, batch)
+    out = acts[-1]
     if targets.shape != out.shape:
         raise DimensionError(f"targets shape {targets.shape} != output shape {out.shape}")
     value = loss.value(out, targets)
@@ -229,6 +235,11 @@ def loss_and_gradients(net: Network, batch, targets, loss):
         grad, layer_grads = net.layers[i].backward(acts[i], acts[i + 1], grad)
         grads[:0] = layer_grads
     return value, grads
+
+
+def loss_and_gradients(net: Network, batch, targets, loss):
+    """Mean-over-batch loss value and its gradient for every parameter."""
+    return backward(net, forward(net, batch)[1], targets, loss)
 
 
 @dataclass

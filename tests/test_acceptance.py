@@ -80,6 +80,7 @@ def test_criterion_2_training_step_fidelity(monkeypatch):
     events = []
     real_forward = model_mod.forward
     real_lag = model_mod.loss_and_gradients
+    real_backward = model_mod.backward
     real_sgd = model_mod.sgd_step
 
     def net_name(net):
@@ -97,6 +98,10 @@ def test_criterion_2_training_step_fidelity(monkeypatch):
         events.append(("grad", net_name(net), snap(net), np.array(targets, copy=True)))
         return real_lag(net, batch, targets, loss)
 
+    def spy_backward(net, acts, targets, loss):
+        events.append(("grad", net_name(net), snap(net), np.array(targets, copy=True)))
+        return real_backward(net, acts, targets, loss)
+
     def spy_sgd(params, grads, state, lr):
         real_sgd(params, grads, state, lr)
         which = "expert" if params[0] is model.expert.parameters()[0] else "amateur"
@@ -104,6 +109,7 @@ def test_criterion_2_training_step_fidelity(monkeypatch):
 
     monkeypatch.setattr(model_mod, "forward", spy_forward)
     monkeypatch.setattr(model_mod, "loss_and_gradients", spy_lag)
+    monkeypatch.setattr(model_mod, "backward", spy_backward)
     monkeypatch.setattr(model_mod, "sgd_step", spy_sgd)
     train_step(model, x, y, t, lr=0.05)
 

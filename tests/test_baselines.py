@@ -137,6 +137,28 @@ def test_forward_identity_matrix_bit_identical_to_plain_ce():
     assert hist_plain == hist_fwd
 
 
+def test_bootstrap_runs_the_network_once_per_batch(monkeypatch):
+    calls = []
+    real_mlp = baselines_mod.mlp
+
+    def counting_mlp(*args, **kwargs):
+        net = real_mlp(*args, **kwargs)
+        real_apply = net.layers[0].apply
+
+        def counted(x):
+            calls.append(1)
+            return real_apply(x)
+
+        net.layers[0].apply = counted
+        return net
+
+    monkeypatch.setattr(baselines_mod, "mlp", counting_mlp)
+    train_set, _ = noisy_sets()
+    batches = -(-train_set.n // 16)
+    run_baseline(BaselineSpec("bootstrap", beta=0.8), epochs=2)
+    assert len(calls) == 2 * batches + 2  # one pass per batch, one per evaluation
+
+
 def test_baselines_share_batching_with_cotraining(monkeypatch):
     """Equal seed -> identical batch index sequences across training procedures."""
     recorded = {"model": [], "baselines": []}

@@ -23,7 +23,18 @@ from expertnet.model import (
     train,
     train_step,
 )
-from expertnet.nn import Activation, Dense, Network, SgdState, StepDecay, cross_entropy, forward
+from expertnet.nn import (
+    CROSS_ENTROPY,
+    Activation,
+    Dense,
+    Network,
+    SgdState,
+    StepDecay,
+    cross_entropy,
+    forward,
+    loss_and_gradients,
+    sgd_step,
+)
 from expertnet.noise import corrupt_labels, symmetric_matrix
 from expertnet.seeding import derive_rng
 
@@ -81,6 +92,7 @@ class StepSpy:
         self.model = model
         real_forward = model_mod.forward
         real_lag = model_mod.loss_and_gradients
+        real_backward = model_mod.backward
         real_sgd = model_mod.sgd_step
 
         def net_name(net):
@@ -98,6 +110,10 @@ class StepSpy:
             self.events.append(("grad", net_name(net), snap(net), np.array(targets, copy=True)))
             return real_lag(net, batch, targets, loss)
 
+        def spy_backward(net, acts, targets, loss):
+            self.events.append(("grad", net_name(net), snap(net), np.array(targets, copy=True)))
+            return real_backward(net, acts, targets, loss)
+
         def spy_sgd(params, grads, state, lr):
             which = "expert" if params[0] is model.expert.parameters()[0] else "amateur"
             real_sgd(params, grads, state, lr)
@@ -105,6 +121,7 @@ class StepSpy:
 
         monkeypatch.setattr(model_mod, "forward", spy_forward)
         monkeypatch.setattr(model_mod, "loss_and_gradients", spy_lag)
+        monkeypatch.setattr(model_mod, "backward", spy_backward)
         monkeypatch.setattr(model_mod, "sgd_step", spy_sgd)
 
     def ops(self):
@@ -156,6 +173,89 @@ def test_train_step_order_isolation_and_targets(monkeypatch):
     assert params_equal(sgd_e[2], amateur_before)
     assert params_equal(sgd_a[3], sgd_e[3])
     assert not params_equal(sgd_a[2], amateur_before)
+
+
+def test_train_step_validation():
+    model = small_model(seed=5)
+    rng = derive_rng(10)
+    x = rng.standard_normal((4, 3))
+    labels = rng.integers(0, 2, 4)
+    with pytest.raises(DimensionError):
+        train_step(model, x[0], labels[:1], labels[:1], 0.01)  # a 1-D x is not a batch
+    with pytest.raises(DimensionError):
+        train_step(model, x, labels[:3], labels, 0.01)  # given-label count
+    with pytest.raises(DimensionError):
+        train_step(model, x, labels, labels[:3], 0.01)  # true-label count
+    with pytest.raises(DataError):
+        train_step(model, x[:0], labels[:0], labels[:0], 0.01)
+
+
+def count_calls(obj, name):
+    """Shadow obj.name with a counting wrapper; returns the list of calls."""
+    calls = []
+    real = getattr(obj, name)
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    setattr(obj, name, counted)
+    return calls
+
+
+def test_train_step_runs_the_amateur_once():
+    model = small_model(seed=11)
+    calls = count_calls(model.amateur.layers[0], "apply")
+    rng = derive_rng(12)
+    for n in range(1, 4):
+        train_step(model, rng.standard_normal((5, 3)), rng.integers(0, 2, 5),
+                   rng.integers(0, 2, 5), 0.05)
+        assert len(calls) == n
+
+
+def test_train_runs_the_amateur_once_per_batch_and_once_per_evaluation():
+    train_set, val_set = noisy_blob_sets()
+    model = build_expertnet(4, 3, seed=1, amateur_hidden=(8,), expert_hidden=(8,))
+    calls = count_calls(model.amateur.layers[0], "apply")
+    batches = -(-train_set.n // 16)
+    train(model, train_set, val_set, epochs=2, batch_size=16,
+          schedule=StepDecay(0.01), seed=5)
+    assert len(calls) == 2 * batches + 2
+
+
+def reference_step(model, x, given_labels, true_labels, lr):
+    """The step before the split: the amateur's gradient re-runs its forward pass."""
+    amateur_probs, _ = forward(model.amateur, x)
+    z = expert_input(amateur_probs, given_labels)
+    true_onehot = one_hot_batch(true_labels, model.n_classes)
+    expert_loss, grads = loss_and_gradients(model.expert, z, true_onehot, CROSS_ENTROPY)
+    sgd_step(model.expert.parameters(), grads, model.expert_state, lr)
+    expert_out, _ = forward(model.expert, z)
+    target = model_mod._soft_target(model, expert_out)
+    amateur_loss, grads = loss_and_gradients(model.amateur, x, target, CROSS_ENTROPY)
+    sgd_step(model.amateur.parameters(), grads, model.amateur_state, lr)
+    return amateur_loss, expert_loss
+
+
+@pytest.mark.parametrize("terminal", ["softmax", "sigmoid"])
+def test_train_step_bit_identical_to_the_two_pass_reference(terminal):
+    def build():
+        return build_expertnet(4, 3, seed=14, amateur_hidden=(8, 6), expert_hidden=(8,),
+                               expert_terminal=terminal)
+
+    model, reference = build(), build()
+    rng = derive_rng(15)
+    for _ in range(5):
+        x = rng.standard_normal((7, 4))
+        y, t = rng.integers(0, 3, 7), rng.integers(0, 3, 7)
+        assert train_step(model, x, y, t, 0.05) == reference_step(reference, x, y, t, 0.05)
+    for net, ref in ((model.amateur, reference.amateur), (model.expert, reference.expert)):
+        for p, q in zip(net.parameters(), ref.parameters()):
+            np.testing.assert_array_equal(p, q)
+    for state, ref in ((model.amateur_state, reference.amateur_state),
+                       (model.expert_state, reference.expert_state)):
+        for v, w in zip(state.velocity, ref.velocity):
+            np.testing.assert_array_equal(v, w)
 
 
 def test_train_step_zero_lr_is_identity():
@@ -292,6 +392,14 @@ def test_infer_amateur_one_hot_and_tie():
                        SgdState.for_network(copy_expert(2)), n_classes=2)
     # exact tie -> class 0
     np.testing.assert_array_equal(infer_amateur(model2, [[0.3, -0.4, 0.9]]), [0])
+
+
+def test_inference_rejects_a_1d_row():
+    model = build_expertnet(3, 4, seed=0)
+    with pytest.raises(DimensionError):
+        infer_amateur(model, [1.0, 2.0, 3.0])  # one row must be a (1, 3) batch
+    with pytest.raises(DimensionError):
+        infer_full(model, [1.0, 2.0, 3.0], [1])
 
 
 def test_infer_amateur_matches_argmax_scan():

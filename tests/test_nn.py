@@ -18,6 +18,7 @@ from expertnet.nn import (
     Network,
     SgdState,
     StepDecay,
+    backward,
     cross_entropy,
     epoch_batches,
     forward,
@@ -178,6 +179,43 @@ def test_forward_dimension_mismatch():
     net = mlp((3, 4, 2), rng=derive_rng(0))
     with pytest.raises(DimensionError):
         forward(net, np.zeros((2, 5)))
+
+
+def test_forward_rejects_a_1d_batch():
+    net = mlp((3, 4, 2), rng=derive_rng(0))
+    with pytest.raises(DimensionError):
+        forward(net, [1.0, 2.0, 3.0])  # one row must be a (1, 3) batch
+    with pytest.raises(DimensionError):
+        forward(net, np.zeros((1, 1, 3)))
+
+
+@pytest.mark.parametrize("make_loss", [
+    lambda k: CROSS_ENTROPY,
+    lambda k: ForwardCorrectedLoss(symmetric_matrix(k, 0.3)),
+], ids=["cross-entropy", "forward-corrected"])
+def test_backward_of_a_finished_pass_equals_loss_and_gradients(make_loss):
+    rng = derive_rng(17)
+    for terminal in ("softmax", "sigmoid"):
+        net = mlp((4, 6, 3), hidden="relu", terminal=terminal, rng=rng)
+        x = rng.standard_normal((5, 4))
+        targets = rng.random((5, 3))
+        targets /= targets.sum(axis=1, keepdims=True)
+        loss = make_loss(3)
+        value, grads = backward(net, forward(net, x)[1], targets, loss)
+        ref_value, ref_grads = loss_and_gradients(net, x, targets, loss)
+        assert value == ref_value
+        assert len(grads) == len(ref_grads) == len(net.parameters())
+        for g, r in zip(grads, ref_grads):
+            np.testing.assert_array_equal(g, r)
+
+
+def test_backward_rejects_activations_of_another_shape():
+    net = mlp((3, 4, 2), rng=derive_rng(0))
+    _, acts = forward(net, np.ones((2, 3)))
+    with pytest.raises(DimensionError):
+        backward(net, acts[1:], np.full((2, 2), 0.5), CROSS_ENTROPY)
+    with pytest.raises(DimensionError):
+        backward(net, acts, np.full((3, 2), 0.5), CROSS_ENTROPY)
 
 
 def test_gradients_zero_at_symmetric_stationary_point():
