@@ -39,6 +39,13 @@ def _load_config(args, flags: dict) -> harness.ExperimentConfig:
 
 def cmd_run(args) -> int:
     config = _load_config(args, {} if args.out is None else {"out": args.out})
+    if args.threads < 1:  # checked before the output directory is made
+        raise ConfigurationError(f"threads must be >= 1, got {args.threads}")
+    try:
+        os.makedirs(config.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot use {config.out} as the output directory: "
+                                 f"{exc.strerror}") from None
     log_lines: list[str] = []
     records = harness.run_grid(config, threads=args.threads, log_lines=log_lines)
     paths = harness.emit_report(records, config.out)
@@ -57,12 +64,17 @@ def cmd_run(args) -> int:
 def cmd_train(args) -> int:
     if args.save and args.method != "expertnet":
         raise ConfigurationError(f"--save writes expertnet checkpoints only, not {args.method}")
+    if args.save and (os.path.isdir(args.save)
+                      or not os.path.isdir(os.path.dirname(os.path.abspath(args.save)))):
+        raise ConfigurationError(f"cannot write a checkpoint to {args.save}: it is a "
+                                 "directory or its directory does not exist")
     config = _load_config(args, {})
     method = args.method
     ratio, fraction, seed = config.noise_ratios[0], config.fractions[0], config.seeds[0]
-
-    model, history, train_set, val_set = harness.train_cell(config, method, ratio, fraction, seed,
-                                                            harness.load_source(config))
+    train_set, val_set, matrix = harness.build_cell_datasets(config, ratio, fraction, seed,
+                                                             harness.load_source(config))
+    model, history = harness.train_method(config, method, harness.cell_seed(seed, ratio, fraction),
+                                          train_set, val_set, matrix)
     print(f"method={method} rho={ratio:g} frac={fraction:g} seed={seed} "
           f"train_n={train_set.n} val_n={val_set.n}")
     for h in history:

@@ -1,11 +1,13 @@
 """Experiment harness: config parsing, the (method x noise ratio x data
 fraction x seed) grid, accuracy measurement, and CSV report emission.
 
-Within one (ratio, fraction, seed) cell every method sees the identical
-corrupted dataset and identical batch-order seeds; per-cell streams are
-derived from the master seed and the cell coordinates only, so adding methods
-never perturbs existing cells.  Output files are byte-deterministic: timing
-goes to the run log, never into results.csv.
+The unit of work is a (ratio, fraction, seed) cell: it builds and hashes its
+corrupted dataset once and trains every method on that one read-only
+dataset with identical batch-order seeds; `run_grid`'s thread pool runs whole
+cells.  Per-cell streams are derived from the master seed and the cell
+coordinates only, so adding methods never perturbs existing cells.  Output
+files are byte-deterministic: timing goes to the run log, never into
+results.csv.
 """
 
 from __future__ import annotations
@@ -117,6 +119,10 @@ class ExperimentConfig:
         self.schedule()
         self.expertnet(1, 2, 0)
         BaselineSpec("bootstrap", self.bootstrap_beta, self.bootstrap_variant)
+        if isinstance(self.dataset, BlobsSpec):
+            spec = self.dataset
+            stratified_split(make_blobs(spec.classes, spec.per_class + spec.val_per_class,
+                                        spec.dim, spec.separation, spec.spread, 0), spec.per_class)
 
     def schedule(self) -> StepDecay:
         return StepDecay(self.lr, self.lr_decay_factor, self.lr_decay_period)
@@ -289,115 +295,114 @@ def build_cell_datasets(config: ExperimentConfig, ratio: float, fraction: float,
     return train_set, val_set, matrix
 
 
-def train_cell(config: ExperimentConfig, method: str, ratio: float, fraction: float,
-               master_seed: int, source):
-    """Build one cell's data from `source` (`load_source(config)`) and train one method on it.
+def train_method(config: ExperimentConfig, method: str, cell: int, train_set: Dataset,
+                 val_set: Dataset, matrix: np.ndarray):
+    """Train one method on a cell's built data (`build_cell_datasets`); returns (model, history).
 
-    Returns (model, history, train_set, val_set); the model is an ExpertNet
-    for `expertnet` and the trained network for a baseline.
+    `cell` is the cell's `cell_seed`.  The model is an ExpertNet for
+    `expertnet` and the trained network for a baseline.
     """
-    train_set, val_set, matrix = build_cell_datasets(config, ratio, fraction, master_seed,
-                                                     source)
-    train_seed = derive_seed(cell_seed(master_seed, ratio, fraction), STREAM_TRAIN)
+    train_seed = derive_seed(cell, STREAM_TRAIN)
     schedule = config.schedule()
     if method == "expertnet":
         model = config.expertnet(train_set.dim, train_set.n_classes, train_seed)
         _, history = train(model, train_set, val_set, config.epochs,
                            config.batch_size, schedule, train_seed)
-    else:
-        spec = BaselineSpec(method, config.bootstrap_beta, config.bootstrap_variant,
-                            matrix if method == "forward" else None)
-        model, history = train_baseline(spec, train_set, val_set, config.epochs,
-                                        config.batch_size, schedule, train_seed,
-                                        hidden=config.amateur_hidden,
-                                        momentum=config.momentum,
-                                        weight_decay=config.weight_decay)
-    return model, history, train_set, val_set
+        return model, history
+    spec = BaselineSpec(method, config.bootstrap_beta, config.bootstrap_variant,
+                        matrix if method == "forward" else None)
+    return train_baseline(spec, train_set, val_set, config.epochs,
+                          config.batch_size, schedule, train_seed,
+                          hidden=config.amateur_hidden,
+                          momentum=config.momentum,
+                          weight_decay=config.weight_decay)
 
 
 def _cell_label(method: str, ratio: float, fraction: float, master_seed: int) -> str:
     return f"[{method} rho={ratio:g} frac={fraction:g} seed={master_seed}]"
 
 
-def _failed_cell(config: ExperimentConfig, method: str, ratio: float, fraction: float,
-                 master_seed: int, exc: ExpertNetError):
-    """Failed records, one per reported mode, and the FAILED log line for one cell."""
+def _failed_blocks(config: ExperimentConfig, methods, ratio: float, fraction: float,
+            master_seed: int, exc: ExpertNetError):
+    """One failed block per method: a failed record per reported mode and a FAILED log line."""
     diagnostic = f"{type(exc).__name__}: {exc}"
-    records = [ResultRecord(method=method, mode=mode, noise_ratio=ratio,
-                            fraction=fraction, seed=master_seed, accuracy=None,
-                            epochs=config.epochs, dataset_hash="",
-                            status="failed", diagnostic=diagnostic)
-               for mode in METHODS[method]]
-    return records, [f"{_cell_label(method, ratio, fraction, master_seed)} FAILED {diagnostic}"]
+    return [([ResultRecord(method=method, mode=mode, noise_ratio=ratio, fraction=fraction,
+                           seed=master_seed, accuracy=None, epochs=config.epochs,
+                           dataset_hash="", status="failed", diagnostic=diagnostic)
+              for mode in METHODS[method]],
+             [f"{_cell_label(method, ratio, fraction, master_seed)} FAILED {diagnostic}"])
+            for method in methods]
 
 
-def _run_cell(config: ExperimentConfig, method: str, ratio: float, fraction: float,
-              master_seed: int, source):
-    """Train one method in one cell; returns (records, log lines).
+def _run_cell(config: ExperimentConfig, ratio: float, fraction: float, master_seed: int,
+              source):
+    """Build and hash one cell's data once and train every method on it.
 
-    A failing cell yields failed records carrying its diagnostic instead of
-    raising, so the rest of the grid still runs.
+    Returns one (records, log lines) block per method.  A build failure fails
+    every method of the cell with its diagnostic and a training failure fails
+    that method only; neither raises, so the rest of the grid still runs.
     """
-    started = time.perf_counter()
-    label = _cell_label(method, ratio, fraction, master_seed)
     try:
-        _, history, train_set, val_set = train_cell(config, method, ratio, fraction,
-                                                    master_seed, source)
+        train_set, val_set, matrix = build_cell_datasets(config, ratio, fraction, master_seed,
+                                                         source)
     except ExpertNetError as exc:
-        return _failed_cell(config, method, ratio, fraction, master_seed, exc)
+        return _failed_blocks(config, config.methods, ratio, fraction, master_seed, exc)
     dhash = dataset_hash(train_set, val_set)
-    logs = [f"{label} dataset_hash={dhash} train_n={train_set.n} val_n={val_set.n}"]
-    logs.extend(f"{label} epoch={h.epoch} {h.describe()}" for h in history)
-    elapsed = time.perf_counter() - started
-    logs.append(f"{label} done in {elapsed:.2f}s")
-    final = history[-1]
-    accuracies = (final.val_amateur_accuracy, final.val_full_accuracy)
-    records = [ResultRecord(method=method, mode=mode, noise_ratio=ratio,
-                            fraction=fraction, seed=master_seed, accuracy=acc,
-                            epochs=config.epochs, dataset_hash=dhash)
-               for mode, acc in zip(METHODS[method], accuracies)]
-    return records, logs
+    cell = cell_seed(master_seed, ratio, fraction)
+    blocks = []
+    for method in config.methods:
+        started = time.perf_counter()
+        try:
+            _, history = train_method(config, method, cell, train_set, val_set, matrix)
+        except ExpertNetError as exc:
+            blocks += _failed_blocks(config, (method,), ratio, fraction, master_seed, exc)
+            continue
+        label = _cell_label(method, ratio, fraction, master_seed)
+        logs = [f"{label} dataset_hash={dhash} train_n={train_set.n} val_n={val_set.n}"]
+        logs.extend(f"{label} epoch={h.epoch} {h.describe()}" for h in history)
+        logs.append(f"{label} done in {time.perf_counter() - started:.2f}s")
+        final = history[-1]
+        accuracies = (final.val_amateur_accuracy, final.val_full_accuracy)
+        blocks.append(([ResultRecord(method=method, mode=mode, noise_ratio=ratio,
+                                     fraction=fraction, seed=master_seed, accuracy=acc,
+                                     epochs=config.epochs, dataset_hash=dhash)
+                        for mode, acc in zip(METHODS[method], accuracies)], logs))
+    return blocks
 
 
 def run_grid(config: ExperimentConfig, threads: int = 1,
              log_lines: list[str] | None = None) -> list[ResultRecord]:
-    """Run every (method, ratio, fraction, seed) cell and return sorted records.
+    """Run every (ratio, fraction, seed) cell, each training every method; returns sorted records.
 
-    A failing cell yields a failed record with its diagnostic; the rest of the
-    grid still runs.  The input files are read once, before any cell; when
-    one cannot be read, every cell fails with its diagnostic.  Per-cell log
-    lines (incl. timing) land in `log_lines` in canonical order when a list
-    is supplied.  `threads` above 1 runs cells on a pool of that many threads.
+    A failing method yields failed records with its diagnostic; the rest of
+    the grid still runs.  The input files are read once, before any cell;
+    when one cannot be read, every method of every cell fails with its
+    diagnostic.  Per-method log lines (incl. timing) land in `log_lines` in
+    canonical order when a list is supplied.  `threads` above 1 runs cells
+    on a pool of that many threads.
     """
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
-    work = list(itertools.product(config.methods, config.noise_ratios,
-                                  config.fractions, config.seeds))
+    cells = list(itertools.product(config.noise_ratios, config.fractions, config.seeds))
 
-    def run_one(item):
-        return _run_cell(config, *item, source)
+    def run_one(cell):
+        return _run_cell(config, *cell, source)
 
     try:
         source = load_source(config)
     except ExpertNetError as exc:
-        outcomes = [_failed_cell(config, *item, exc) for item in work]
+        outcomes = [_failed_blocks(config, config.methods, *cell, exc) for cell in cells]
     else:
         if threads == 1:
-            outcomes = [run_one(item) for item in work]
+            outcomes = [run_one(cell) for cell in cells]
         else:
             with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(run_one, work))
-
-    records: list[ResultRecord] = []
-    keyed_logs = []
-    for (records_i, logs_i) in outcomes:
-        records.extend(records_i)
-        keyed_logs.append((records_i[0].sort_key(), logs_i))
-    records.sort(key=ResultRecord.sort_key)
+                outcomes = list(pool.map(run_one, cells))
+    blocks = sorted((block for blocks in outcomes for block in blocks),
+                    key=lambda block: block[0][0].sort_key())
     if log_lines is not None:
-        for _, logs_i in sorted(keyed_logs, key=lambda kv: kv[0]):
-            log_lines.extend(logs_i)
-    return records
+        log_lines.extend(line for _, logs in blocks for line in logs)
+    return sorted((r for records, _ in blocks for r in records), key=ResultRecord.sort_key)
 
 
 # --- report emission ----------------------------------------------------------

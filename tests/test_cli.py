@@ -125,6 +125,47 @@ def test_run_rejects_unusable_config_values(config_path, tmp_path, capsys, overr
     assert not (tmp_path / "out").exists()  # no cell ran
 
 
+@pytest.mark.parametrize("override", [
+    "blobs.val_per_class=0",
+    "blobs.per_class=0",
+    "blobs.classes=1",
+    "blobs.dim=0",
+    "blobs.separation=0",
+    "blobs.spread=-1",
+])
+def test_run_rejects_unusable_blobs_values(config_path, tmp_path, capsys, override):
+    assert main(["run", "--config", config_path, "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()  # no cell ran
+
+
+def test_run_out_on_a_file_exits_two_before_training(config_path, tmp_path, monkeypatch,
+                                                     capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a cell trained")
+
+    monkeypatch.setattr(harness, "train", no_training)
+    monkeypatch.setattr(harness, "train_baseline", no_training)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    assert main(["run", "--config", config_path, "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(taken) in err and err.count("\n") == 1
+    assert taken.read_text(encoding="utf-8") == "not a directory"
+
+
+@pytest.mark.parametrize("save", ["nope/model.ckpt", "."])
+def test_train_save_to_an_unusable_path_exits_two(config_path, tmp_path, capsys, save):
+    ckpt = tmp_path / save
+    assert main(["train", "--config", config_path, "--save", str(ckpt)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(ckpt) in captured.err
+    assert captured.err.count("\n") == 1
+    assert "epoch" not in captured.out  # rejected before training
+    assert not (tmp_path / "nope").exists()
+
+
 def test_missing_config_file_exits_two(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
     err = capsys.readouterr().err

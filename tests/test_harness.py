@@ -3,6 +3,7 @@ determinism of emitted CSVs, failed-cell handling, and config parsing."""
 
 import csv
 import dataclasses
+import re
 import string
 
 import numpy as np
@@ -151,9 +152,15 @@ def test_equal_seed_cells_share_dataset_hash():
 
 def test_run_grid_is_deterministic_and_thread_invariant(tmp_path):
     config = tiny_config(methods=("expertnet", "plain-ce"), seeds=(1, 2), epochs=1)
-    first = run_grid(config, threads=1)
-    second = run_grid(config, threads=3)
+    first_log, second_log = [], []
+    first = run_grid(config, threads=1, log_lines=first_log)
+    second = run_grid(config, threads=3, log_lines=second_log)
     assert first == second
+
+    def masked(lines):
+        return [re.sub(r" done in [0-9.]+s$", " done in Xs", line) for line in lines]
+    assert len(first_log) == 2 * (1 + 1 + 1) * 2  # 2 methods x (hash, epoch, done) x 2 seeds
+    assert masked(first_log) == masked(second_log)
     emit_report(first, tmp_path / "a")
     emit_report(second, tmp_path / "b")
     for name in ("results.csv", "pivot_rho20.csv"):
@@ -174,6 +181,40 @@ def test_failed_cell_is_recorded_and_grid_continues(monkeypatch):
     assert by_method["plain-ce"].accuracy is None
     assert by_method["expertnet"].status == "ok"
     assert any("FAILED" in line for line in log_lines)
+
+
+def test_each_cell_builds_and_hashes_its_data_once(monkeypatch):
+    calls = {"build_cell_datasets": 0, "dataset_hash": 0}
+
+    def counting(name):
+        original = getattr(harness, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counting(name))
+    config = tiny_config(methods=tuple(METHODS), noise_ratios=(0.2, 0.4), seeds=(1, 2), epochs=1)
+    records = run_grid(config)
+    assert len(records) == 5 * 2 * 2 and all(r.status == "ok" for r in records)
+    assert calls == {"build_cell_datasets": 4, "dataset_hash": 4}
+
+
+def test_cell_build_failure_fails_every_method_of_that_cell_only():
+    # 0.0001 of 75 training rows rounds to none: that cell's build fails
+    config = tiny_config(methods=tuple(METHODS), fractions=(1.0, 0.0001), epochs=1)
+    log_lines = []
+    records = run_grid(config, log_lines=log_lines)
+    small = [r for r in records if r.fraction == 0.0001]
+    assert len(small) == 5 and all(r.status == "failed" for r in small)
+    (diagnostic,) = {r.diagnostic for r in small}
+    assert diagnostic == "ConfigurationError: fraction 0.0001 of 75 samples selects nothing"
+    assert all(r.status == "ok" for r in records if r.fraction == 1.0)
+    failed_lines = [line for line in log_lines if " FAILED " in line]
+    assert failed_lines == [f"[{m} rho=0.2 frac=0.0001 seed=1] FAILED {diagnostic}"
+                            for m in sorted(METHODS)]
 
 
 # --- cell datasets -----------------------------------------------------------------
