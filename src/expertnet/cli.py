@@ -39,7 +39,7 @@ def _load_config(args, flags: dict) -> harness.ExperimentConfig:
 
 def cmd_run(args) -> int:
     config = _load_config(args, {} if args.out is None else {"out": args.out})
-    if args.threads < 1:  # checked before the output directory is made
+    if args.threads < 1:  # --threads has no other effect; checked before the output dir is made
         raise ConfigurationError(f"threads must be >= 1, got {args.threads}")
     try:
         os.makedirs(config.out, exist_ok=True)
@@ -47,7 +47,7 @@ def cmd_run(args) -> int:
         raise ConfigurationError(f"cannot use {config.out} as the output directory: "
                                  f"{exc.strerror}") from None
     log_lines: list[str] = []
-    records = harness.run_grid(config, threads=args.threads, log_lines=log_lines)
+    records = harness.run_grid(config, log_lines=log_lines)
     paths = harness.emit_report(records, config.out)
     with open(os.path.join(config.out, "run.log"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(log_lines) + "\n")
@@ -146,7 +146,8 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run the full experiment grid from a config")
     _add_common(p_run)
     p_run.add_argument("--out", help="output directory; wins over --set out=")
-    p_run.add_argument("--threads", type=int, default=1, help="worker pool size")
+    p_run.add_argument("--threads", type=int, default=1,
+                       help="kept for old command lines: must be >= 1, no effect")
     p_run.set_defaults(fn=cmd_run)
 
     p_train = sub.add_parser("train", help="train the config's first grid cell and print history")

@@ -189,6 +189,12 @@ def load_table(path, label_column: str, feature_columns=None,
         raise InputError(f"{path}:2: no data rows")
 
     features = np.array(raw_features)
+    finite = np.isfinite(features)
+    if not finite.all():
+        row, col = (int(i[0]) for i in np.nonzero(~finite))
+        lineno = [n for n, line in enumerate(lines[1:], start=2) if line.strip()][row]
+        raise InputError(f"{path}:{lineno}: column {feature_columns[col]!r} is "
+                         f"{features[row, col]}, not a finite number")
     if label_map is None:
         label_map = {name: i for i, name in enumerate(sorted(set(raw_labels)))}
     unseen = sorted(set(raw_labels) - set(label_map))

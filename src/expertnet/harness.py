@@ -3,20 +3,20 @@ fraction x seed) grid, accuracy measurement, and CSV report emission.
 
 The unit of work is a (ratio, fraction, seed) cell: it builds and hashes its
 corrupted dataset once and trains every method on that one read-only
-dataset with identical batch-order seeds; `run_grid`'s thread pool runs whole
-cells.  Per-cell streams are derived from the master seed and the cell
-coordinates only, so adding methods never perturbs existing cells.  Output
-files are byte-deterministic: timing goes to the run log, never into
+dataset with identical batch-order seeds; `run_grid` runs the cells in order
+on the calling thread.  Per-cell streams are derived from the master seed and
+the cell coordinates only, so adding methods never perturbs existing cells.
+Output files are byte-deterministic: timing goes to the run log, never into
 results.csv.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import dataclasses
 import hashlib
 import itertools
+import math
 import os
 import time
 import typing
@@ -120,9 +120,12 @@ class ExperimentConfig:
         self.expertnet(1, 2, 0)
         BaselineSpec("bootstrap", self.bootstrap_beta, self.bootstrap_variant)
         if isinstance(self.dataset, BlobsSpec):
-            spec = self.dataset
-            stratified_split(make_blobs(spec.classes, spec.per_class + spec.val_per_class,
-                                        spec.dim, spec.separation, spec.spread, 0), spec.per_class)
+            for key, low in (("classes", 2), ("dim", 1), ("per_class", 1), ("val_per_class", 1)):
+                if (value := getattr(self.dataset, key)) < low:
+                    raise ConfigurationError(f"blobs.{key} must be >= {low}, got {value}")
+            for key in ("separation", "spread"):
+                if not 0.0 < (value := getattr(self.dataset, key)) < math.inf:
+                    raise ConfigurationError(f"blobs.{key} must be finite and above 0, got {value}")
 
     def schedule(self) -> StepDecay:
         return StepDecay(self.lr, self.lr_decay_factor, self.lr_decay_period)
@@ -169,10 +172,13 @@ DATASETS = {"blobs": BlobsSpec, "file": FileSpec}
 
 def _cast(key, text, kind):
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise ConfigurationError(
             f"config key {key}: expected {kind.__name__}, got {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigurationError(f"config key {key}: expected a finite number, got {text!r}")
+    return value
 
 
 def _section(cls, prefix: str, raw: dict) -> dict:
@@ -370,7 +376,7 @@ def _run_cell(config: ExperimentConfig, ratio: float, fraction: float, master_se
     return blocks
 
 
-def run_grid(config: ExperimentConfig, threads: int = 1,
+def run_grid(config: ExperimentConfig, *,
              log_lines: list[str] | None = None) -> list[ResultRecord]:
     """Run every (ratio, fraction, seed) cell, each training every method; returns sorted records.
 
@@ -378,26 +384,15 @@ def run_grid(config: ExperimentConfig, threads: int = 1,
     the grid still runs.  The input files are read once, before any cell;
     when one cannot be read, every method of every cell fails with its
     diagnostic.  Per-method log lines (incl. timing) land in `log_lines` in
-    canonical order when a list is supplied.  `threads` above 1 runs cells
-    on a pool of that many threads.
+    canonical order when a list is supplied.
     """
-    if threads < 1:
-        raise ConfigurationError(f"threads must be >= 1, got {threads}")
     cells = list(itertools.product(config.noise_ratios, config.fractions, config.seeds))
-
-    def run_one(cell):
-        return _run_cell(config, *cell, source)
-
     try:
         source = load_source(config)
     except ExpertNetError as exc:
         outcomes = [_failed_blocks(config, config.methods, *cell, exc) for cell in cells]
     else:
-        if threads == 1:
-            outcomes = [run_one(cell) for cell in cells]
-        else:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(run_one, cells))
+        outcomes = [_run_cell(config, *cell, source) for cell in cells]
     blocks = sorted((block for blocks in outcomes for block in blocks),
                     key=lambda block: block[0][0].sort_key())
     if log_lines is not None:

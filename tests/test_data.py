@@ -213,6 +213,9 @@ def test_load_table_parse_error_reports_line(tmp_path):
         load_table(short, "label")
     with pytest.raises(InputError, match="no column"):
         load_table(path, "target")
+    not_finite = _write(tmp_path, "nan.csv", "a,b,label\n1.0,2.0,x\n\n3.0,nan,y\n")
+    with pytest.raises(InputError, match=r"nan.csv:4: column 'b' is nan"):
+        load_table(not_finite, "label")
 
 
 def test_load_table_missing_file_is_input_error(tmp_path):

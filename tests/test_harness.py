@@ -150,11 +150,11 @@ def test_equal_seed_cells_share_dataset_hash():
     assert different_seed[0].dataset_hash not in hashes
 
 
-def test_run_grid_is_deterministic_and_thread_invariant(tmp_path):
+def test_run_grid_is_deterministic(tmp_path):
     config = tiny_config(methods=("expertnet", "plain-ce"), seeds=(1, 2), epochs=1)
     first_log, second_log = [], []
-    first = run_grid(config, threads=1, log_lines=first_log)
-    second = run_grid(config, threads=3, log_lines=second_log)
+    first = run_grid(config, log_lines=first_log)
+    second = run_grid(config, log_lines=second_log)
     assert first == second
 
     def masked(lines):
@@ -365,6 +365,9 @@ def test_failed_expertnet_cell_reports_both_modes_and_grid_continues(monkeypatch
     ("noise_ratios = 0.2, 0.4, 0.2", "noise_ratios"),
     ("fractions = 1.0, 1", "fractions"),
     ("methods = expertnet, plain-ce, expertnet", "methods"),
+    ("lr = nan", "lr"),
+    ("weight_decay = inf", "weight_decay"),
+    ("blobs.separation = nan", "blobs.separation"),
 ])
 def test_parse_config_rejects_unusable_values(text, key):
     with pytest.raises(ConfigurationError, match=key):
@@ -529,12 +532,12 @@ def test_run_grid_reads_each_input_file_once(tmp_path, monkeypatch):
     assert calls == {"load_table": 2, "load_matrix_csv": 1}
 
 
-def test_file_grid_results_identical_across_thread_counts(tmp_path):
+def test_file_grid_results_identical_across_runs(tmp_path):
     config = file_grid_config(tmp_path)
-    for threads in (1, 3):
-        emit_report(run_grid(config, threads=threads), tmp_path / f"t{threads}")
-    assert (tmp_path / "t1" / "results.csv").read_bytes() == \
-        (tmp_path / "t3" / "results.csv").read_bytes()
+    for run in (1, 2):
+        emit_report(run_grid(config), tmp_path / f"run{run}")
+    assert (tmp_path / "run1" / "results.csv").read_bytes() == \
+        (tmp_path / "run2" / "results.csv").read_bytes()
 
 
 def test_matrix_class_mismatch_fails_every_cell_before_building_data(tmp_path, monkeypatch):

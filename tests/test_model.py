@@ -619,6 +619,12 @@ def test_checkpoint_sigmoid_variant_and_bad_file(tmp_path):
     ("not json", InputError, "not JSON"),
     ('{"format": "expertnet-checkpoint", "version": 1}', InputError, "'amateur'"),
     ("[]", ConfigurationError, "not an expertnet-checkpoint"),
+    ('{"format": "expertnet-checkpoint", "version": 1, "amateur": [1]}', InputError,
+     "wrong type"),
+    ('{"format": "expertnet-checkpoint", "version": 1, "amateur": null}', InputError,
+     "wrong type"),
+    ('{"format": "expertnet-checkpoint", "version": 1, "amateur": '
+     '[{"kind": "dense", "weight": [["a"]], "bias": [0]}]}', InputError, "wrong type"),
 ])
 def test_malformed_checkpoint_names_the_file(tmp_path, text, error, what):
     path = tmp_path / "bad.ckpt"
