@@ -99,7 +99,7 @@ def train_baseline(spec: BaselineSpec, train_set: Dataset, val_set: Dataset,
             target = one_hot_batch(y, train_set.n_classes)
         loss_value, grads = backward(net, acts, target, loss)
         if lr != 0.0:
-            sgd_step(net.parameters(), grads, state, lr)
+            sgd_step(net.params, grads, state, lr)
         return loss_value, None
 
     def evaluate():

@@ -163,6 +163,9 @@ def load_table(path, label_column: str, feature_columns=None,
     if not lines:
         raise InputError(f"{path}:1: empty file")
     header = [h.strip() for h in lines[0].split(",")]
+    repeated = next((h for i, h in enumerate(header) if h in header[:i]), None)
+    if repeated is not None:
+        raise InputError(f"{path}:1: column {repeated!r} appears twice")
     if label_column not in header:
         raise InputError(f"{path}:1: no column named {label_column!r}")
     if feature_columns is None:

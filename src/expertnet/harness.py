@@ -94,6 +94,9 @@ class ExperimentConfig:
     out: str = "results"
 
     def __post_init__(self):
+        for key, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{key} must be a finite number, got {value}")
         for key in ("noise_ratios", "fractions", "methods", "seeds"):
             values = getattr(self, key)
             if not values or len(set(values)) != len(values):
@@ -126,6 +129,9 @@ class ExperimentConfig:
             for key in ("separation", "spread"):
                 if not 0.0 < (value := getattr(self.dataset, key)) < math.inf:
                     raise ConfigurationError(f"blobs.{key} must be finite and above 0, got {value}")
+        elif len(set(self.dataset.features)) != len(self.dataset.features):
+            raise ConfigurationError(
+                f"file.features must list distinct columns, got {self.dataset.features}")
 
     def schedule(self) -> StepDecay:
         return StepDecay(self.lr, self.lr_decay_factor, self.lr_decay_period)
@@ -176,16 +182,15 @@ def _cast(key, text, kind):
     except ValueError:
         raise ConfigurationError(
             f"config key {key}: expected {kind.__name__}, got {text!r}") from None
-    if kind is float and not math.isfinite(value):
-        raise ConfigurationError(f"config key {key}: expected a finite number, got {text!r}")
     return value
 
 
 def _section(cls, prefix: str, raw: dict) -> dict:
     """Keyword arguments for `cls` from its config keys in `raw`, which are popped.
 
-    Each value is cast to its field's type: a tuple takes a comma list, and
-    `X | None` takes an empty value or `none` as None.
+    Each value is cast to its field's type: a tuple takes a comma list (an
+    empty value is the empty tuple, an empty item is an error), and `X | None`
+    takes an empty value or `none` as None.
     """
     hints = typing.get_type_hints(cls)
     kwargs = {}
@@ -195,7 +200,10 @@ def _section(cls, prefix: str, raw: dict) -> dict:
             text, hint = raw.pop(key), hints[f.name]
             kinds = [k for k in typing.get_args(hint) if k is not type(None)]
             if typing.get_origin(hint) is tuple:
-                value = tuple(_cast(key, i.strip(), kinds[0]) for i in text.split(",") if i.strip())
+                items = [i.strip() for i in text.split(",")] if text else []
+                if "" in items:
+                    raise ConfigurationError(f"config key {key}: empty item in {text!r}")
+                value = tuple(_cast(key, i, kinds[0]) for i in items)
             elif kinds:
                 value = None if text in ("", "none") else _cast(key, text, kinds[0])
             else:

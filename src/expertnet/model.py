@@ -150,13 +150,13 @@ def train_step(model: ExpertNet, x, given_labels, true_labels, lr: float):
     true_onehot = one_hot_batch(true_labels, model.n_classes)
     expert_loss, expert_grads = loss_and_gradients(model.expert, z, true_onehot, CROSS_ENTROPY)
     if lr != 0.0:
-        sgd_step(model.expert.parameters(), expert_grads, model.expert_state, lr)
+        sgd_step(model.expert.params, expert_grads, model.expert_state, lr)
     expert_out, _ = forward(model.expert, z)
     amateur_target = _soft_target(model, expert_out)
     amateur_loss, amateur_grads = backward(model.amateur, amateur_acts, amateur_target,
                                            CROSS_ENTROPY)
     if lr != 0.0:
-        sgd_step(model.amateur.parameters(), amateur_grads, model.amateur_state, lr)
+        sgd_step(model.amateur.params, amateur_grads, model.amateur_state, lr)
     return amateur_loss, expert_loss
 
 
@@ -213,17 +213,19 @@ def fit(step, evaluate, epochs: int, schedule: StepDecay, batches):
     if epochs < 1:
         raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
     history: list[EpochStats] = []
-    for epoch in range(epochs):
-        lr = lr_at(schedule, epoch)
-        amateur_losses, expert_losses = zip(*[step(idx, lr) for idx in batches(epoch)])
-        acc_amateur, acc_full = evaluate()
-        history.append(EpochStats(
-            epoch=epoch,
-            amateur_loss=float(np.mean(amateur_losses)),
-            expert_loss=None if expert_losses[0] is None else float(np.mean(expert_losses)),
-            val_amateur_accuracy=acc_amateur,
-            val_full_accuracy=acc_full,
-        ))
+    # overflow surfaces as NumericError from the non-finite checks, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            lr = lr_at(schedule, epoch)
+            amateur_losses, expert_losses = zip(*[step(idx, lr) for idx in batches(epoch)])
+            acc_amateur, acc_full = evaluate()
+            history.append(EpochStats(
+                epoch=epoch,
+                amateur_loss=float(np.mean(amateur_losses)),
+                expert_loss=None if expert_losses[0] is None else float(np.mean(expert_losses)),
+                val_amateur_accuracy=acc_amateur,
+                val_full_accuracy=acc_full,
+            ))
     return history
 
 

@@ -2,7 +2,8 @@
 
 Forward evaluation, reverse-mode gradients, cross-entropy on hard or soft
 targets, and SGD with momentum, weight decay and step learning-rate decay.
-Parameters are plain float64 numpy arrays mutated in place by the optimizer;
+Each network's parameters live in one flat float64 buffer that the optimizer
+mutates in place, and its dense layers' weights and biases are views into it;
 everything else is pure.
 """
 
@@ -76,9 +77,6 @@ class Dense:
         grad_x = grad_out @ self.weight
         return grad_x, [grad_out.T @ x, grad_out.sum(axis=0)]
 
-    def parameters(self):
-        return [self.weight, self.bias]
-
 
 class Activation:
     """Parameter-free nonlinearity: relu, leaky-relu, sigmoid, or softmax."""
@@ -117,34 +115,30 @@ class Activation:
         dot = (out * grad_out).sum(axis=-1, keepdims=True)
         return out * (grad_out - dot), []
 
-    def parameters(self):
-        return []
-
 
 class Network:
-    """Ordered stack of layers whose dense dimensions chain correctly."""
+    """Ordered stack of layers whose dense dimensions chain correctly.
+
+    `params` is one flat buffer holding every dense layer's weight then bias,
+    in layer order; the layers' `weight` and `bias` become views into it.
+    """
 
     def __init__(self, layers):
-        layers = list(layers)
-        if not any(layer.kind == "dense" for layer in layers):
+        self.layers = list(layers)
+        dense = [l for l in self.layers if l.kind == "dense"]
+        if not dense:
             raise ConfigurationError("network needs at least one dense layer")
-        width = None
-        for layer in layers:
-            if layer.kind == "dense":
-                if width is not None and layer.in_dim != width:
-                    raise DimensionError(
-                        f"layer expects width {layer.in_dim} but receives {width}"
-                    )
-                width = layer.out_dim
-        self.layers = layers
-        self.input_dim = next(l.in_dim for l in layers if l.kind == "dense")
-        self.output_dim = width
-
-    def parameters(self):
-        params = []
-        for layer in self.layers:
-            params.extend(layer.parameters())
-        return params
+        for prev, layer in zip(dense, dense[1:]):
+            if layer.in_dim != prev.out_dim:
+                raise DimensionError(
+                    f"layer expects width {layer.in_dim} but receives {prev.out_dim}")
+        self.input_dim, self.output_dim = dense[0].in_dim, dense[-1].out_dim
+        arrays = [a for l in dense for a in (l.weight, l.bias)]
+        self.params = np.concatenate([a.ravel() for a in arrays])
+        views = iter(np.split(self.params, np.cumsum([a.size for a in arrays])[:-1]))
+        for layer in dense:
+            layer.weight = next(views).reshape(layer.weight.shape)
+            layer.bias = next(views)
 
     @property
     def terminal_kind(self) -> str:
@@ -217,8 +211,8 @@ def backward(net: Network, acts, targets, loss):
     """Loss value and parameter gradients of a finished forward pass.
 
     `acts` is the activation list `forward(net, batch)` returned, taken with
-    the parameters the gradients are for.  Gradients are returned as a flat
-    list aligned with net.parameters().
+    the parameters the gradients are for.  Gradients are returned as one flat
+    array aligned with net.params.
     """
     if len(acts) != len(net.layers) + 1:
         raise DimensionError(f"{len(acts)} activations for a {len(net.layers)}-layer network")
@@ -234,7 +228,7 @@ def backward(net: Network, acts, targets, loss):
     for i in reversed(range(len(net.layers))):
         grad, layer_grads = net.layers[i].backward(acts[i], acts[i + 1], grad)
         grads[:0] = layer_grads
-    return value, grads
+    return value, np.concatenate([g.ravel() for g in grads])
 
 
 def loss_and_gradients(net: Network, batch, targets, loss):
@@ -244,38 +238,36 @@ def loss_and_gradients(net: Network, batch, targets, loss):
 
 @dataclass
 class SgdState:
-    """Per-parameter velocity plus the fixed momentum / weight-decay settings."""
+    """Velocity aligned with net.params plus the fixed momentum / weight-decay settings."""
 
-    velocity: list
+    velocity: np.ndarray
     momentum: float = 0.9
     weight_decay: float = 1e-4
 
     def __post_init__(self):
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0.0:
-            raise ConfigurationError(f"weight decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ConfigurationError(f"weight decay must be finite and >= 0, got {self.weight_decay}")
 
     @classmethod
     def for_network(cls, net: Network, momentum: float = 0.9, weight_decay: float = 1e-4):
-        return cls([np.zeros_like(p) for p in net.parameters()], momentum, weight_decay)
+        return cls(np.zeros_like(net.params), momentum, weight_decay)
 
 
 def sgd_step(params, grads, state: SgdState, lr: float):
     """v <- momentum*v + (grad + weight_decay*param); param <- param - lr*v.
 
-    Mutates the parameter arrays and the velocity in place.
+    Mutates the flat parameter buffer and the velocity in place.
     """
-    if lr < 0.0:
+    if not lr >= 0.0:
         raise ConfigurationError(f"learning rate must be >= 0, got {lr}")
-    if not (len(params) == len(grads) == len(state.velocity)):
-        raise DimensionError("params, grads and velocity lists differ in length")
-    for p, g, v in zip(params, grads, state.velocity):
-        if p.shape != g.shape or p.shape != v.shape:
-            raise DimensionError(f"shape mismatch: param {p.shape}, grad {g.shape}, velocity {v.shape}")
-        v *= state.momentum
-        v += g + state.weight_decay * p
-        p -= lr * v
+    v = state.velocity
+    if not params.shape == grads.shape == v.shape:
+        raise DimensionError(f"shape mismatch: param {params.shape}, grad {grads.shape}, velocity {v.shape}")
+    v *= state.momentum
+    v += grads + state.weight_decay * params  # one expression: splitting it changes the bytes
+    params -= lr * v
 
 
 @dataclass(frozen=True)
@@ -287,9 +279,9 @@ class StepDecay:
     period: int | None = None
 
     def __post_init__(self):
-        if self.base_lr <= 0.0:
+        if not self.base_lr > 0.0:
             raise ConfigurationError(f"base learning rate must be > 0, got {self.base_lr}")
-        if self.factor <= 0.0:
+        if not self.factor > 0.0:
             raise ConfigurationError(f"decay factor must be > 0, got {self.factor}")
         if self.period is not None and self.period < 1:
             raise ConfigurationError(f"decay period must be >= 1, got {self.period}")
@@ -347,20 +339,16 @@ def finite_difference_gradients(net: Network, batch, targets, loss, h: float = 1
         out, _ = forward(net, batch)
         return loss.value(out, np.atleast_2d(np.asarray(targets, dtype=float)))
 
-    grads = []
-    for p in net.parameters():
-        g = np.zeros_like(p)
-        flat_p = p.ravel()
-        flat_g = g.ravel()
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + h
-            up = value()
-            flat_p[i] = orig - h
-            down = value()
-            flat_p[i] = orig
-            flat_g[i] = (up - down) / (2.0 * h)
-        grads.append(g)
+    p = net.params
+    grads = np.zeros_like(p)
+    for i in range(p.size):
+        orig = p[i]
+        p[i] = orig + h
+        up = value()
+        p[i] = orig - h
+        down = value()
+        p[i] = orig
+        grads[i] = (up - down) / (2.0 * h)
     return grads
 
 
@@ -368,8 +356,5 @@ def gradient_check(net: Network, batch, targets, loss, h: float = 1e-5) -> float
     """Max relative error between analytic and finite-difference gradients."""
     analytic = loss_and_gradients(net, batch, targets, loss)[1]
     numeric = finite_difference_gradients(net, batch, targets, loss, h=h)
-    worst = 0.0
-    for a, fd in zip(analytic, numeric):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-8)
-        worst = max(worst, float((np.abs(a - fd) / denom).max()))
-    return worst
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float((np.abs(analytic - numeric) / denom).max())

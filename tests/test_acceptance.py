@@ -68,8 +68,8 @@ def test_criterion_1_gradient_correctness():
 
 def test_criterion_2_training_step_fidelity(monkeypatch):
     model = build_expertnet(3, 2, seed=4, amateur_hidden=(8,), expert_hidden=(8,))
-    amateur_before = [p.copy() for p in model.amateur.parameters()]
-    expert_before = [p.copy() for p in model.expert.parameters()]
+    amateur_before = model.amateur.params.copy()
+    expert_before = model.expert.params.copy()
     rng = derive_rng(1002)
     x = rng.standard_normal((6, 3))
     y = rng.integers(0, 2, size=6)
@@ -87,7 +87,7 @@ def test_criterion_2_training_step_fidelity(monkeypatch):
         return "amateur" if net is model.amateur else "expert"
 
     def snap(net):
-        return [p.copy() for p in net.parameters()]
+        return net.params.copy()
 
     def spy_forward(net, batch):
         out = real_forward(net, batch)
@@ -104,7 +104,7 @@ def test_criterion_2_training_step_fidelity(monkeypatch):
 
     def spy_sgd(params, grads, state, lr):
         real_sgd(params, grads, state, lr)
-        which = "expert" if params[0] is model.expert.parameters()[0] else "amateur"
+        which = "expert" if params is model.expert.params else "amateur"
         events.append(("sgd", which, snap(model.amateur), snap(model.expert)))
 
     monkeypatch.setattr(model_mod, "forward", spy_forward)
@@ -113,20 +113,18 @@ def test_criterion_2_training_step_fidelity(monkeypatch):
     monkeypatch.setattr(model_mod, "sgd_step", spy_sgd)
     train_step(model, x, y, t, lr=0.05)
 
-    def equal(a, b):
-        return all(np.array_equal(p, q) for p, q in zip(a, b))
-
     order_ok = [(e[0], e[1]) for e in events] == [
         ("forward", "amateur"), ("grad", "expert"), ("sgd", "expert"),
         ("forward", "expert"), ("grad", "amateur"), ("sgd", "amateur")]
     forward_a, grad_e, sgd_e, forward_e, grad_a, sgd_a = events
     expert_target_ok = (np.array_equal(grad_e[3], one_hot_batch(t, 2))
                         and not np.array_equal(grad_e[3], one_hot_batch(y, 2)))
-    post_update_predict_ok = (equal(forward_e[2], sgd_e[3])
-                              and not equal(forward_e[2], expert_before))
+    post_update_predict_ok = (np.array_equal(forward_e[2], sgd_e[3])
+                              and not np.array_equal(forward_e[2], expert_before))
     amateur_target_ok = np.array_equal(grad_a[3], forward_e[3])
-    isolation_ok = (equal(sgd_e[2], amateur_before) and equal(sgd_a[3], sgd_e[3])
-                    and not equal(sgd_a[2], amateur_before))
+    isolation_ok = (np.array_equal(sgd_e[2], amateur_before)
+                    and np.array_equal(sgd_a[3], sgd_e[3])
+                    and not np.array_equal(sgd_a[2], amateur_before))
     ok = order_ok and expert_target_ok and post_update_predict_ok \
         and amateur_target_ok and isolation_ok
     report(2, "training-step fidelity", ok,
@@ -243,10 +241,8 @@ def test_criterion_7_baseline_reductions():
     net_plain, hist_plain = run(BaselineSpec("plain-ce"))
     net_boot, hist_boot = run(BaselineSpec("bootstrap", beta=1.0))
     net_fwd, hist_fwd = run(BaselineSpec("forward", matrix=np.eye(3)))
-    boot_identical = hist_boot == hist_plain and all(
-        np.array_equal(p, q) for p, q in zip(net_plain.parameters(), net_boot.parameters()))
-    fwd_identical = hist_fwd == hist_plain and all(
-        np.array_equal(p, q) for p, q in zip(net_plain.parameters(), net_fwd.parameters()))
+    boot_identical = hist_boot == hist_plain and np.array_equal(net_plain.params, net_boot.params)
+    fwd_identical = hist_fwd == hist_plain and np.array_equal(net_plain.params, net_fwd.params)
 
     config = grid_config(dataset=BlobsSpec(4, 16, 500, 250, 2.5, 1.0),
                          methods=("plain-ce", "forward"),

@@ -124,16 +124,14 @@ def run_baseline(spec, seed=5, epochs=4):
 def test_bootstrap_beta_one_trajectory_bit_identical_to_plain_ce():
     net_plain, hist_plain = run_baseline(BaselineSpec("plain-ce"))
     net_boot, hist_boot = run_baseline(BaselineSpec("bootstrap", beta=1.0))
-    for p, q in zip(net_plain.parameters(), net_boot.parameters()):
-        np.testing.assert_array_equal(p, q)
+    np.testing.assert_array_equal(net_plain.params, net_boot.params)
     assert hist_plain == hist_boot
 
 
 def test_forward_identity_matrix_bit_identical_to_plain_ce():
     net_plain, hist_plain = run_baseline(BaselineSpec("plain-ce"))
     net_fwd, hist_fwd = run_baseline(BaselineSpec("forward", matrix=np.eye(3)))
-    for p, q in zip(net_plain.parameters(), net_fwd.parameters()):
-        np.testing.assert_array_equal(p, q)
+    np.testing.assert_array_equal(net_plain.params, net_fwd.params)
     assert hist_plain == hist_fwd
 
 
@@ -208,7 +206,6 @@ def test_baseline_shares_initial_weights_with_amateur():
     # identical init stream: compare against a freshly built amateur
     fresh = build_expertnet(train_set.dim, train_set.n_classes, seed=123,
                             amateur_hidden=(8,)).amateur
-    for p, q in zip(model.amateur.parameters(), fresh.parameters()):
-        np.testing.assert_array_equal(p, q)
+    np.testing.assert_array_equal(model.amateur.params, fresh.params)
     assert net.input_dim == model.amateur.input_dim
     assert net.output_dim == model.amateur.output_dim

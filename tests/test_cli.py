@@ -121,12 +121,35 @@ def test_train_save_rejected_for_baseline(config_path, tmp_path, capsys):
     ("seeds=1,1", "seeds"),
     ("methods=plain-ce,plain-ce", "methods"),
     ("lr=nan", "lr"),
+    ("seeds=1,,2", "seeds"),
+    ("methods=expertnet,", "methods"),
 ])
 def test_run_rejects_unusable_config_values(config_path, tmp_path, capsys, override, key):
     assert main(["run", "--config", config_path, "--set", override]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err and err.count("\n") == 1
     assert not (tmp_path / "out").exists()  # no cell ran
+
+
+def test_run_rejects_repeated_feature_columns_before_any_cell(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_text("a,b,label\n1.0,2.0,x\n3.0,4.0,y\n", encoding="utf-8")
+    config = tmp_path / "file.cfg"
+    config.write_text(f"dataset = file\nfile.train = {table}\nfile.val = {table}\n"
+                      f"file.label = label\nfile.features = a, a\nout = {tmp_path / 'out'}\n",
+                      encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "file.features" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()  # no cell ran
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_overflow_fails_cells_without_numpy_warnings(config_path, tmp_path, capsys):
+    assert main(["run", "--config", config_path, "--set", "lr=1e300"]) == 1
+    assert capsys.readouterr().err == ""
+    rows = (tmp_path / "out" / "results.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert rows and all(",failed,,NumericError: " in row for row in rows)
 
 
 @pytest.mark.parametrize("override", [

@@ -218,6 +218,12 @@ def test_load_table_parse_error_reports_line(tmp_path):
         load_table(not_finite, "label")
 
 
+def test_load_table_rejects_a_repeated_column(tmp_path):
+    path = _write(tmp_path, "t.csv", "a,a,label\n1.0,2.0,x\n3.0,4.0,y\n")
+    with pytest.raises(InputError, match=r"t.csv:1: column 'a' appears twice"):
+        load_table(path, "label")
+
+
 def test_load_table_missing_file_is_input_error(tmp_path):
     with pytest.raises(InputError, match="nope.csv: "):
         load_table(tmp_path / "nope.csv", "label")

@@ -3,6 +3,7 @@ determinism of emitted CSVs, failed-cell handling, and config parsing."""
 
 import csv
 import dataclasses
+import math
 import re
 import string
 
@@ -343,7 +344,7 @@ def test_failed_expertnet_cell_reports_both_modes_and_grid_continues(monkeypatch
     assert plain.status == "ok" and plain.accuracy is not None
 
 
-@pytest.mark.parametrize("text, key", [
+@pytest.mark.parametrize("given, key", [
     ("epochs = abc", "epochs"),
     ("seeds = 1.5", "seeds"),
     ("batch_size = 0", "batch_size"),
@@ -368,10 +369,22 @@ def test_failed_expertnet_cell_reports_both_modes_and_grid_continues(monkeypatch
     ("lr = nan", "lr"),
     ("weight_decay = inf", "weight_decay"),
     ("blobs.separation = nan", "blobs.separation"),
+    ("seeds = 1,,2", re.escape("config key seeds: empty item in '1,,2'")),
+    ("methods = expertnet,", "methods"),
+    ("amateur_hidden = 8, ", "amateur_hidden"),
+    pytest.param("dataset = file\nfile.train = t.csv\nfile.val = v.csv\nfile.label = y\n"
+                 "file.features = a, a", "file.features", id="file.features = a, a"),
+    # built in Python, not parsed: the config itself rejects non-finite numbers
+    pytest.param(dict(lr=math.nan), "lr", id="ExperimentConfig(lr=nan)"),
+    pytest.param(dict(lr=math.inf), "lr", id="ExperimentConfig(lr=inf)"),
+    pytest.param(dict(weight_decay=math.nan), "weight_decay",
+                 id="ExperimentConfig(weight_decay=nan)"),
+    pytest.param(dict(lr_decay_factor=math.inf), "lr_decay_factor",
+                 id="ExperimentConfig(lr_decay_factor=inf)"),
 ])
-def test_parse_config_rejects_unusable_values(text, key):
+def test_parse_config_rejects_unusable_values(given, key):
     with pytest.raises(ConfigurationError, match=key):
-        parse_config(text)
+        tiny_config(**given) if isinstance(given, dict) else parse_config(given)
 
 
 FILE_CONFIG_TEXT = """

@@ -99,7 +99,7 @@ class StepSpy:
             return "amateur" if net is model.amateur else "expert"
 
         def snap(net):
-            return [p.copy() for p in net.parameters()]
+            return net.params.copy()
 
         def spy_forward(net, batch):
             out = real_forward(net, batch)
@@ -115,7 +115,7 @@ class StepSpy:
             return real_backward(net, acts, targets, loss)
 
         def spy_sgd(params, grads, state, lr):
-            which = "expert" if params[0] is model.expert.parameters()[0] else "amateur"
+            which = "expert" if params is model.expert.params else "amateur"
             real_sgd(params, grads, state, lr)
             self.events.append(("sgd", which, snap(model.amateur), snap(model.expert)))
 
@@ -128,14 +128,10 @@ class StepSpy:
         return [(e[0], e[1]) for e in self.events]
 
 
-def params_equal(a, b):
-    return all(np.array_equal(x, y) for x, y in zip(a, b))
-
-
 def test_train_step_order_isolation_and_targets(monkeypatch):
     model = small_model(seed=4)
-    amateur_before = [p.copy() for p in model.amateur.parameters()]
-    expert_before = [p.copy() for p in model.expert.parameters()]
+    amateur_before = model.amateur.params.copy()
+    expert_before = model.expert.params.copy()
     rng = derive_rng(8)
     x = rng.standard_normal((6, 3))
     y = rng.integers(0, 2, size=6)
@@ -162,17 +158,17 @@ def test_train_step_order_isolation_and_targets(monkeypatch):
     # expert update happened strictly before the expert prediction: the
     # prediction-time parameters equal the post-update parameters and differ
     # from the pre-update ones
-    assert params_equal(forward_e[2], sgd_e[3])
-    assert not params_equal(forward_e[2], expert_before)
+    assert np.array_equal(forward_e[2], sgd_e[3])
+    assert not np.array_equal(forward_e[2], expert_before)
 
     # amateur target is exactly the post-update expert output distribution
     np.testing.assert_array_equal(grad_a[3], forward_e[3])
 
     # gradient isolation: the expert update left the amateur untouched, and
     # the amateur update left the expert untouched
-    assert params_equal(sgd_e[2], amateur_before)
-    assert params_equal(sgd_a[3], sgd_e[3])
-    assert not params_equal(sgd_a[2], amateur_before)
+    assert np.array_equal(sgd_e[2], amateur_before)
+    assert np.array_equal(sgd_a[3], sgd_e[3])
+    assert not np.array_equal(sgd_a[2], amateur_before)
 
 
 def test_train_step_validation():
@@ -229,11 +225,11 @@ def reference_step(model, x, given_labels, true_labels, lr):
     z = expert_input(amateur_probs, given_labels)
     true_onehot = one_hot_batch(true_labels, model.n_classes)
     expert_loss, grads = loss_and_gradients(model.expert, z, true_onehot, CROSS_ENTROPY)
-    sgd_step(model.expert.parameters(), grads, model.expert_state, lr)
+    sgd_step(model.expert.params, grads, model.expert_state, lr)
     expert_out, _ = forward(model.expert, z)
     target = model_mod._soft_target(model, expert_out)
     amateur_loss, grads = loss_and_gradients(model.amateur, x, target, CROSS_ENTROPY)
-    sgd_step(model.amateur.parameters(), grads, model.amateur_state, lr)
+    sgd_step(model.amateur.params, grads, model.amateur_state, lr)
     return amateur_loss, expert_loss
 
 
@@ -250,28 +246,24 @@ def test_train_step_bit_identical_to_the_two_pass_reference(terminal):
         y, t = rng.integers(0, 3, 7), rng.integers(0, 3, 7)
         assert train_step(model, x, y, t, 0.05) == reference_step(reference, x, y, t, 0.05)
     for net, ref in ((model.amateur, reference.amateur), (model.expert, reference.expert)):
-        for p, q in zip(net.parameters(), ref.parameters()):
-            np.testing.assert_array_equal(p, q)
+        np.testing.assert_array_equal(net.params, ref.params)
     for state, ref in ((model.amateur_state, reference.amateur_state),
                        (model.expert_state, reference.expert_state)):
-        for v, w in zip(state.velocity, ref.velocity):
-            np.testing.assert_array_equal(v, w)
+        np.testing.assert_array_equal(state.velocity, ref.velocity)
 
 
 def test_train_step_zero_lr_is_identity():
     model = small_model(seed=6)
-    before_a = [p.copy() for p in model.amateur.parameters()]
-    before_e = [p.copy() for p in model.expert.parameters()]
-    before_v = [v.copy() for v in model.amateur_state.velocity + model.expert_state.velocity]
+    before_a = model.amateur.params.copy()
+    before_e = model.expert.params.copy()
+    before_v = [v.copy() for v in (model.amateur_state.velocity, model.expert_state.velocity)]
     rng = derive_rng(9)
     l_a, l_e = train_step(model, rng.standard_normal((4, 3)),
                           rng.integers(0, 2, 4), rng.integers(0, 2, 4), lr=0.0)
     assert math.isfinite(l_a) and math.isfinite(l_e) and l_a >= 0.0 and l_e >= 0.0
-    for p, q in zip(model.amateur.parameters(), before_a):
-        np.testing.assert_array_equal(p, q)
-    for p, q in zip(model.expert.parameters(), before_e):
-        np.testing.assert_array_equal(p, q)
-    after_v = model.amateur_state.velocity + model.expert_state.velocity
+    np.testing.assert_array_equal(model.amateur.params, before_a)
+    np.testing.assert_array_equal(model.expert.params, before_e)
+    after_v = (model.amateur_state.velocity, model.expert_state.velocity)
     for v, w in zip(after_v, before_v):
         np.testing.assert_array_equal(v, w)
 
@@ -492,8 +484,7 @@ def test_train_history_length_and_determinism():
     assert [h.epoch for h in hist_a] == [0, 1, 2, 3]
     assert all(h.amateur_loss >= 0.0 and h.expert_loss >= 0.0 for h in hist_a)
     assert hist_a == hist_b
-    for p, q in zip(model_a.amateur.parameters(), model_b.amateur.parameters()):
-        np.testing.assert_array_equal(p, q)
+    np.testing.assert_array_equal(model_a.amateur.params, model_b.amateur.params)
 
 
 def test_train_noise_free_two_class_blobs_reach_99():
@@ -556,16 +547,26 @@ def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
-    for p, q in zip(model.amateur.parameters(), loaded.amateur.parameters()):
-        np.testing.assert_array_equal(p, q)
-    for p, q in zip(model.expert.parameters(), loaded.expert.parameters()):
-        np.testing.assert_array_equal(p, q)
+    np.testing.assert_array_equal(model.amateur.params, loaded.amateur.params)
+    np.testing.assert_array_equal(model.expert.params, loaded.expert.params)
     x = val_set.features
     np.testing.assert_array_equal(infer_amateur(model, x), infer_amateur(loaded, x))
     np.testing.assert_array_equal(
         infer_full(model, x, val_set.given_labels),
         infer_full(loaded, x, val_set.given_labels),
     )
+
+
+def test_load_checkpoint_adopts_the_layers_into_one_buffer(tmp_path):
+    model = build_expertnet(4, 3, seed=9, amateur_hidden=(8,), expert_hidden=(8,))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    for net, copy in ((model.amateur, loaded.amateur), (model.expert, loaded.expert)):
+        np.testing.assert_array_equal(copy.params, net.params)
+        for layer in (l for l in copy.layers if l.kind == "dense"):
+            assert np.shares_memory(layer.weight, copy.params)
+            assert np.shares_memory(layer.bias, copy.params)
 
 
 widths = st.lists(st.integers(1, 6), max_size=2).map(tuple)
@@ -594,8 +595,7 @@ def test_checkpoint_round_trip_over_architectures(tmp_path_factory, dim, k, seed
     for net, copy in ((model.amateur, loaded.amateur), (model.expert, loaded.expert)):
         assert [describe(layer) for layer in copy.layers] == \
             [describe(layer) for layer in net.layers]
-        for p, q in zip(net.parameters(), copy.parameters(), strict=True):
-            assert q.dtype == np.float64 and np.array_equal(p, q)
+        assert copy.params.dtype == np.float64 and np.array_equal(net.params, copy.params)
     rng = derive_rng(seed)
     x = rng.standard_normal((7, dim))
     given_labels = rng.integers(0, k, 7)

@@ -204,9 +204,8 @@ def test_backward_of_a_finished_pass_equals_loss_and_gradients(make_loss):
         value, grads = backward(net, forward(net, x)[1], targets, loss)
         ref_value, ref_grads = loss_and_gradients(net, x, targets, loss)
         assert value == ref_value
-        assert len(grads) == len(ref_grads) == len(net.parameters())
-        for g, r in zip(grads, ref_grads):
-            np.testing.assert_array_equal(g, r)
+        assert grads.shape == ref_grads.shape == net.params.shape
+        np.testing.assert_array_equal(grads, ref_grads)
 
 
 def test_backward_rejects_activations_of_another_shape():
@@ -223,8 +222,7 @@ def test_gradients_zero_at_symmetric_stationary_point():
     net = Network([Dense(np.zeros((k, k)), np.zeros(k)), Activation("softmax")])
     targets = np.full((3, k), 1.0 / k)
     grads = loss_and_gradients(net, np.ones((3, k)), targets, CROSS_ENTROPY)[1]
-    for g in grads:
-        np.testing.assert_array_equal(g, np.zeros_like(g))
+    np.testing.assert_array_equal(grads, np.zeros_like(grads))
 
 
 def test_gradients_match_finite_differences_all_kinds_and_losses():
@@ -254,7 +252,8 @@ def test_softmax_cross_entropy_terminal_gradient_closed_form():
     targets /= targets.sum(axis=1, keepdims=True)
     probs, _ = forward(net, x)
     dz = (probs - targets) / b
-    grad_w, grad_b = loss_and_gradients(net, x, targets, CROSS_ENTROPY)[1]
+    grads = loss_and_gradients(net, x, targets, CROSS_ENTROPY)[1]
+    grad_w, grad_b = grads[:k * d].reshape(k, d), grads[k * d:]
     np.testing.assert_allclose(grad_w, dz.T @ x, atol=1e-12)
     np.testing.assert_allclose(grad_b, dz.sum(axis=0), atol=1e-12)
     assert gradient_check(net, x, targets, CROSS_ENTROPY) < 1e-4
@@ -266,42 +265,42 @@ def test_forward_corrected_loss_rejects_negative_entries():
 
 
 def test_sgd_plain_step():
-    params = [np.array([1.0])]
-    state = SgdState(velocity=[np.array([0.0])], momentum=0.0, weight_decay=0.0)
-    sgd_step(params, [np.array([0.5])], state, lr=0.1)
-    np.testing.assert_allclose(params[0], [0.95], atol=1e-15)
+    params = np.array([1.0])
+    state = SgdState(velocity=np.array([0.0]), momentum=0.0, weight_decay=0.0)
+    sgd_step(params, np.array([0.5]), state, lr=0.1)
+    np.testing.assert_allclose(params, [0.95], atol=1e-15)
 
 
 def test_sgd_zero_gradient_fixed_point():
-    params = [np.array([1.5, -2.0])]
-    state = SgdState(velocity=[np.zeros(2)], momentum=0.0, weight_decay=0.0)
+    params = np.array([1.5, -2.0])
+    state = SgdState(velocity=np.zeros(2), momentum=0.0, weight_decay=0.0)
     for _ in range(5):
-        sgd_step(params, [np.zeros(2)], state, lr=0.1)
-    np.testing.assert_array_equal(params[0], [1.5, -2.0])
+        sgd_step(params, np.zeros(2), state, lr=0.1)
+    np.testing.assert_array_equal(params, [1.5, -2.0])
 
 
 def test_sgd_momentum_two_step_recurrence():
     # v1 = g, step eta*g; v2 = 0.9 g + g = 1.9 g, step eta*1.9*g
     g, eta = 0.25, 0.05
-    params = [np.array([1.0])]
-    state = SgdState(velocity=[np.array([0.0])], momentum=0.9, weight_decay=0.0)
-    sgd_step(params, [np.array([g])], state, lr=eta)
-    assert params[0][0] == pytest.approx(1.0 - eta * g, abs=1e-15)
-    sgd_step(params, [np.array([g])], state, lr=eta)
-    assert params[0][0] == pytest.approx(1.0 - eta * g - eta * 1.9 * g, abs=1e-15)
+    params = np.array([1.0])
+    state = SgdState(velocity=np.array([0.0]), momentum=0.9, weight_decay=0.0)
+    sgd_step(params, np.array([g]), state, lr=eta)
+    assert params[0] == pytest.approx(1.0 - eta * g, abs=1e-15)
+    sgd_step(params, np.array([g]), state, lr=eta)
+    assert params[0] == pytest.approx(1.0 - eta * g - eta * 1.9 * g, abs=1e-15)
 
 
 def test_sgd_negative_lr_rejected():
-    params = [np.zeros(1)]
-    state = SgdState(velocity=[np.zeros(1)], momentum=0.0, weight_decay=0.0)
+    params = np.zeros(1)
+    state = SgdState(velocity=np.zeros(1), momentum=0.0, weight_decay=0.0)
     with pytest.raises(ConfigurationError):
-        sgd_step(params, [np.zeros(1)], state, lr=-0.1)
+        sgd_step(params, np.zeros(1), state, lr=-0.1)
 
 
 def test_sgd_shape_mismatch_rejected():
-    state = SgdState(velocity=[np.zeros(2)], momentum=0.0, weight_decay=0.0)
+    state = SgdState(velocity=np.zeros(2), momentum=0.0, weight_decay=0.0)
     with pytest.raises(DimensionError):
-        sgd_step([np.zeros(2)], [np.zeros(3)], state, lr=0.1)
+        sgd_step(np.zeros(2), np.zeros(3), state, lr=0.1)
 
 
 def test_weight_decay_equals_l2_penalty_gradient():
@@ -317,12 +316,25 @@ def test_weight_decay_equals_l2_penalty_gradient():
     targets /= targets.sum(axis=1, keepdims=True)
     for _ in range(5):
         ga = loss_and_gradients(net_a, x, targets, CROSS_ENTROPY)[1]
-        sgd_step(net_a.parameters(), ga, state_a, lr)
+        sgd_step(net_a.params, ga, state_a, lr)
         gb = loss_and_gradients(net_b, x, targets, CROSS_ENTROPY)[1]
-        gb = [g + lam * p for g, p in zip(gb, net_b.parameters())]
-        sgd_step(net_b.parameters(), gb, state_b, lr)
-    for pa, pb in zip(net_a.parameters(), net_b.parameters()):
-        np.testing.assert_allclose(pa, pb, atol=1e-8)
+        gb = gb + lam * net_b.params
+        sgd_step(net_b.params, gb, state_b, lr)
+    np.testing.assert_allclose(net_a.params, net_b.params, atol=1e-8)
+
+
+def test_dense_layers_are_views_into_the_network_buffer():
+    net = mlp((3, 4, 2), rng=derive_rng(3))
+    dense = [layer for layer in net.layers if layer.kind == "dense"]
+    assert net.params.shape == (sum(l.weight.size + l.bias.size for l in dense),)
+    for layer in dense:
+        assert np.shares_memory(layer.weight, net.params)
+        assert np.shares_memory(layer.bias, net.params)
+    x = derive_rng(4).standard_normal((5, 3))
+    before, _ = forward(net, x)
+    sgd_step(net.params, np.ones_like(net.params), SgdState.for_network(net), lr=0.1)
+    after, _ = forward(net, x)
+    assert not np.array_equal(before, after)
 
 
 def test_lr_schedule():
@@ -348,12 +360,10 @@ def test_training_is_bit_deterministic():
         for epoch in range(3):
             for idx in epoch_batches(8, 3, seed=77, epoch=epoch):
                 g = loss_and_gradients(net, x[idx], targets[idx], CROSS_ENTROPY)[1]
-                sgd_step(net.parameters(), g, state, 0.05)
-        return [p.copy() for p in net.parameters()]
+                sgd_step(net.params, g, state, 0.05)
+        return net.params.copy()
 
-    first, second = run(), run()
-    for a, b in zip(first, second):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(run(), run())
 
 
 def test_epoch_batches_keeps_partial_batch_and_is_seed_stable():
