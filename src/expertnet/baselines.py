@@ -10,20 +10,18 @@ matrix.  None of them sees given labels at inference time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .data import Dataset, one_hot_batch
 from .errors import ConfigurationError, DataError, DimensionError
-from .model import accuracy, check_splits, fit
+from .model import fit
 from .nn import (
     CROSS_ENTROPY,
     ForwardCorrectedLoss,
     SgdState,
     StepDecay,
     backward,
-    epoch_batches,
     forward,
     mlp,
     sgd_step,
@@ -78,20 +76,18 @@ def train_baseline(spec: BaselineSpec, train_set: Dataset, val_set: Dataset,
                    hidden=(128, 64), momentum: float = 0.9, weight_decay: float = 1e-4):
     """Train one amateur-shaped network under the chosen loss recipe.
 
-    Shares the batching and init streams with the co-training loop, so equal
-    seeds give identical batch sequences and identical initial weights.
-    Validation accuracy is amateur-only (no given labels at inference).
+    Only the per-batch step is its own; `fit` runs the epochs.  Equal seeds
+    give the co-training loop's batch sequences and the amateur's initial
+    weights.  Validation accuracy is amateur-only (no given labels at
+    inference).
     Returns (network, history of EpochStats).
     """
-    check_splits(train_set, val_set, False)
     net = mlp((train_set.dim, *hidden, train_set.n_classes), hidden="relu",
               terminal="softmax", rng=derive_rng(seed, STREAM_INIT, 0))
     state = SgdState.for_network(net, momentum, weight_decay)
     loss = ForwardCorrectedLoss(spec.matrix) if spec.kind == "forward" else CROSS_ENTROPY
 
-    def step(idx, lr):
-        x = train_set.features[idx]
-        y = train_set.given_labels[idx]
+    def step(x, y, _, lr):
         pred, acts = forward(net, x)
         if spec.kind == "bootstrap":
             target = bootstrap_target(pred, y, spec.beta, spec.variant)
@@ -102,10 +98,5 @@ def train_baseline(spec: BaselineSpec, train_set: Dataset, val_set: Dataset,
             sgd_step(net.params, grads, state, lr)
         return loss_value, None
 
-    def evaluate():
-        preds, _ = forward(net, val_set.features)
-        return accuracy(np.argmax(preds, axis=1), val_set.true_labels), None
-
-    history = fit(step, evaluate, epochs, schedule,
-                  partial(epoch_batches, train_set.n, batch_size, seed))
+    history = fit(net, step, train_set, val_set, epochs, batch_size, schedule, seed)
     return net, history

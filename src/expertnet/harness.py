@@ -264,12 +264,16 @@ def load_source(config: ExperimentConfig):
 
     Returns (tables, matrix): a file dataset's standardized (train, val)
     Datasets, or None for blobs; and the user transition matrix, or None.
-    A user matrix must be KxK for the data's K classes.
+    A training table needs at least 2 classes, and a user matrix must be KxK
+    for the data's K classes.
     """
     spec, tables, matrix = config.dataset, None, None
     if isinstance(spec, FileSpec):
         columns = list(spec.features) or None
         train_set, stats, label_map = load_table(spec.train, spec.label, columns)
+        if len(label_map) < 2:
+            raise DataError(f"{spec.train}: every row has label {next(iter(label_map))!r}; "
+                            "need at least 2 classes")
         val_set, _, _ = load_table(spec.val, spec.label, columns,
                                    stats=stats, label_map=label_map)
         tables = (train_set, val_set)

@@ -189,27 +189,23 @@ def _full_predictions(model: ExpertNet, probs, given_labels) -> np.ndarray:
     return np.argmax(out, axis=1)
 
 
-def check_splits(train_set: Dataset, val_set: Dataset, val_given: bool) -> None:
-    """Reject empty splits and a train split without given labels.
+def fit(net: Network, step, train_set: Dataset, val_set: Dataset, epochs: int,
+        batch_size: int, schedule: StepDecay, seed: int, full=None):
+    """The epoch loop every training procedure shares.
 
-    The validation split needs given labels only when inference reads them
-    (`val_given`).
+    Rejects empty splits and a train split without given labels.  Per epoch,
+    `step(features, given_labels, true_labels, lr)` updates on each seeded
+    batch and returns (amateur loss, expert loss or None); then one pass of
+    `net` over the validation split scores the amateur, and `full(probs)`,
+    when given, turns that pass into full-mode predictions, which read the
+    validation split's given labels.  Returns the history of EpochStats.
     """
-    for name, ds, needs_given in (("train", train_set, True), ("validation", val_set, val_given)):
+    for name, ds, needs_given in (("train", train_set, True),
+                                  ("validation", val_set, full is not None)):
         if ds.n == 0:
             raise ConfigurationError(f"{name} set is empty")
         if needs_given and ds.given_labels is None:
             raise ConfigurationError(f"{name} set has no given labels; inject noise first")
-
-
-def fit(step, evaluate, epochs: int, schedule: StepDecay, batches):
-    """The epoch loop every training procedure shares.
-
-    Per epoch: `batches(epoch)` yields index arrays, `step(idx, lr)` updates
-    on one batch and returns (amateur loss, expert loss or None), and
-    `evaluate()` returns (amateur accuracy, full accuracy or None) on the
-    validation split.  Returns the history of EpochStats.
-    """
     if epochs < 1:
         raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
     history: list[EpochStats] = []
@@ -217,40 +213,33 @@ def fit(step, evaluate, epochs: int, schedule: StepDecay, batches):
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
             lr = lr_at(schedule, epoch)
-            amateur_losses, expert_losses = zip(*[step(idx, lr) for idx in batches(epoch)])
-            acc_amateur, acc_full = evaluate()
+            amateur_losses, expert_losses = zip(*[
+                step(train_set.features[idx], train_set.given_labels[idx],
+                     train_set.true_labels[idx], lr)
+                for idx in epoch_batches(train_set.n, batch_size, seed, epoch)])
+            # keep only the output: the activation list would live on into the next epoch
+            probs = forward(net, val_set.features)[0]
             history.append(EpochStats(
                 epoch=epoch,
                 amateur_loss=float(np.mean(amateur_losses)),
                 expert_loss=None if expert_losses[0] is None else float(np.mean(expert_losses)),
-                val_amateur_accuracy=acc_amateur,
-                val_full_accuracy=acc_full,
+                val_amateur_accuracy=accuracy(np.argmax(probs, axis=1), val_set.true_labels),
+                val_full_accuracy=None if full is None else accuracy(full(probs),
+                                                                     val_set.true_labels),
             ))
     return history
 
 
 def train(model: ExpertNet, train_set: Dataset, val_set: Dataset, epochs: int,
           batch_size: int, schedule: StepDecay, seed: int):
-    """Seeded epochs of alternating minibatch updates.
+    """Seeded epochs of alternating minibatch updates (`train_step`), through `fit`.
 
     Records per-epoch mean losses and validation accuracy in both inference
-    modes.  Deterministic per seed.
+    modes, both from one amateur pass.  Deterministic per seed.
     """
-    check_splits(train_set, val_set, True)
-
-    def step(idx, lr):
-        return train_step(model, train_set.features[idx], train_set.given_labels[idx],
-                          train_set.true_labels[idx], lr)
-
-    def evaluate():
-        # one amateur pass feeds both inference modes
-        probs, _ = forward(model.amateur, val_set.features)
-        return (accuracy(np.argmax(probs, axis=1), val_set.true_labels),
-                accuracy(_full_predictions(model, probs, val_set.given_labels),
-                         val_set.true_labels))
-
-    history = fit(step, evaluate, epochs, schedule,
-                  partial(epoch_batches, train_set.n, batch_size, seed))
+    history = fit(model.amateur, partial(train_step, model), train_set, val_set, epochs,
+                  batch_size, schedule, seed,
+                  full=partial(_full_predictions, model, given_labels=val_set.given_labels))
     return model, history
 
 

@@ -120,12 +120,13 @@ class Network:
     """Ordered stack of layers whose dense dimensions chain correctly.
 
     `params` is one flat buffer holding every dense layer's weight then bias,
-    in layer order; the layers' `weight` and `bias` become views into it.
+    in layer order.  Its dense layers are new `Dense` layers over views into it;
+    the dense layers it was given keep their own arrays.
     """
 
     def __init__(self, layers):
-        self.layers = list(layers)
-        dense = [l for l in self.layers if l.kind == "dense"]
+        layers = list(layers)
+        dense = [l for l in layers if l.kind == "dense"]
         if not dense:
             raise ConfigurationError("network needs at least one dense layer")
         for prev, layer in zip(dense, dense[1:]):
@@ -136,9 +137,8 @@ class Network:
         arrays = [a for l in dense for a in (l.weight, l.bias)]
         self.params = np.concatenate([a.ravel() for a in arrays])
         views = iter(np.split(self.params, np.cumsum([a.size for a in arrays])[:-1]))
-        for layer in dense:
-            layer.weight = next(views).reshape(layer.weight.shape)
-            layer.bias = next(views)
+        self.layers = [Dense(next(views).reshape(l.weight.shape), next(views))
+                       if l.kind == "dense" else l for l in layers]
 
     @property
     def terminal_kind(self) -> str:

@@ -1,6 +1,9 @@
 """Baseline tests: bootstrap/forward target algebra against direct arithmetic,
 bit-identical reductions to plain cross-entropy, and shared batching."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -160,29 +163,58 @@ def test_bootstrap_runs_the_network_once_per_batch(monkeypatch):
 def test_baselines_share_batching_with_cotraining(monkeypatch):
     """Equal seed -> identical batch index sequences across training procedures."""
     recorded = {"model": [], "baselines": []}
+    real_batches = model_mod.epoch_batches
+    procedure = "model"
 
-    def recorder(key):
-        def batches(n, batch_size, seed, epoch):
-            out = [idx.copy() for idx in
-                   __import__("expertnet.nn", fromlist=["epoch_batches"]).epoch_batches(
-                       n, batch_size, seed, epoch)]
-            recorded[key].extend(out)
-            return iter(out)
-        return batches
+    def batches(n, batch_size, seed, epoch):
+        out = [idx.copy() for idx in real_batches(n, batch_size, seed, epoch)]
+        recorded[procedure].extend(out)
+        return iter(out)
 
-    monkeypatch.setattr(model_mod, "epoch_batches", recorder("model"))
-    monkeypatch.setattr(baselines_mod, "epoch_batches", recorder("baselines"))
+    monkeypatch.setattr(model_mod, "epoch_batches", batches)
 
     train_set, val_set = noisy_sets()
     model = build_expertnet(4, 3, seed=77, amateur_hidden=(8,), expert_hidden=(8,))
     train(model, train_set, val_set, epochs=2, batch_size=16,
           schedule=StepDecay(0.01), seed=42)
+    procedure = "baselines"
     train_baseline(BaselineSpec("plain-ce"), train_set, val_set, epochs=2,
                    batch_size=16, schedule=StepDecay(0.01), seed=42, hidden=(8,))
 
     assert len(recorded["model"]) == len(recorded["baselines"]) > 0
     for a, b in zip(recorded["model"], recorded["baselines"]):
         np.testing.assert_array_equal(a, b)
+
+
+def co_train(train_set, val_set):
+    model = build_expertnet(4, 3, seed=77, amateur_hidden=(8,), expert_hidden=(8,))
+    return train(model, train_set, val_set, epochs=1, batch_size=16,
+                 schedule=StepDecay(0.01), seed=42)[1]
+
+
+def plain_ce(train_set, val_set):
+    return train_baseline(BaselineSpec("plain-ce"), train_set, val_set, epochs=1,
+                          batch_size=16, schedule=StepDecay(0.01), seed=42, hidden=(8,))[1]
+
+
+@pytest.mark.parametrize("procedure", [co_train, plain_ce], ids=["train", "train_baseline"])
+@pytest.mark.parametrize("split, change, errors", [
+    (0, "empty", ["train set is empty"] * 2),
+    (1, "empty", ["validation set is empty"] * 2),
+    (0, "no given", ["train set has no given labels; inject noise first"] * 2),
+    # baselines infer without given labels
+    (1, "no given", ["validation set has no given labels; inject noise first", None]),
+], ids=["empty train", "empty validation", "train without given", "validation without given"])
+def test_training_checks_its_splits(procedure, split, change, errors):
+    sets = list(noisy_sets())
+    ds = sets[split]
+    sets[split] = ds.take(np.arange(0)) if change == "empty" else replace(ds, given_labels=None)
+    error = errors[procedure is plain_ce]
+    if error is None:
+        assert len(procedure(*sets)) == 1
+    else:
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(error)}$"):
+            procedure(*sets)
 
 
 def test_plain_ce_noise_free_blobs_reach_99():

@@ -1,0 +1,45 @@
+"""The benchmark's tracer still finds every function it measures.
+
+`bench/tracer.py` wraps functions by name; a refactor that renames or rebinds
+one would break `bench/run.py --trace 1` without any other test noticing.
+"""
+
+import pathlib
+import sys
+
+import expertnet.cli  # noqa: F401  (the tracer wraps functions in every module)
+from expertnet.harness import BlobsSpec, ExperimentConfig, run_grid
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+
+
+def package_bindings():
+    return {(name, key): value for name, module in sys.modules.items()
+            if name == "expertnet" or name.startswith("expertnet.")
+            for key, value in vars(module).items()}
+
+
+def test_tracer_wraps_every_span_and_sees_both_training_procedures(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    before = package_bindings()
+    trace = tracer.Tracer()
+    try:
+        trace.install()
+        assert trace.missing == set()
+        config = ExperimentConfig(
+            dataset=BlobsSpec(classes=3, dim=4, per_class=25, val_per_class=15),
+            noise_ratios=(0.2,), fractions=(1.0,), methods=("expertnet", "plain-ce"),
+            seeds=(1,), epochs=1, batch_size=16, amateur_hidden=(8,), expert_hidden=(8,))
+        records = run_grid(config)
+    finally:
+        trace.uninstall()
+    assert all(r.status == "ok" for r in records)
+    trace.dump(str(tmp_path / "trace"))
+    stats = tracer.span_stats(tracer.load(str(tmp_path / "trace")))
+    # `train` binds `train_step` with partial at call time; the wrapper must be what it binds
+    assert stats["model.train_step"].calls == 5  # 75 rows at batch 16, one epoch
+    assert stats["model.train"].calls == stats["baselines.train_baseline"].calls == 1
+    after = package_bindings()
+    assert all(after[key] is value for key, value in before.items())  # originals are back

@@ -144,6 +144,23 @@ def test_run_rejects_repeated_feature_columns_before_any_cell(tmp_path, capsys):
     assert not (tmp_path / "out").exists()  # no cell ran
 
 
+def test_one_class_file_fails_run_cells_and_train_exits_two(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_text("a,b,label\n1.0,2.0,x\n3.0,4.0,x\n5.0,1.0,x\n", encoding="utf-8")
+    config = tmp_path / "file.cfg"
+    config.write_text(f"dataset = file\nfile.train = {table}\nfile.val = {table}\n"
+                      "file.label = label\nmethods = expertnet, plain-ce\nnoise_ratios = 0.2\n"
+                      f"epochs = 1\nout = {tmp_path / 'out'}\n", encoding="utf-8")
+    message = f"{table}: every row has label 'x'; need at least 2 classes"
+    assert main(["run", "--config", str(config)]) == 1
+    out = capsys.readouterr().out
+    assert "3 records, 3 failed" in out and message in out
+    assert main(["train", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert "epoch" not in captured.out  # rejected before training
+
+
 @pytest.mark.filterwarnings("error")
 def test_run_overflow_fails_cells_without_numpy_warnings(config_path, tmp_path, capsys):
     assert main(["run", "--config", config_path, "--set", "lr=1e300"]) == 1

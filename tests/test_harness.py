@@ -511,6 +511,20 @@ def test_missing_input_file_fails_cells_and_grid_continues(tmp_path, missing):
                for r in records)
 
 
+def test_one_class_file_fails_every_cell_naming_the_file(tmp_path):
+    text = "f0,f1,label\n" + "".join(f"{i}.0,{-i}.0,x\n" for i in range(6))
+    for name in ("train", "val"):
+        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+    train_path = tmp_path / "train.csv"
+    config = tiny_config(dataset=FileSpec(str(train_path), str(tmp_path / "val.csv"), "label"),
+                         methods=("expertnet", "plain-ce"), noise_ratios=(0.2, 0.4), epochs=1)
+    records = run_grid(config)
+    assert len(records) == 6  # 3 (method, mode) pairs x 2 ratios
+    assert all(r.status == "failed" for r in records)
+    assert {r.diagnostic for r in records} == {
+        f"DataError: {train_path}: every row has label 'x'; need at least 2 classes"}
+
+
 def file_grid_config(tmp_path):
     """A 2 methods x 2 fractions grid on train/val CSV tables and a matrix file."""
     ds = make_blobs(3, 30, 4, 5.0, 1.0, seed=9)

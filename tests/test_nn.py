@@ -337,6 +337,21 @@ def test_dense_layers_are_views_into_the_network_buffer():
     assert not np.array_equal(before, after)
 
 
+def test_networks_built_from_one_dense_layer_stay_independent():
+    rng = derive_rng(5)
+    layer = Dense(rng.standard_normal((2, 3)), rng.standard_normal(2))
+    weight, bias = layer.weight.copy(), layer.bias.copy()
+    a = Network([layer, Activation("softmax")])
+    b = Network([layer, Activation("softmax")])
+    x = rng.standard_normal((4, 3))
+    before_a, before_b = forward(a, x)[0], forward(b, x)[0]
+    sgd_step(a.params, np.ones_like(a.params), SgdState.for_network(a), lr=0.1)
+    assert not np.array_equal(forward(a, x)[0], before_a)
+    np.testing.assert_array_equal(forward(b, x)[0], before_b)
+    np.testing.assert_array_equal(layer.weight, weight)
+    np.testing.assert_array_equal(layer.bias, bias)
+
+
 def test_lr_schedule():
     assert lr_at(StepDecay(0.05), 0) == 0.05
     assert lr_at(StepDecay(0.002, factor=0.1, period=5), 5) == pytest.approx(0.0002, rel=1e-12)
