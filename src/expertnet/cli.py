@@ -62,14 +62,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.save and args.method != "expertnet":
-        raise ConfigurationError(f"--save writes expertnet checkpoints only, not {args.method}")
+    config = _load_config(args, {})
+    method = config.methods[0]
+    if args.save and method != "expertnet":
+        raise ConfigurationError(f"--save writes expertnet checkpoints only, not {method}")
     if args.save and (os.path.isdir(args.save)
                       or not os.path.isdir(os.path.dirname(os.path.abspath(args.save)))):
         raise ConfigurationError(f"cannot write a checkpoint to {args.save}: it is a "
                                  "directory or its directory does not exist")
-    config = _load_config(args, {})
-    method = args.method
     ratio, fraction, seed = config.noise_ratios[0], config.fractions[0], config.seeds[0]
     train_set, val_set, matrix = harness.build_cell_datasets(config, ratio, fraction, seed,
                                                              harness.load_source(config))
@@ -150,9 +150,8 @@ def main(argv=None) -> int:
                        help="kept for old command lines: must be >= 1, no effect")
     p_run.set_defaults(fn=cmd_run)
 
-    p_train = sub.add_parser("train", help="train the config's first grid cell and print history")
+    p_train = sub.add_parser("train", help="train the first method on the first grid cell")
     _add_common(p_train)
-    p_train.add_argument("--method", default="expertnet", choices=harness.METHODS)
     p_train.add_argument("--save", help="write a model checkpoint here (expertnet only)")
     p_train.set_defaults(fn=cmd_train)
 

@@ -3,6 +3,7 @@ one-hot encoding, deterministic splits, and fraction subsampling."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -132,32 +133,30 @@ def stratified_split(ds: Dataset, per_class: int) -> tuple[Dataset, Dataset]:
     return ds.take(np.sort(np.concatenate(first))), ds.take(np.sort(np.concatenate(rest)))
 
 
-def normalization_stats(features) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and standard deviation (population form)."""
-    feats = np.asarray(features, dtype=float)
-    return feats.mean(axis=0), feats.std(axis=0)
-
-
 def read_text(path) -> str:
-    """A whole UTF-8 file; a file that cannot be read raises InputError."""
+    """A whole UTF-8 file minus any byte-order mark; an unreadable file raises InputError."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
+# A training table's feature columns, their mean and population standard
+# deviation, and its sorted label names (label i is class i).
+TableSchema = namedtuple("TableSchema", "columns mean std classes")
+
+
 def load_table(path, label_column: str, feature_columns=None,
-               stats: tuple[np.ndarray, np.ndarray] | None = None,
-               label_map: dict | None = None):
-    """Load a comma-separated table (header row) as a normalized Dataset.
+               schema: TableSchema | None = None):
+    """Load a comma-separated table (header row) as a standardized Dataset.
 
-    Features are standardized per column; constant columns become all zeros.
-    Pass the returned (stats, label_map) back in when loading a validation
-    table so it reuses the training statistics and class mapping; an unseen
-    label then raises DataError.
-
-    Returns (dataset, stats, label_map).
+    A training table (no `schema`) reads `feature_columns` (default: every
+    non-label column; never the label column), standardizes them with its own statistics (constant
+    columns become zeros) and numbers its sorted labels.  A table loaded with
+    the training table's schema reads the schema's columns by name, scales
+    them with its statistics and maps labels through its classes; an unseen
+    label raises DataError.  Returns (dataset, schema).
     """
     lines = read_text(path).splitlines()
     if not lines:
@@ -168,15 +167,22 @@ def load_table(path, label_column: str, feature_columns=None,
         raise InputError(f"{path}:1: column {repeated!r} appears twice")
     if label_column not in header:
         raise InputError(f"{path}:1: no column named {label_column!r}")
-    if feature_columns is None:
-        feature_columns = [h for h in header if h != label_column]
+    if schema is not None and feature_columns is not None:
+        raise ConfigurationError("load_table takes feature_columns or a schema, not both")
+    if schema is not None or feature_columns is None:
+        feature_columns = schema.columns if schema else [h for h in header if h != label_column]
+    if not feature_columns:
+        raise InputError(f"{path}:1: no feature columns besides {label_column!r}")
+    if label_column in feature_columns:
+        raise InputError(f"{path}:1: label column {label_column!r} is listed as a feature")
     missing = [c for c in feature_columns if c not in header]
     if missing:
         raise InputError(f"{path}:1: missing feature columns {missing}")
     feat_idx = [header.index(c) for c in feature_columns]
     label_idx = header.index(label_column)
 
-    raw_features, raw_labels = [], []
+    features = np.empty((len(lines) - 1, len(feat_idx)))
+    raw_labels, linenos = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -184,29 +190,28 @@ def load_table(path, label_column: str, feature_columns=None,
         if len(cells) != len(header):
             raise InputError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
         try:
-            raw_features.append([float(cells[i]) for i in feat_idx])
+            features[len(linenos)] = [float(cells[i]) for i in feat_idx]
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
         raw_labels.append(cells[label_idx])
-    if not raw_features:
+        linenos.append(lineno)
+    if not linenos:
         raise InputError(f"{path}:2: no data rows")
 
-    features = np.array(raw_features)
+    features = features[:len(linenos)]
     finite = np.isfinite(features)
     if not finite.all():
         row, col = (int(i[0]) for i in np.nonzero(~finite))
-        lineno = [n for n, line in enumerate(lines[1:], start=2) if line.strip()][row]
-        raise InputError(f"{path}:{lineno}: column {feature_columns[col]!r} is "
+        raise InputError(f"{path}:{linenos[row]}: column {feature_columns[col]!r} is "
                          f"{features[row, col]}, not a finite number")
-    if label_map is None:
-        label_map = {name: i for i, name in enumerate(sorted(set(raw_labels)))}
-    unseen = sorted(set(raw_labels) - set(label_map))
+    if schema is None:
+        schema = TableSchema(tuple(feature_columns), features.mean(axis=0),
+                             features.std(axis=0), tuple(sorted(set(raw_labels))))
+    index = {name: i for i, name in enumerate(schema.classes)}
+    unseen = sorted(set(raw_labels) - set(index))
     if unseen:
         raise DataError(f"{path}: labels {unseen} not present in the training table")
-    labels = np.array([label_map[name] for name in raw_labels], dtype=np.int64)
+    labels = np.array([index[name] for name in raw_labels], dtype=np.int64)
 
-    if stats is None:
-        stats = normalization_stats(features)
-    mean, std = stats
-    features = (features - mean) / np.maximum(std, VARIANCE_CLAMP)
-    return Dataset(features, labels, len(label_map)), stats, label_map
+    features = (features - schema.mean) / np.maximum(schema.std, VARIANCE_CLAMP)
+    return Dataset(features, labels, len(schema.classes)), schema

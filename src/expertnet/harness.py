@@ -132,6 +132,9 @@ class ExperimentConfig:
         elif len(set(self.dataset.features)) != len(self.dataset.features):
             raise ConfigurationError(
                 f"file.features must list distinct columns, got {self.dataset.features}")
+        elif self.dataset.label in self.dataset.features:
+            raise ConfigurationError("file.features must not list the label column, "
+                                     f"file.label = {self.dataset.label!r}")
 
     def schedule(self) -> StepDecay:
         return StepDecay(self.lr, self.lr_decay_factor, self.lr_decay_period)
@@ -269,14 +272,11 @@ def load_source(config: ExperimentConfig):
     """
     spec, tables, matrix = config.dataset, None, None
     if isinstance(spec, FileSpec):
-        columns = list(spec.features) or None
-        train_set, stats, label_map = load_table(spec.train, spec.label, columns)
-        if len(label_map) < 2:
-            raise DataError(f"{spec.train}: every row has label {next(iter(label_map))!r}; "
+        train_set, schema = load_table(spec.train, spec.label, list(spec.features) or None)
+        if len(schema.classes) < 2:
+            raise DataError(f"{spec.train}: every row has label {schema.classes[0]!r}; "
                             "need at least 2 classes")
-        val_set, _, _ = load_table(spec.val, spec.label, columns,
-                                   stats=stats, label_map=label_map)
-        tables = (train_set, val_set)
+        tables = (train_set, load_table(spec.val, spec.label, schema=schema)[0])
     if config.matrix:
         matrix = load_matrix_csv(config.matrix)
         n_classes = spec.classes if tables is None else tables[0].n_classes

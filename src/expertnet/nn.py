@@ -216,7 +216,7 @@ def backward(net: Network, acts, targets, loss):
     """
     if len(acts) != len(net.layers) + 1:
         raise DimensionError(f"{len(acts)} activations for a {len(net.layers)}-layer network")
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    targets = np.asarray(targets, dtype=float)
     out = acts[-1]
     if targets.shape != out.shape:
         raise DimensionError(f"targets shape {targets.shape} != output shape {out.shape}")
@@ -302,13 +302,11 @@ def glorot_dense(in_dim: int, out_dim: int, rng: np.random.Generator) -> Dense:
 
 
 def mlp(dims, hidden: str = "relu", terminal: str = "softmax",
-        leaky_slope: float = 0.01, rng: np.random.Generator | None = None) -> Network:
+        leaky_slope: float = 0.01, *, rng: np.random.Generator) -> Network:
     """Fully connected stack: dense+hidden activation per layer, custom terminal."""
     dims = list(dims)
     if len(dims) < 2:
         raise ConfigurationError("mlp needs at least input and output dims")
-    if rng is None:
-        rng = np.random.default_rng()
     layers = []
     for i in range(len(dims) - 1):
         layers.append(glorot_dense(dims[i], dims[i + 1], rng))
@@ -337,7 +335,7 @@ def finite_difference_gradients(net: Network, batch, targets, loss, h: float = 1
 
     def value():
         out, _ = forward(net, batch)
-        return loss.value(out, np.atleast_2d(np.asarray(targets, dtype=float)))
+        return loss.value(out, np.asarray(targets, dtype=float))
 
     p = net.params
     grads = np.zeros_like(p)

@@ -186,14 +186,14 @@ def test_baselines_share_batching_with_cotraining(monkeypatch):
         np.testing.assert_array_equal(a, b)
 
 
-def co_train(train_set, val_set):
+def co_train(train_set, val_set, epochs=1):
     model = build_expertnet(4, 3, seed=77, amateur_hidden=(8,), expert_hidden=(8,))
-    return train(model, train_set, val_set, epochs=1, batch_size=16,
+    return train(model, train_set, val_set, epochs=epochs, batch_size=16,
                  schedule=StepDecay(0.01), seed=42)[1]
 
 
-def plain_ce(train_set, val_set):
-    return train_baseline(BaselineSpec("plain-ce"), train_set, val_set, epochs=1,
+def plain_ce(train_set, val_set, epochs=1):
+    return train_baseline(BaselineSpec("plain-ce"), train_set, val_set, epochs=epochs,
                           batch_size=16, schedule=StepDecay(0.01), seed=42, hidden=(8,))[1]
 
 
@@ -204,17 +204,21 @@ def plain_ce(train_set, val_set):
     (0, "no given", ["train set has no given labels; inject noise first"] * 2),
     # baselines infer without given labels
     (1, "no given", ["validation set has no given labels; inject noise first", None]),
-], ids=["empty train", "empty validation", "train without given", "validation without given"])
+    (None, "zero epochs", ["epochs must be >= 1, got 0"] * 2),
+], ids=["empty train", "empty validation", "train without given", "validation without given",
+        "zero epochs"])
 def test_training_checks_its_splits(procedure, split, change, errors):
     sets = list(noisy_sets())
-    ds = sets[split]
-    sets[split] = ds.take(np.arange(0)) if change == "empty" else replace(ds, given_labels=None)
+    if split is not None:
+        ds = sets[split]
+        sets[split] = ds.take(np.arange(0)) if change == "empty" else replace(ds, given_labels=None)
+    epochs = 0 if change == "zero epochs" else 1
     error = errors[procedure is plain_ce]
     if error is None:
-        assert len(procedure(*sets)) == 1
+        assert len(procedure(*sets, epochs)) == 1
     else:
         with pytest.raises(ConfigurationError, match=f"^{re.escape(error)}$"):
-            procedure(*sets)
+            procedure(*sets, epochs)
 
 
 def test_plain_ce_noise_free_blobs_reach_99():

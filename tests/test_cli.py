@@ -1,5 +1,6 @@
 """CLI smoke tests for every subcommand and the exit-code contract."""
 
+import pathlib
 import re
 import threading
 
@@ -68,7 +69,7 @@ def test_run_set_overrides(config_path, tmp_path, capsys):
 
 def test_train_prints_history_and_saves_checkpoint(config_path, tmp_path, capsys):
     ckpt = tmp_path / "model.ckpt"
-    assert main(["train", "--config", config_path, "--method", "expertnet",
+    assert main(["train", "--config", config_path, "--set", "methods=expertnet",
                  "--save", str(ckpt)]) == 0
     out = capsys.readouterr().out
     assert "epoch   0" in out and "val_full=" in out
@@ -76,7 +77,7 @@ def test_train_prints_history_and_saves_checkpoint(config_path, tmp_path, capsys
 
 
 def test_train_baseline_method(config_path, capsys):
-    assert main(["train", "--config", config_path, "--method", "forward"]) == 0
+    assert main(["train", "--config", config_path, "--set", "methods=forward"]) == 0
     assert "val_amateur=" in capsys.readouterr().out
 
 
@@ -101,7 +102,7 @@ def test_error_exit_code(tmp_path, capsys):
 
 def test_train_save_rejected_for_baseline(config_path, tmp_path, capsys):
     ckpt = tmp_path / "model.ckpt"
-    assert main(["train", "--config", config_path, "--method", "plain-ce",
+    assert main(["train", "--config", config_path, "--set", "methods=plain-ce",
                  "--save", str(ckpt)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
@@ -123,6 +124,7 @@ def test_train_save_rejected_for_baseline(config_path, tmp_path, capsys):
     ("lr=nan", "lr"),
     ("seeds=1,,2", "seeds"),
     ("methods=expertnet,", "methods"),
+    ("epochs", "--set expects key=value, got 'epochs'"),
 ])
 def test_run_rejects_unusable_config_values(config_path, tmp_path, capsys, override, key):
     assert main(["run", "--config", config_path, "--set", override]) == 2
@@ -278,6 +280,7 @@ def test_run_cells_run_on_the_calling_thread_whatever_threads_says(config_path, 
     (["noise-stats", "--samples", "-5"], "--samples"),
     (["gradcheck", "--cases", "0"], "--cases"),
     (["gradcheck", "--cases", "-3"], "--cases"),
+    (["run", "--set", "epochs=0"], "epochs"),  # no --config: the defaults under --set
 ])
 def test_too_small_counts_exit_two(capsys, argv, key):
     assert main(argv) == 2
@@ -300,6 +303,7 @@ def test_train_matrix_class_mismatch_exits_two(config_path, tmp_path, capsys):
     ["train", "--fraction", "0.5"],
     ["train", "--seed", "1"],
     ["train", "--out", "x"],
+    ["train", "--method", "forward"],
     ["run", "--seed", "1"],
 ])
 def test_alias_flags_are_gone(config_path, tmp_path, capsys, argv):
@@ -318,7 +322,25 @@ def test_run_out_flag_wins_over_set_out(config_path, tmp_path):
 
 
 def test_train_cell_is_set_through_set(config_path, capsys):
-    assert main(["train", "--config", config_path, "--method", "plain-ce",
+    assert main(["train", "--config", config_path, "--set", "methods=plain-ce",
                  "--set", "noise_ratios=0.3", "--set", "fractions=0.5",
                  "--set", "seeds=4"]) == 0
     assert "method=plain-ce rho=0.3 frac=0.5 seed=4 " in capsys.readouterr().out
+
+
+def test_train_takes_its_method_from_the_config(config_path, capsys):
+    assert main(["train", "--config", config_path, "--set", "methods=forward",
+                 "--set", "epochs=1"]) == 0
+    assert capsys.readouterr().out.startswith("method=forward ")
+
+
+def test_readme_cli_synopsis_names_each_commands_flags(capsys):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```")[1]
+    synopsis = [line.split() for line in block.splitlines() if line.startswith("expertnet ")]
+    assert [words[1] for words in synopsis] == ["run", "train", "noise-stats", "gradcheck"]
+    for words in synopsis:
+        with pytest.raises(SystemExit):
+            main([words[1], "--help"])
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+        assert set(re.findall(r"--[a-z-]+", " ".join(words))) == flags, words[1]

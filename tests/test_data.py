@@ -2,6 +2,8 @@
 subsampling against hypergeometric bounds, and the table loader against
 two-pass statistics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,13 @@ from expertnet.data import (
     Dataset,
     load_table,
     make_blobs,
-    normalization_stats,
     one_hot_batch,
     stratified_split,
     subsample,
 )
 from expertnet.errors import ConfigurationError, DataError, DimensionError, InputError
+from expertnet.harness import read_config
+from expertnet.noise import load_matrix_csv
 
 
 def test_make_blobs_shape_and_balance():
@@ -156,16 +159,16 @@ def _write(tmp_path, name, text):
 
 def test_load_table_two_rows_exact(tmp_path):
     path = _write(tmp_path, "t.csv", "a,b,label\n1.0,10.0,x\n3.0,30.0,y\n")
-    ds, stats, label_map = load_table(path, "label")
+    ds, schema = load_table(path, "label")
     # mean (2, 20), std (1, 10): rows normalize to -/+1 exactly
     np.testing.assert_array_equal(ds.features, [[-1.0, -1.0], [1.0, 1.0]])
-    assert label_map == {"x": 0, "y": 1}
+    assert schema.classes == ("x", "y")
     np.testing.assert_array_equal(ds.true_labels, [0, 1])
 
 
 def test_load_table_constant_column_becomes_zeros(tmp_path):
     path = _write(tmp_path, "t.csv", "a,b,label\n5.0,1.0,x\n5.0,2.0,x\n5.0,3.0,y\n")
-    ds, _, _ = load_table(path, "label")
+    ds, _ = load_table(path, "label")
     np.testing.assert_array_equal(ds.features[:, 0], np.zeros(3))
 
 
@@ -175,23 +178,20 @@ def test_load_table_statistics_match_two_pass_oracle(tmp_path):
     text = "f1,f2,f3,label\n" + "\n".join(
         ",".join(repr(float(v)) for v in row) + ",c" for row in rows) + "\n"
     path = _write(tmp_path, "t.csv", text)
-    _, (mean, std), _ = load_table(path, "label")
+    _, schema = load_table(path, "label")
 
     # independent two-pass computation
     oracle_mean = np.array([sum(rows[:, j]) / 40 for j in range(3)])
     oracle_var = np.array([sum((rows[:, j] - oracle_mean[j]) ** 2) / 40 for j in range(3)])
-    np.testing.assert_allclose(mean, oracle_mean, atol=1e-10)
-    np.testing.assert_allclose(std, np.sqrt(oracle_var), atol=1e-10)
-    direct_mean, direct_std = normalization_stats(rows)
-    np.testing.assert_allclose(direct_mean, oracle_mean, atol=1e-10)
-    np.testing.assert_allclose(direct_std, np.sqrt(oracle_var), atol=1e-10)
+    np.testing.assert_allclose(schema.mean, oracle_mean, atol=1e-10)
+    np.testing.assert_allclose(schema.std, np.sqrt(oracle_var), atol=1e-10)
 
 
 def test_load_table_validation_reuses_training_stats(tmp_path):
     train = _write(tmp_path, "train.csv", "a,label\n1.0,x\n3.0,y\n")
     val = _write(tmp_path, "val.csv", "a,label\n2.0,y\n")
-    _, stats, label_map = load_table(train, "label")
-    ds, _, _ = load_table(val, "label", stats=stats, label_map=label_map)
+    _, schema = load_table(train, "label")
+    ds, _ = load_table(val, "label", schema=schema)
     np.testing.assert_array_equal(ds.features, [[0.0]])  # (2 - 2) / 1
     np.testing.assert_array_equal(ds.true_labels, [1])
 
@@ -199,9 +199,9 @@ def test_load_table_validation_reuses_training_stats(tmp_path):
 def test_load_table_unseen_validation_label(tmp_path):
     train = _write(tmp_path, "train.csv", "a,label\n1.0,x\n3.0,y\n")
     val = _write(tmp_path, "val.csv", "a,label\n2.0,z\n")
-    _, stats, label_map = load_table(train, "label")
+    _, schema = load_table(train, "label")
     with pytest.raises(DataError):
-        load_table(val, "label", stats=stats, label_map=label_map)
+        load_table(val, "label", schema=schema)
 
 
 def test_load_table_parse_error_reports_line(tmp_path):
@@ -227,3 +227,60 @@ def test_load_table_rejects_a_repeated_column(tmp_path):
 def test_load_table_missing_file_is_input_error(tmp_path):
     with pytest.raises(InputError, match="nope.csv: "):
         load_table(tmp_path / "nope.csv", "label")
+
+
+def test_load_table_reads_validation_columns_by_name(tmp_path):
+    train = _write(tmp_path, "train.csv", "a,b,label\n1.0,10.0,x\n3.0,30.0,y\n")
+    same = _write(tmp_path, "same.csv", "a,b,label\n2.0,40.0,y\n0.0,20.0,x\n")
+    swapped = _write(tmp_path, "swapped.csv", "b,label,a\n40.0,y,2.0\n20.0,x,0.0\n")
+    _, schema = load_table(train, "label")
+    ds, _ = load_table(same, "label", schema=schema)
+    np.testing.assert_array_equal(ds.features, [[0.0, 2.0], [-2.0, 0.0]])
+    np.testing.assert_array_equal(ds.true_labels, [1, 0])
+    other, used = load_table(swapped, "label", schema=schema)
+    np.testing.assert_array_equal(other.features, ds.features)
+    np.testing.assert_array_equal(other.true_labels, ds.true_labels)
+    assert used is schema
+
+
+def test_load_table_validation_without_a_training_column(tmp_path):
+    train = _write(tmp_path, "train.csv", "a,b,label\n1.0,10.0,x\n3.0,30.0,y\n")
+    val = _write(tmp_path, "val.csv", "b,c,label\n20.0,5.0,x\n")
+    _, schema = load_table(train, "label")
+    with pytest.raises(InputError, match=re.escape(f"{val}:1: missing feature columns ['a']")):
+        load_table(val, "label", schema=schema)
+
+
+def test_load_table_takes_columns_or_a_schema_not_both(tmp_path):
+    path = _write(tmp_path, "t.csv", "a,b,label\n1.0,10.0,x\n3.0,30.0,y\n")
+    _, schema = load_table(path, "label")
+    with pytest.raises(ConfigurationError, match="feature_columns or a schema, not both"):
+        load_table(path, "label", ["a"], schema=schema)
+
+
+@pytest.mark.parametrize("text, columns, message", [
+    ("", None, "t.csv:1: empty file"),
+    ("a,b,label\n\n", None, "t.csv:2: no data rows"),
+    ("a,b,label\n1.0,2.0,x\n", ["a", "c"], "t.csv:1: missing feature columns ['c']"),
+    ("label\nx\ny\n", None, "t.csv:1: no feature columns besides 'label'"),
+    ("a,label\n1.0,0\n2.0,1\n", ["a", "label"],
+     "t.csv:1: label column 'label' is listed as a feature"),
+], ids=["empty file", "no data rows", "missing feature column", "label column only",
+        "label column listed as a feature"])
+def test_load_table_rejects_an_unusable_table(tmp_path, text, columns, message):
+    path = _write(tmp_path, "t.csv", text)
+    with pytest.raises(InputError, match=re.escape(message)):
+        load_table(path, "label", columns)
+
+
+@pytest.mark.parametrize("text, read", [
+    ("label,a,b\nx,1.0,2.0\ny,3.0,4.0\n", lambda path: load_table(path, "label")[0].n),
+    ("0.75,0.25\n0.5,0.5\n", lambda path: load_matrix_csv(path)[0, 0]),
+    ("epochs = 3\n", lambda path: read_config(path).epochs),
+], ids=["table", "matrix", "config"])
+def test_a_byte_order_mark_is_ignored(tmp_path, text, read):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read(str(marked)) == read(str(plain))

@@ -374,6 +374,10 @@ def test_failed_expertnet_cell_reports_both_modes_and_grid_continues(monkeypatch
     ("amateur_hidden = 8, ", "amateur_hidden"),
     pytest.param("dataset = file\nfile.train = t.csv\nfile.val = v.csv\nfile.label = y\n"
                  "file.features = a, a", "file.features", id="file.features = a, a"),
+    pytest.param("dataset = file\nfile.train = t.csv\nfile.val = v.csv\nfile.label = y\n"
+                 "file.features = a, y", "file.label", id="file.features = a, y"),
+    ("fractions = 0", re.escape("fraction must be in (0, 1], got 0.0")),
+    ("fractions = 1.5", re.escape("fraction must be in (0, 1], got 1.5")),
     # built in Python, not parsed: the config itself rejects non-finite numbers
     pytest.param(dict(lr=math.nan), "lr", id="ExperimentConfig(lr=nan)"),
     pytest.param(dict(lr=math.inf), "lr", id="ExperimentConfig(lr=inf)"),
@@ -428,7 +432,8 @@ DATASET_SPECS = {
                        separation=st.floats(0.01, 50, **finite),
                        spread=st.floats(0.01, 50, **finite)),
     "file": st.builds(FileSpec, train=file_names, val=file_names, label=names,
-                      features=distinct(names) | st.just(())),
+                      features=distinct(names) | st.just(())).filter(
+                          lambda spec: spec.label not in spec.features),  # config rejects it
 }
 
 

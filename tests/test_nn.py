@@ -215,6 +215,8 @@ def test_backward_rejects_activations_of_another_shape():
         backward(net, acts[1:], np.full((2, 2), 0.5), CROSS_ENTROPY)
     with pytest.raises(DimensionError):
         backward(net, acts, np.full((3, 2), 0.5), CROSS_ENTROPY)
+    with pytest.raises(DimensionError):  # one row's target must be a (1, 2) batch
+        backward(net, forward(net, np.ones((1, 3)))[1], np.full(2, 0.5), CROSS_ENTROPY)
 
 
 def test_gradients_zero_at_symmetric_stationary_point():
