@@ -73,9 +73,7 @@ def one_hot_batch(labels, n_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise DataError(f"label out of range [0, {n_classes})")
-    out = np.zeros((labels.size, n_classes))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
+    return np.eye(n_classes)[labels.reshape(-1)]
 
 
 def make_blobs(n_classes: int, per_class: int, dim: int, separation: float,

@@ -113,6 +113,9 @@ class ExperimentConfig:
             if pivots.setdefault(pivot_name(r), r) != r:
                 raise ConfigurationError(
                     f"noise ratios {pivots[pivot_name(r)]:g} and {r:g} share {pivot_name(r)}")
+        if self.matrix is not None and len(self.noise_ratios) > 1:
+            raise ConfigurationError("a matrix sets the noise, so noise_ratios must list one "
+                                     f"value to label the run, got {self.noise_ratios}")
         if not self.out:
             raise ConfigurationError("out must name an output directory, got ''")
         for key in ("epochs", "batch_size", "amateur_hidden", "expert_hidden"):
@@ -432,12 +435,19 @@ def emit_report(records, out_dir) -> list[str]:
 
     Pivot rows are fractions (descending), columns are method/mode pairs, and
     cells are mean +/- sample standard deviation over seeds.  Byte-identical
-    output for identical records.
+    output for identical records.  A `pivot_rho*.csv` file already in
+    `out_dir` that this report does not write is removed first.
     """
     records = sorted(records, key=ResultRecord.sort_key)
     if not records:
         raise DataError("no records to report")
     os.makedirs(out_dir, exist_ok=True)
+    pivots = {pivot_name(r.noise_ratio) for r in records}
+    with os.scandir(out_dir) as entries:
+        stale = [e.path for e in entries if e.is_file() and e.name not in pivots
+                 and e.name.startswith("pivot_rho") and e.name.endswith(".csv")]
+    for path in stale:
+        os.remove(path)
     table = [LONG_CSV_HEADER.split(",")] + [
         [r.method, r.mode, f"{r.noise_ratio:g}", f"{r.fraction:g}", r.seed,
          _fmt_accuracy(r.accuracy), r.epochs, r.status, r.dataset_hash, r.diagnostic]

@@ -29,9 +29,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
         raise DimensionError("softmax: empty input")
     if not np.all(np.isfinite(z)):
         raise NumericError("softmax: non-finite logits")
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def cross_entropy(target: np.ndarray, prediction: np.ndarray) -> float:
@@ -71,11 +72,15 @@ class Dense:
         return self.weight.shape[0]
 
     def apply(self, x):
-        return x @ self.weight.T + self.bias
+        out = x @ self.weight.T
+        out += self.bias
+        return out
 
-    def backward(self, x, out, grad_out):
-        grad_x = grad_out @ self.weight
-        return grad_x, [grad_out.T @ x, grad_out.sum(axis=0)]
+    def backward(self, x, grad_out, grad_weight, grad_bias, input_grad):
+        # fills the parameter gradients in place; returns the input gradient if asked
+        np.matmul(grad_out.T, x, out=grad_weight)
+        np.sum(grad_out, axis=0, out=grad_bias)
+        return grad_out @ self.weight if input_grad else None
 
 
 class Activation:
@@ -93,7 +98,7 @@ class Activation:
         if self.kind == "relu":
             return np.maximum(x, 0.0)
         if self.kind == "leaky-relu":
-            return np.where(x > 0.0, x, self.slope * x)
+            return np.maximum(x, self.slope * x)  # exact: 0 < slope < 1
         if self.kind == "sigmoid":
             # split by sign to avoid exp overflow
             out = np.empty_like(x)
@@ -106,14 +111,14 @@ class Activation:
 
     def backward(self, x, out, grad_out):
         if self.kind == "relu":
-            return np.where(x > 0.0, grad_out, 0.0), []
+            return grad_out * (x > 0.0)
         if self.kind == "leaky-relu":
-            return np.where(x > 0.0, grad_out, self.slope * grad_out), []
+            return np.where(x > 0.0, grad_out, self.slope * grad_out)
         if self.kind == "sigmoid":
-            return out * (1.0 - out) * grad_out, []
+            return out * (1.0 - out) * grad_out
         # softmax rows couple: dL/dz = a * (g - sum(a * g))
         dot = (out * grad_out).sum(axis=-1, keepdims=True)
-        return out * (grad_out - dot), []
+        return out * (grad_out - dot)
 
 
 class Network:
@@ -121,7 +126,8 @@ class Network:
 
     `params` is one flat buffer holding every dense layer's weight then bias,
     in layer order.  Its dense layers are new `Dense` layers over views into it;
-    the dense layers it was given keep their own arrays.
+    the dense layers it was given keep their own arrays.  `slots[i]` is the
+    (weight, bias) slice pair of layer i in that layout, None for an activation.
     """
 
     def __init__(self, layers):
@@ -136,9 +142,13 @@ class Network:
         self.input_dim, self.output_dim = dense[0].in_dim, dense[-1].out_dim
         arrays = [a for l in dense for a in (l.weight, l.bias)]
         self.params = np.concatenate([a.ravel() for a in arrays])
-        views = iter(np.split(self.params, np.cumsum([a.size for a in arrays])[:-1]))
-        self.layers = [Dense(next(views).reshape(l.weight.shape), next(views))
-                       if l.kind == "dense" else l for l in layers]
+        ends = np.cumsum([a.size for a in arrays]).tolist()
+        spans = iter(zip([0, *ends], ends))  # (start, stop) of each array in `params`
+        self.slots = [(slice(*next(spans)), slice(*next(spans))) if l.kind == "dense" else None
+                      for l in layers]
+        self.layers = [Dense(self.params[s[0]].reshape(l.weight.shape), self.params[s[1]])
+                       if s else l for l, s in zip(layers, self.slots)]
+        self.first_dense = next(i for i, s in enumerate(self.slots) if s)
 
     @property
     def terminal_kind(self) -> str:
@@ -211,8 +221,9 @@ def backward(net: Network, acts, targets, loss):
     """Loss value and parameter gradients of a finished forward pass.
 
     `acts` is the activation list `forward(net, batch)` returned, taken with
-    the parameters the gradients are for.  Gradients are returned as one flat
-    array aligned with net.params.
+    the parameters the gradients are for.  Gradients are one new flat array
+    aligned with net.params that each dense layer fills in place; the pass
+    stops at the first dense layer, so no gradient of the batch is computed.
     """
     if len(acts) != len(net.layers) + 1:
         raise DimensionError(f"{len(acts)} activations for a {len(net.layers)}-layer network")
@@ -224,11 +235,15 @@ def backward(net: Network, acts, targets, loss):
     if not np.isfinite(value):
         raise NumericError(f"non-finite loss value {value!r}")
     grad = loss.prediction_grad(out, targets)
-    grads: list[np.ndarray] = []
-    for i in reversed(range(len(net.layers))):
-        grad, layer_grads = net.layers[i].backward(acts[i], acts[i + 1], grad)
-        grads[:0] = layer_grads
-    return value, np.concatenate([g.ravel() for g in grads])
+    grads = np.empty_like(net.params)
+    for i in range(len(net.layers) - 1, net.first_dense - 1, -1):
+        layer, slot = net.layers[i], net.slots[i]
+        if slot is None:
+            grad = layer.backward(acts[i], acts[i + 1], grad)
+        else:
+            grad = layer.backward(acts[i], grad, grads[slot[0]].reshape(layer.weight.shape),
+                                  grads[slot[1]], i > net.first_dense)
+    return value, grads
 
 
 def loss_and_gradients(net: Network, batch, targets, loss):

@@ -8,7 +8,8 @@ import pathlib
 import sys
 
 import expertnet.cli  # noqa: F401  (the tracer wraps functions in every module)
-from expertnet.harness import BlobsSpec, ExperimentConfig, run_grid
+from expertnet import harness
+from expertnet.harness import METHODS, BlobsSpec, ExperimentConfig
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -30,16 +31,22 @@ def test_tracer_wraps_every_span_and_sees_both_training_procedures(monkeypatch, 
         assert trace.missing == set()
         config = ExperimentConfig(
             dataset=BlobsSpec(classes=3, dim=4, per_class=25, val_per_class=15),
-            noise_ratios=(0.2,), fractions=(1.0,), methods=("expertnet", "plain-ce"),
+            noise_ratios=(0.2,), fractions=(1.0,), methods=tuple(METHODS),
             seeds=(1,), epochs=1, batch_size=16, amateur_hidden=(8,), expert_hidden=(8,))
-        records = run_grid(config)
+        # through the module: a name bound before install() is not the wrapper
+        records = harness.run_grid(config)
     finally:
         trace.uninstall()
     assert all(r.status == "ok" for r in records)
     trace.dump(str(tmp_path / "trace"))
-    stats = tracer.span_stats(tracer.load(str(tmp_path / "trace")))
+    loaded = tracer.load(str(tmp_path / "trace"))
+    stats = tracer.span_stats(loaded)
     # `train` binds `train_step` with partial at call time; the wrapper must be what it binds
     assert stats["model.train_step"].calls == 5  # 75 rows at batch 16, one epoch
-    assert stats["model.train"].calls == stats["baselines.train_baseline"].calls == 1
+    assert stats["model.train"].calls == 1
+    assert stats["baselines.train_baseline"].calls == len(METHODS) - 1
+    # every per-layer metric of a well-formed run is measured: one cell per method, one dataset
+    metrics = tracer.layer_metrics(loaded, len(METHODS), 1)
+    assert [name for name, value in metrics.items() if value is None] == []
     after = package_bindings()
     assert all(after[key] is value for key, value in before.items())  # originals are back

@@ -67,6 +67,16 @@ def test_run_set_overrides(config_path, tmp_path, capsys):
     assert results[1].startswith("plain-ce,")
 
 
+def test_second_run_into_one_directory_leaves_only_its_pivots(config_path, tmp_path):
+    quick = ["--set", "methods=plain-ce", "--set", "epochs=1"]
+    assert main(["run", "--config", config_path, "--set", "noise_ratios=0.2,0.4", *quick]) == 0
+    out = tmp_path / "out"
+    (out / "notes.txt").write_text("not a pivot", encoding="utf-8")
+    assert main(["run", "--config", config_path, "--set", "noise_ratios=0.3", *quick]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "notes.txt", "pivot_rho30.csv", "results.csv", "run.log"]
+
+
 def test_train_prints_history_and_saves_checkpoint(config_path, tmp_path, capsys):
     ckpt = tmp_path / "model.ckpt"
     assert main(["train", "--config", config_path, "--set", "methods=expertnet",

@@ -362,6 +362,7 @@ def test_failed_expertnet_cell_reports_both_modes_and_grid_continues(monkeypatch
     ("bootstrap_variant = medium", "bootstrap variant"),
     ("expert_terminal = tanh", "expert terminal"),
     ("noise_ratios = 0.12, 0.125", "pivot_rho12"),
+    ("matrix = m.csv\nnoise_ratios = 0.2, 0.4", "noise_ratios"),
     ("seeds = 1, 1", "seeds"),
     ("noise_ratios = 0.2, 0.4, 0.2", "noise_ratios"),
     ("fractions = 1.0, 1", "fractions"),
@@ -437,22 +438,25 @@ DATASET_SPECS = {
 }
 
 
-def configs(kind):
-    return st.builds(
-        ExperimentConfig, dataset=DATASET_SPECS[kind],
-        noise_ratios=st.lists(st.floats(0, 0.99, **finite), min_size=1, max_size=3,
-                              unique_by=pivot_name).map(tuple),
+@st.composite
+def configs(draw, kind):
+    matrix = draw(st.none() | file_names)
+    # a matrix sets the noise itself, so it comes with the one ratio that labels the run
+    ratios = st.lists(st.floats(0, 0.99, **finite), min_size=1, max_size=1 if matrix else 3,
+                      unique_by=pivot_name).map(tuple)
+    return draw(st.builds(
+        ExperimentConfig, dataset=DATASET_SPECS[kind], noise_ratios=ratios,
         fractions=distinct(st.floats(0, 1, exclude_min=True, **finite)),
         methods=distinct(st.sampled_from(tuple(METHODS))),
         seeds=distinct(st.integers(0, 2**32)),
-        matrix=st.none() | file_names, epochs=st.integers(1, 500), batch_size=st.integers(1, 512),
+        matrix=st.just(matrix), epochs=st.integers(1, 500), batch_size=st.integers(1, 512),
         lr=st.floats(1e-6, 10, **finite), lr_decay_factor=st.floats(1e-6, 10, **finite),
         lr_decay_period=st.none() | st.integers(1, 100),
         momentum=st.floats(0, 1, exclude_max=True, **finite),
         weight_decay=st.floats(0, 1, **finite), amateur_hidden=widths, expert_hidden=widths,
         expert_terminal=st.sampled_from(("softmax", "sigmoid")),
         bootstrap_beta=st.floats(0, 1, exclude_min=True, **finite),
-        bootstrap_variant=st.sampled_from(("soft", "hard")), out=names)
+        bootstrap_variant=st.sampled_from(("soft", "hard")), out=names))
 
 
 def config_pairs():
@@ -486,13 +490,19 @@ def test_config_renders_parses_and_overrides_round_trip(pair, data):
     text = "".join(f"{key} = {value}\n" for key, value in render(config).items())
     assert parse_config(text) == config
     key = data.draw(st.sampled_from(sorted(set(render(config)) - {"dataset"})))
+    override = {key: render(other)[key]}
     prefix, _, name = key.rpartition(".")
-    if prefix:
-        expected = dataclasses.replace(config, dataset=dataclasses.replace(
-            config.dataset, **{name: getattr(other.dataset, name)}))
-    else:
-        expected = dataclasses.replace(config, **{name: getattr(other, name)})
-    assert parse_config(text, {key: render(other)[key]}) == expected
+    try:
+        if prefix:
+            expected = dataclasses.replace(config, dataset=dataclasses.replace(
+                config.dataset, **{name: getattr(other.dataset, name)}))
+        else:
+            expected = dataclasses.replace(config, **{name: getattr(other, name)})
+    except ConfigurationError:  # the value clashes with another key (a label among features)
+        with pytest.raises(ConfigurationError):
+            parse_config(text, override)
+        return
+    assert parse_config(text, override) == expected
 
 
 @pytest.mark.parametrize("missing", ["train", "matrix"])
@@ -508,9 +518,9 @@ def test_missing_input_file_fails_cells_and_grid_continues(tmp_path, missing):
     config = tiny_config(
         dataset=FileSpec(str(tmp_path / "train.csv"), str(tmp_path / "val.csv"), "label"),
         matrix=str(tmp_path / "matrix.csv"), methods=("expertnet", "plain-ce"),
-        noise_ratios=(0.2, 0.4), epochs=1)
+        seeds=(1, 2), epochs=1)
     records = run_grid(config)
-    assert len(records) == 6  # 3 (method, mode) pairs x 2 ratios
+    assert len(records) == 6  # 3 (method, mode) pairs x 2 seeds
     assert all(r.status == "failed" for r in records)
     assert all(r.diagnostic.startswith("InputError: ") and f"{missing}.csv" in r.diagnostic
                for r in records)
@@ -583,9 +593,9 @@ def test_matrix_class_mismatch_fails_every_cell_before_building_data(tmp_path, m
     save_matrix_csv(symmetric_matrix(3, 0.2), tmp_path / "matrix.csv")
     config = tiny_config(dataset=BlobsSpec(classes=4, dim=4, per_class=25, val_per_class=15),
                          matrix=str(tmp_path / "matrix.csv"),
-                         methods=("expertnet", "forward"), noise_ratios=(0.2, 0.4))
+                         methods=("expertnet", "forward"), seeds=(1, 2))
     records = run_grid(config)
-    assert len(records) == 6  # 3 (method, mode) pairs x 2 ratios
+    assert len(records) == 6  # 3 (method, mode) pairs x 2 seeds
     assert all(r.status == "failed" for r in records)
     assert {r.diagnostic for r in records} == {
         "DimensionError: matrix is 3x3 but data has 4 classes"}

@@ -219,6 +219,86 @@ def test_backward_rejects_activations_of_another_shape():
         backward(net, forward(net, np.ones((1, 3)))[1], np.full(2, 0.5), CROSS_ENTROPY)
 
 
+def reference_gradients(net, acts, targets, loss):
+    """The flat gradient by per-layer formulas, with every input gradient taken."""
+    grad = loss.prediction_grad(acts[-1], targets)
+    parts = []
+    for layer, x, out in reversed(list(zip(net.layers, acts, acts[1:]))):
+        if layer.kind == "dense":
+            parts[:0] = [grad.T @ x, grad.sum(0)]
+            grad = grad @ layer.weight
+        elif layer.kind == "relu":
+            grad = np.where(x > 0.0, grad, 0.0)
+        elif layer.kind == "leaky-relu":
+            grad = np.where(x > 0.0, grad, layer.slope * grad)
+        elif layer.kind == "sigmoid":
+            grad = out * (1.0 - out) * grad
+        else:
+            grad = out * (grad - (out * grad).sum(axis=-1, keepdims=True))
+    return np.concatenate([part.ravel() for part in parts])
+
+
+@pytest.mark.parametrize("hidden", ["relu", "leaky-relu", "sigmoid", "softmax"])
+@pytest.mark.parametrize("terminal", ["softmax", "sigmoid"])
+@pytest.mark.parametrize("dims", [(4, 6, 3), (16, 128, 64, 4), (8, 64, 32, 4)])
+def test_backward_is_bit_equal_to_the_per_layer_formulas(hidden, terminal, dims):
+    rng = derive_rng(23)
+    net = mlp(dims, hidden=hidden, terminal=terminal, rng=rng)
+    x = rng.standard_normal((64, dims[0]))
+    targets = rng.random((64, dims[-1]))
+    targets /= targets.sum(axis=1, keepdims=True)
+    for loss in (CROSS_ENTROPY, ForwardCorrectedLoss(symmetric_matrix(dims[-1], 0.3))):
+        _, acts = forward(net, x)
+        grads = backward(net, acts, targets, loss)[1]
+        assert np.array_equal(grads, reference_gradients(net, acts, targets, loss))
+
+
+def test_backward_stops_at_the_first_dense_layer():
+    rng = derive_rng(29)
+    # an activation in front of the first dense layer only shapes the batch
+    net = Network([Activation("relu"), Dense(rng.standard_normal((3, 4)), np.zeros(3)),
+                   Activation("softmax")])
+    _, acts = forward(net, rng.standard_normal((5, 4)))
+    targets = np.full((5, 3), 1.0 / 3.0)
+    grads = backward(net, acts, targets, CROSS_ENTROPY)[1]
+    assert np.array_equal(grads, reference_gradients(net, acts, targets, CROSS_ENTROPY))
+
+
+def test_backward_returns_a_new_array_and_leaves_the_pass_alone():
+    rng = derive_rng(31)
+    net = mlp((4, 6, 3), hidden="leaky-relu", rng=rng)
+    _, acts = forward(net, rng.standard_normal((5, 4)))
+    before = [a.copy() for a in acts]
+    targets = np.full((5, 3), 1.0 / 3.0)
+    first = backward(net, acts, targets, CROSS_ENTROPY)[1]
+    second = backward(net, acts, targets, CROSS_ENTROPY)[1]
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, net.params)
+    assert np.array_equal(first, second)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(acts, before))
+
+
+# signed zeros, subnormals, tiny, unit, huge and infinite magnitudes
+EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300,
+                        0.5, -0.5, 1.0, -1.0, 1e300, -1e300, 1.7976931348623157e308,
+                        -1.7976931348623157e308, np.inf, -np.inf])
+
+
+@pytest.mark.parametrize("slope", [1e-300, 0.01, 0.5, 0.999999])
+def test_leaky_relu_apply_is_bit_equal_to_the_select_form(slope):
+    out = Activation("leaky-relu", slope=slope).apply(EDGE_VALUES)
+    expected = np.where(EDGE_VALUES > 0.0, EDGE_VALUES, slope * EDGE_VALUES)
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_relu_backward_equals_the_select_form():
+    finite = EDGE_VALUES[np.isfinite(EDGE_VALUES)]
+    x, g = np.meshgrid(EDGE_VALUES, finite)
+    out = Activation("relu").backward(x, np.maximum(x, 0.0), g)
+    # equal as numbers; a negative gradient at x <= 0 gives -0.0 where the select gives 0.0
+    assert np.array_equal(out, np.where(x > 0.0, g, 0.0))
+
+
 def test_gradients_zero_at_symmetric_stationary_point():
     k = 4
     net = Network([Dense(np.zeros((k, k)), np.zeros(k)), Activation("softmax")])
