@@ -57,6 +57,7 @@ from .nn import (
     loss_and_gradients,
     lr_at,
     mlp,
+    predict,
     sgd_step,
     softmax,
 )

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 
 from . import harness
+from .data import check_array_size
 from .errors import ConfigurationError, ExpertNetError
 from .model import save_checkpoint
 from .nn import CROSS_ENTROPY, ForwardCorrectedLoss, gradient_check, mlp
@@ -91,6 +92,7 @@ def cmd_noise_stats(args) -> int:
     k = matrix.shape[0]
     if args.samples < k:
         raise ConfigurationError(f"--samples must be >= the class count {k}, got {args.samples}")
+    check_array_size("--samples", args.samples)
     true = np.repeat(np.arange(k), args.samples // k)
     given = corrupt_labels(true, matrix, args.seed)
     observed = empirical_matrix(true, given, k)
@@ -171,8 +173,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ExpertNetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ExpertNetError, MemoryError) as exc:  # MemoryError: a size this machine cannot hold
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

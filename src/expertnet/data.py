@@ -3,6 +3,7 @@ one-hot encoding, deterministic splits, and fraction subsampling."""
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
@@ -12,6 +13,14 @@ from .errors import ConfigurationError, DataError, DimensionError, InputError
 from .seeding import derive_rng
 
 VARIANCE_CLAMP = 1e-12
+MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)  # numpy cannot describe a larger array
+
+
+def check_array_size(what: str, *shape: int) -> None:
+    """Reject a float64 array shape numpy cannot describe, naming what asked for it."""
+    if math.prod(shape) * 8 > MAX_ARRAY_BYTES:
+        raise ConfigurationError(f"{what}: a {' x '.join(map(str, shape))} array is more "
+                                 "than numpy can address")
 
 
 @dataclass(frozen=True)

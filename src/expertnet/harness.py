@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import BASELINE_KINDS, BaselineSpec, train_baseline
-from .data import Dataset, load_table, make_blobs, read_text, stratified_split, subsample
+from .data import (Dataset, check_array_size, load_table, make_blobs, read_text,
+                   stratified_split, subsample)
 from .errors import ConfigurationError, DataError, DimensionError, ExpertNetError, InputError
 from .model import ExpertNet, build_expertnet, train
 from .nn import StepDecay
@@ -46,6 +47,8 @@ MODE_FULL = "full"
 # method -> the inference modes it reports; baselines never read given labels
 METHODS = {"expertnet": (MODE_AMATEUR, MODE_FULL),
            **{kind: (MODE_AMATEUR,) for kind in BASELINE_KINDS}}
+# what fails a cell (from `load_source`, every cell) instead of the grid
+CELL_ERRORS = (ExpertNetError, MemoryError)
 
 
 def pivot_name(ratio: float) -> str:
@@ -132,6 +135,9 @@ class ExperimentConfig:
             for key in ("separation", "spread"):
                 if not 0.0 < (value := getattr(self.dataset, key)) < math.inf:
                     raise ConfigurationError(f"blobs.{key} must be finite and above 0, got {value}")
+            spec = self.dataset  # make_blobs' largest arrays: the features and center differences
+            check_array_size("blobs", spec.classes * (spec.per_class + spec.val_per_class), spec.dim)
+            check_array_size("blobs", spec.classes, spec.classes, spec.dim)
         elif len(set(self.dataset.features)) != len(self.dataset.features):
             raise ConfigurationError(
                 f"file.features must list distinct columns, got {self.dataset.features}")
@@ -344,9 +350,11 @@ def _cell_label(method: str, ratio: float, fraction: float, master_seed: int) ->
 
 
 def _failed_blocks(config: ExperimentConfig, methods, ratio: float, fraction: float,
-            master_seed: int, exc: ExpertNetError):
+            master_seed: int, exc: Exception):
     """One failed block per method: a failed record per reported mode and a FAILED log line."""
-    diagnostic = f"{type(exc).__name__}: {exc}"
+    # numpy raises a private MemoryError subclass; the diagnostic names the public one
+    kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+    diagnostic = f"{kind}: {exc}"
     return [([ResultRecord(method=method, mode=mode, noise_ratio=ratio, fraction=fraction,
                            seed=master_seed, accuracy=None, epochs=config.epochs,
                            dataset_hash="", status="failed", diagnostic=diagnostic)
@@ -366,7 +374,7 @@ def _run_cell(config: ExperimentConfig, ratio: float, fraction: float, master_se
     try:
         train_set, val_set, matrix = build_cell_datasets(config, ratio, fraction, master_seed,
                                                          source)
-    except ExpertNetError as exc:
+    except CELL_ERRORS as exc:
         return _failed_blocks(config, config.methods, ratio, fraction, master_seed, exc)
     dhash = dataset_hash(train_set, val_set)
     cell = cell_seed(master_seed, ratio, fraction)
@@ -375,7 +383,7 @@ def _run_cell(config: ExperimentConfig, ratio: float, fraction: float, master_se
         started = time.perf_counter()
         try:
             _, history = train_method(config, method, cell, train_set, val_set, matrix)
-        except ExpertNetError as exc:
+        except CELL_ERRORS as exc:
             blocks += _failed_blocks(config, (method,), ratio, fraction, master_seed, exc)
             continue
         label = _cell_label(method, ratio, fraction, master_seed)
@@ -404,7 +412,7 @@ def run_grid(config: ExperimentConfig, *,
     cells = list(itertools.product(config.noise_ratios, config.fractions, config.seeds))
     try:
         source = load_source(config)
-    except ExpertNetError as exc:
+    except CELL_ERRORS as exc:
         outcomes = [_failed_blocks(config, config.methods, *cell, exc) for cell in cells]
     else:
         outcomes = [_run_cell(config, *cell, source) for cell in cells]

@@ -31,6 +31,7 @@ from .nn import (
     loss_and_gradients,
     lr_at,
     mlp,
+    predict,
     sgd_step,
 )
 from .seeding import STREAM_INIT, derive_rng
@@ -108,9 +109,9 @@ def expert_input(amateur_probs, given_labels) -> np.ndarray:
     probs = np.asarray(amateur_probs, dtype=float)
     if probs.ndim != 2:
         raise DimensionError(f"probabilities must be (B, K) rows, got shape {probs.shape}")
-    if np.any(probs < -DISTRIBUTION_TOL) or np.any(probs > 1.0 + DISTRIBUTION_TOL):
+    if (probs < -DISTRIBUTION_TOL).any() or (probs > 1.0 + DISTRIBUTION_TOL).any():
         raise DataError("probability entries outside [0, 1]")
-    if np.any(np.abs(probs.sum(axis=1) - 1.0) > DISTRIBUTION_TOL):
+    if (np.abs(np.add.reduce(probs, axis=1) - 1.0) > DISTRIBUTION_TOL).any():
         raise DataError("probability rows must sum to 1")
     return _join_given(probs, given_labels)
 
@@ -127,7 +128,7 @@ def _soft_target(model: ExpertNet, expert_out: np.ndarray) -> np.ndarray:
     # sigmoid-terminal experts emit unnormalized rows; rescale to distributions
     if model.expert.terminal_kind == "softmax":
         return expert_out
-    return expert_out / expert_out.sum(axis=1, keepdims=True)
+    return expert_out / np.add.reduce(expert_out, axis=1, keepdims=True)
 
 
 def train_step(model: ExpertNet, x, given_labels, true_labels, lr: float):
@@ -173,20 +174,17 @@ def accuracy(predictions, truths) -> float:
 
 def infer_amateur(model: ExpertNet, x) -> np.ndarray:
     """Argmax of the amateur's probabilities; ties go to the lowest class index."""
-    probs, _ = forward(model.amateur, x)
-    return np.argmax(probs, axis=1)
+    return np.argmax(predict(model.amateur, x), axis=1)
 
 
 def infer_full(model: ExpertNet, x, given_labels) -> np.ndarray:
     """Argmax of the expert applied to (amateur probabilities, given label)."""
-    probs, _ = forward(model.amateur, x)
-    return _full_predictions(model, probs, given_labels)
+    return _full_predictions(model, predict(model.amateur, x), given_labels)
 
 
 def _full_predictions(model: ExpertNet, probs, given_labels) -> np.ndarray:
     # full mode from an amateur pass already taken, so evaluation can share it
-    out, _ = forward(model.expert, expert_input(probs, given_labels))
-    return np.argmax(out, axis=1)
+    return np.argmax(predict(model.expert, expert_input(probs, given_labels)), axis=1)
 
 
 def fit(net: Network, step, train_set: Dataset, val_set: Dataset, epochs: int,
@@ -217,8 +215,7 @@ def fit(net: Network, step, train_set: Dataset, val_set: Dataset, epochs: int,
                 step(train_set.features[idx], train_set.given_labels[idx],
                      train_set.true_labels[idx], lr)
                 for idx in epoch_batches(train_set.n, batch_size, seed, epoch)])
-            # keep only the output: the activation list would live on into the next epoch
-            probs = forward(net, val_set.features)[0]
+            probs = predict(net, val_set.features)
             history.append(EpochStats(
                 epoch=epoch,
                 amateur_loss=float(np.mean(amateur_losses)),

@@ -9,10 +9,12 @@ everything else is pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_array_size
 from .errors import ConfigurationError, DimensionError, NumericError
 from .noise import validate_transition_matrix
 from .seeding import STREAM_SHUFFLE, derive_rng
@@ -22,16 +24,19 @@ LOG_EPS = 1e-12  # clamp inside logarithms
 ACTIVATION_KINDS = ("relu", "leaky-relu", "sigmoid", "softmax")
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max-subtraction so large logits cannot overflow."""
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax with max-subtraction so large logits cannot overflow.
+
+    `out`, when given, receives the result; it may be `logits` itself.
+    """
     z = np.asarray(logits, dtype=float)
     if z.size == 0:
         raise DimensionError("softmax: empty input")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise NumericError("softmax: non-finite logits")
-    e = z - z.max(axis=-1, keepdims=True)
+    e = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -44,8 +49,8 @@ def cross_entropy(target: np.ndarray, prediction: np.ndarray) -> float:
     p = np.asarray(prediction, dtype=float)
     if t.shape != p.shape:
         raise DimensionError(f"cross_entropy: target shape {t.shape} vs prediction {p.shape}")
-    per_row = -(t * np.log(np.maximum(p, LOG_EPS))).sum(axis=-1)
-    return float(np.mean(per_row))
+    per_row = -np.add.reduce(t * np.log(np.maximum(p, LOG_EPS)), axis=-1)
+    return float(np.add.reduce(per_row, axis=None) / per_row.size)
 
 
 class Dense:
@@ -79,7 +84,7 @@ class Dense:
     def backward(self, x, grad_out, grad_weight, grad_bias, input_grad):
         # fills the parameter gradients in place; returns the input gradient if asked
         np.matmul(grad_out.T, x, out=grad_weight)
-        np.sum(grad_out, axis=0, out=grad_bias)
+        np.add.reduce(grad_out, axis=0, out=grad_bias)
         return grad_out @ self.weight if input_grad else None
 
 
@@ -94,20 +99,21 @@ class Activation:
         self.kind = kind
         self.slope = float(slope)
 
-    def apply(self, x):
+    def apply(self, x, out=None):
+        # `out`, when given, receives the result; it may be `x` itself
         if self.kind == "relu":
-            return np.maximum(x, 0.0)
+            return np.maximum(x, 0.0, out=out)
         if self.kind == "leaky-relu":
-            return np.maximum(x, self.slope * x)  # exact: 0 < slope < 1
+            return np.maximum(x, self.slope * x, out=out)  # exact: 0 < slope < 1
         if self.kind == "sigmoid":
             # split by sign to avoid exp overflow
-            out = np.empty_like(x)
+            out = np.empty_like(x) if out is None else out
             pos = x >= 0
             out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
             ex = np.exp(x[~pos])
             out[~pos] = ex / (1.0 + ex)
             return out
-        return softmax(x)
+        return softmax(x, out)
 
     def backward(self, x, out, grad_out):
         if self.kind == "relu":
@@ -117,7 +123,7 @@ class Activation:
         if self.kind == "sigmoid":
             return out * (1.0 - out) * grad_out
         # softmax rows couple: dL/dz = a * (g - sum(a * g))
-        dot = (out * grad_out).sum(axis=-1, keepdims=True)
+        dot = np.add.reduce(out * grad_out, axis=-1, keepdims=True)
         return out * (grad_out - dot)
 
 
@@ -155,24 +161,45 @@ class Network:
         return self.layers[-1].kind
 
 
+def _checked_batch(net: Network, batch) -> np.ndarray:
+    x = np.asarray(batch, dtype=float)
+    if x.ndim != 2:
+        raise DimensionError(f"batch must be (B, {net.input_dim}) rows, got shape {x.shape}")
+    if x.shape[1] != net.input_dim:
+        raise DimensionError(f"batch width {x.shape[1]} != network input dim {net.input_dim}")
+    return x
+
+
+def _checked_output(out: np.ndarray) -> np.ndarray:
+    if not np.isfinite(out).all():
+        raise NumericError("network produced non-finite outputs")
+    return out
+
+
 def forward(net: Network, batch) -> tuple[np.ndarray, list[np.ndarray]]:
     """Evaluate the network on a (B, in) batch.
 
     Returns the (B, out) output and the list of per-layer activations
     (input first, output last), which backward passes reuse.
     """
-    x = np.asarray(batch, dtype=float)
-    if x.ndim != 2:
-        raise DimensionError(f"batch must be (B, {net.input_dim}) rows, got shape {x.shape}")
-    if x.shape[1] != net.input_dim:
-        raise DimensionError(f"batch width {x.shape[1]} != network input dim {net.input_dim}")
-    acts = [x]
+    acts = [_checked_batch(net, batch)]
     for layer in net.layers:
         acts.append(layer.apply(acts[-1]))
-    out = acts[-1]
-    if not np.all(np.isfinite(out)):
-        raise NumericError("network produced non-finite outputs")
-    return out, acts
+    return _checked_output(acts[-1]), acts
+
+
+def predict(net: Network, batch) -> np.ndarray:
+    """`forward`'s output alone, for passes that take no gradient.
+
+    Keeps no activation list: each activation after the first dense layer
+    overwrites the output it reads, which this pass allocated, so at most
+    two layer outputs are alive at once and the batch is never written.
+    """
+    x = _checked_batch(net, batch)
+    for i, layer in enumerate(net.layers):
+        in_place = net.slots[i] is None and i > net.first_dense
+        x = layer.apply(x, out=x) if in_place else layer.apply(x)
+    return _checked_output(x)
 
 
 class CrossEntropyLoss:
@@ -232,7 +259,7 @@ def backward(net: Network, acts, targets, loss):
     if targets.shape != out.shape:
         raise DimensionError(f"targets shape {targets.shape} != output shape {out.shape}")
     value = loss.value(out, targets)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NumericError(f"non-finite loss value {value!r}")
     grad = loss.prediction_grad(out, targets)
     grads = np.empty_like(net.params)
@@ -312,6 +339,7 @@ def lr_at(schedule: StepDecay, epoch: int) -> float:
 
 def glorot_dense(in_dim: int, out_dim: int, rng: np.random.Generator) -> Dense:
     # uniform +-sqrt(6/(fan_in+fan_out)), biases zero
+    check_array_size(f"dense layer {in_dim} -> {out_dim}", out_dim, in_dim)
     limit = np.sqrt(6.0 / (in_dim + out_dim))
     return Dense(rng.uniform(-limit, limit, size=(out_dim, in_dim)), np.zeros(out_dim))
 
@@ -349,8 +377,7 @@ def finite_difference_gradients(net: Network, batch, targets, loss, h: float = 1
     """Central-difference gradients of the scalar loss; checks the backward pass."""
 
     def value():
-        out, _ = forward(net, batch)
-        return loss.value(out, np.asarray(targets, dtype=float))
+        return loss.value(predict(net, batch), np.asarray(targets, dtype=float))
 
     p = net.params
     grads = np.zeros_like(p)

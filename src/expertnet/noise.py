@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .data import read_text
+from .data import check_array_size, read_text
 from .errors import ConfigurationError, DataError, DimensionError, InputError
 from .seeding import derive_rng
 
@@ -35,6 +35,7 @@ def symmetric_matrix(n_classes: int, ratio: float) -> np.ndarray:
         raise ConfigurationError(f"need at least 2 classes, got {n_classes}")
     if not 0.0 <= ratio < 1.0:
         raise ConfigurationError(f"noise ratio must be in [0, 1), got {ratio}")
+    check_array_size(f"{n_classes} classes", n_classes, n_classes)
     off = ratio / (n_classes - 1)
     matrix = np.full((n_classes, n_classes), off)
     np.fill_diagonal(matrix, 1.0 - ratio)

@@ -186,6 +186,31 @@ def test_baselines_share_batching_with_cotraining(monkeypatch):
         np.testing.assert_array_equal(a, b)
 
 
+def test_forward_passes_belong_to_the_steps_and_evaluation_takes_none(monkeypatch):
+    """3 passes per co-training step, 1 per baseline step; the validation pass builds
+    no activation list."""
+    import expertnet.nn as nn_mod
+
+    calls = []
+    real_forward = nn_mod.forward
+
+    def counted(net, batch):
+        calls.append(1)
+        return real_forward(net, batch)
+
+    for module in (nn_mod, model_mod, baselines_mod):  # loss_and_gradients calls nn's
+        monkeypatch.setattr(module, "forward", counted)
+    train_set, val_set = noisy_sets()
+    steps = 2 * -(-train_set.n // 16)
+    model = build_expertnet(4, 3, seed=77, amateur_hidden=(8,), expert_hidden=(8,))
+    train(model, train_set, val_set, epochs=2, batch_size=16, schedule=StepDecay(0.01), seed=42)
+    assert len(calls) == 3 * steps
+    calls.clear()
+    train_baseline(BaselineSpec("plain-ce"), train_set, val_set, epochs=2, batch_size=16,
+                   schedule=StepDecay(0.01), seed=42, hidden=(8,))
+    assert len(calls) == steps
+
+
 def co_train(train_set, val_set, epochs=1):
     model = build_expertnet(4, 3, seed=77, amateur_hidden=(8,), expert_hidden=(8,))
     return train(model, train_set, val_set, epochs=epochs, batch_size=16,

@@ -285,6 +285,52 @@ def test_run_cells_run_on_the_calling_thread_whatever_threads_says(config_path, 
     assert outputs["1"] == outputs["2"]
 
 
+# Every size below asks for more than 2**47 bytes in one array, which no address
+# space can map, so the allocation fails at once under any overcommit setting.
+@pytest.mark.parametrize("argv, key", [
+    (["run", "--set", f"blobs.dim={10**30}"], "blobs"),
+    (["run", "--set", f"blobs.per_class={10**30}"], "blobs"),
+    (["run", "--set", f"blobs.classes={10**30}"], "blobs"),
+    (["run", "--set", f"amateur_hidden={10**30}"], "dense layer"),
+    (["run", "--set", f"expert_hidden=8,{10**30}"], "dense layer"),
+    (["run", "--set", f"amateur_hidden={10**14}"], "Unable to allocate"),  # the trial build
+    (["noise-stats", "--classes", str(10**30)], "classes"),
+    (["noise-stats", "--classes", str(10**7)], "Unable to allocate"),
+    (["noise-stats", "--classes", "2", "--samples", str(10**30)], "--samples"),
+])
+def test_sizes_the_machine_cannot_hold_exit_two(tmp_path, capsys, argv, key):
+    out = tmp_path / "out"
+    if argv[0] == "run":
+        argv = [*argv, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and key in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()  # no cell ran
+
+
+def test_a_cell_that_cannot_allocate_its_data_fails_and_the_report_is_written(
+        config_path, tmp_path, capsys):
+    # the config never builds blobs data, so 3 x 10**13 centres reach the cell
+    assert main(["run", "--config", config_path, "--set", f"blobs.dim={10**13}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and "3 records, 3 failed" in captured.out
+    rows = (tmp_path / "out" / "results.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert len(rows) == 3
+    assert all(",failed,,\"MemoryError: Unable to allocate" in row for row in rows)
+
+
+def test_a_method_out_of_memory_fails_alone(config_path, tmp_path, monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate the network")
+
+    monkeypatch.setattr(harness, "train_baseline", no_memory)
+    assert main(["run", "--config", config_path]) == 1
+    rows = (tmp_path / "out" / "results.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.split(",")[7] for row in rows] == ["ok", "ok", "failed"]
+    assert rows[2].endswith(",MemoryError: Unable to allocate the network")
+
+
 @pytest.mark.parametrize("argv, key", [
     (["noise-stats", "--samples", "5", "--classes", "10"], "--samples"),
     (["noise-stats", "--samples", "-5"], "--samples"),

@@ -3,6 +3,7 @@ against scalar re-evaluation, gradients against central finite differences,
 and the optimizer against hand recurrences."""
 
 import math
+import tracemalloc
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -26,6 +27,7 @@ from expertnet.nn import (
     loss_and_gradients,
     lr_at,
     mlp,
+    predict,
     sgd_step,
     softmax,
 )
@@ -251,6 +253,76 @@ def test_backward_is_bit_equal_to_the_per_layer_formulas(hidden, terminal, dims)
         _, acts = forward(net, x)
         grads = backward(net, acts, targets, loss)[1]
         assert np.array_equal(grads, reference_gradients(net, acts, targets, loss))
+    assert np.array_equal(predict(net, x), acts[-1])
+
+
+@pytest.mark.parametrize("kind", ["relu", "leaky-relu", "sigmoid", "softmax"])
+def test_predict_leaves_the_batch_alone(kind):
+    rng = derive_rng(37)
+    layers = [Activation(kind), Dense(rng.standard_normal((3, 4)), rng.standard_normal(3)),
+              Activation(kind), Activation("softmax")]
+    x = rng.standard_normal((5, 4))
+    before = x.copy()
+    for net in (Network(layers), mlp((4, 6, 3), hidden=kind, rng=rng)):
+        out = predict(net, x)
+        assert np.array_equal(out, forward(net, x)[0])
+        assert x.tobytes() == before.tobytes()
+        assert not np.shares_memory(out, x)
+        frozen = x.copy()
+        frozen.setflags(write=False)  # a Dataset's features are read-only
+        assert np.array_equal(predict(net, frozen), out)
+
+
+def test_predict_raises_forwards_errors():
+    net = mlp((3, 4, 2), rng=derive_rng(0))
+    soft_out = Network([Dense(np.ones((1, 1)), np.zeros(1)), Activation("softmax")])
+    relu_out = Network([Dense(np.eye(2), np.zeros(2)), Activation("relu")])
+    for fn in (forward, predict):
+        with pytest.raises(DimensionError):
+            fn(net, np.zeros((2, 5)))
+        with pytest.raises(DimensionError):
+            fn(net, [1.0, 2.0, 3.0])
+        with pytest.raises(NumericError, match="softmax: non-finite logits"):
+            fn(soft_out, [[np.inf]])
+        with pytest.raises(NumericError, match="network produced non-finite outputs"):
+            fn(relu_out, [[np.nan, 1.0]])
+
+
+def test_predict_holds_at_most_two_layer_outputs():
+    # the default amateur (16 -> 128 -> 64 -> 4) on a 1,000-row validation split
+    net = mlp((16, 128, 64, 4), rng=derive_rng(41))
+    x = derive_rng(43).standard_normal((1000, 16))
+    predict(net, x)
+    tracemalloc.start()
+    try:
+        predict(net, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    widest_two = 1000 * (128 + 64) * 8
+    assert peak <= 1.1 * widest_two
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (64, 4), (1000, 4), (7, 128), (3, 5, 6)])
+def test_reductions_are_bit_equal_to_the_textbook_forms(shape):
+    rng = derive_rng(47)
+    z = rng.standard_normal(shape) * 30.0
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    assert softmax(z).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+    p = softmax(rng.standard_normal(shape))
+    t = rng.random(shape)
+    textbook = float(np.mean(-(t * np.log(np.maximum(p, 1e-12))).sum(axis=-1)))
+    assert cross_entropy(t, p) == textbook
+    assert cross_entropy(t[0], p[0]) == float(np.mean(-(t[0] * np.log(p[0])).sum(axis=-1)))
+    g = rng.standard_normal(shape)
+    out = Activation("softmax").backward(z, p, g)
+    assert out.tobytes() == (p * (g - (p * g).sum(axis=-1, keepdims=True))).tobytes()
+    if len(shape) == 2:
+        layer = Dense(rng.standard_normal((3, shape[1])), np.zeros(3))
+        grad_out = rng.standard_normal((shape[0], 3))
+        grad_w, grad_b = np.empty((3, shape[1])), np.empty(3)
+        layer.backward(g, grad_out, grad_w, grad_b, False)
+        assert grad_b.tobytes() == np.sum(grad_out, axis=0).tobytes()
 
 
 def test_backward_stops_at_the_first_dense_layer():
