@@ -23,8 +23,10 @@ from .harness import (
     BlobsSpec,
     ExperimentConfig,
     FileSpec,
+    MethodRun,
     ResultRecord,
     emit_report,
+    grid_records,
     parse_config,
     read_config,
     run_grid,

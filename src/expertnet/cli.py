@@ -47,11 +47,9 @@ def cmd_run(args) -> int:
     except OSError as exc:
         raise ConfigurationError(f"cannot use {config.out} as the output directory: "
                                  f"{exc.strerror}") from None
-    log_lines: list[str] = []
-    records = harness.run_grid(config, log_lines=log_lines)
-    paths = harness.emit_report(records, config.out)
-    with open(os.path.join(config.out, "run.log"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(log_lines) + "\n")
+    runs = harness.run_grid(config)
+    paths = harness.emit_report(runs, config.out)
+    records = harness.grid_records(runs)
     failed = [r for r in records if r.status != "ok"]
     for path in paths:
         print(f"wrote {path}")

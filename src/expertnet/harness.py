@@ -1,13 +1,13 @@
 """Experiment harness: config parsing, the (method x noise ratio x data
-fraction x seed) grid, accuracy measurement, and CSV report emission.
+fraction x seed) grid, accuracy measurement, and report emission.
 
 The unit of work is a (ratio, fraction, seed) cell: it builds and hashes its
-corrupted dataset once and trains every method on that one read-only
-dataset with identical batch-order seeds; `run_grid` runs the cells in order
-on the calling thread.  Per-cell streams are derived from the master seed and
-the cell coordinates only, so adding methods never perturbs existing cells.
-Output files are byte-deterministic: timing goes to the run log, never into
-results.csv.
+corrupted dataset once and trains every method on that one read-only dataset
+with identical batch-order seeds.  `run_grid` runs the cells in order and
+returns one `MethodRun` value per (method, cell); `emit_report` alone renders
+them into results.csv, the pivots and run.log.  Per-cell streams derive from
+the master seed and the cell coordinates only, so adding methods never
+perturbs existing cells.  Timing goes to run.log, never into the CSVs.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
 import itertools
 import math
 import os
@@ -28,7 +29,7 @@ from .baselines import BASELINE_KINDS, BaselineSpec, train_baseline
 from .data import (Dataset, check_array_size, load_table, make_blobs, read_text,
                    stratified_split, subsample)
 from .errors import ConfigurationError, DataError, DimensionError, ExpertNetError, InputError
-from .model import ExpertNet, build_expertnet, train
+from .model import EpochStats, ExpertNet, build_expertnet, train
 from .nn import StepDecay
 from .noise import corrupt_labels, load_matrix_csv, symmetric_matrix
 from .seeding import (
@@ -97,6 +98,8 @@ class ExperimentConfig:
     out: str = "results"
 
     def __post_init__(self):
+        # -0 is the ratio 0: one spelling, one cell seed and one output label
+        object.__setattr__(self, "noise_ratios", tuple(r + 0.0 for r in self.noise_ratios))
         for key, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigurationError(f"{key} must be a finite number, got {value}")
@@ -155,7 +158,7 @@ class ExperimentConfig:
                                momentum=self.momentum, weight_decay=self.weight_decay)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ResultRecord:
     method: str
     mode: str
@@ -167,9 +170,6 @@ class ResultRecord:
     dataset_hash: str
     status: str = "ok"
     diagnostic: str = ""
-
-    def sort_key(self):
-        return (self.method, self.mode, self.noise_ratio, self.fraction, self.seed)
 
 
 def dataset_hash(train_set: Dataset, val_set: Dataset) -> str:
@@ -272,38 +272,41 @@ def cell_seed(master_seed: int, ratio: float, fraction: float) -> int:
 
 
 def load_source(config: ExperimentConfig):
-    """The inputs every cell shares, read from disk and checked once per run.
+    """The inputs every cell shares, read from disk, checked and built once per run.
 
-    Returns (tables, matrix): a file dataset's standardized (train, val)
-    Datasets, or None for blobs; and the user transition matrix, or None.
-    A training table needs at least 2 classes, and a user matrix must be KxK
-    for the data's K classes.
+    Returns (tables, matrices): a file dataset's standardized (train, val)
+    Datasets, or None for blobs; and each noise ratio's transition matrix,
+    which is the user matrix when one is given and the symmetric KxK matrix
+    of the ratio otherwise.  A training table needs at least 2 classes, and a
+    user matrix must be KxK for the data's K classes.
     """
-    spec, tables, matrix = config.dataset, None, None
+    spec, tables = config.dataset, None
     if isinstance(spec, FileSpec):
         train_set, schema = load_table(spec.train, spec.label, list(spec.features) or None)
         if len(schema.classes) < 2:
             raise DataError(f"{spec.train}: every row has label {schema.classes[0]!r}; "
                             "need at least 2 classes")
         tables = (train_set, load_table(spec.val, spec.label, schema=schema)[0])
-    if config.matrix:
-        matrix = load_matrix_csv(config.matrix)
-        n_classes = spec.classes if tables is None else tables[0].n_classes
-        if matrix.shape[0] != n_classes:
-            raise DimensionError(f"matrix is {matrix.shape[0]}x{matrix.shape[0]} "
-                                 f"but data has {n_classes} classes")
-    return tables, matrix
+    n_classes = spec.classes if tables is None else tables[0].n_classes
+    if not config.matrix:
+        return tables, {r: symmetric_matrix(n_classes, r) for r in config.noise_ratios}
+    matrix = load_matrix_csv(config.matrix)
+    if matrix.shape[0] != n_classes:
+        raise DimensionError(f"matrix is {matrix.shape[0]}x{matrix.shape[0]} "
+                             f"but data has {n_classes} classes")
+    return tables, dict.fromkeys(config.noise_ratios, matrix)
 
 
 def build_cell_datasets(config: ExperimentConfig, ratio: float, fraction: float,
                         master_seed: int, source):
     """Dataset pair plus the transition matrix shared by every method in a cell.
 
-    `source` is `load_source(config)`.  Train split is subsampled to
-    `fraction` before noise injection; the validation split gets given labels
-    from an independent stream.
+    `source` is `load_source(config)`, which holds `ratio`'s matrix.  Train
+    split is subsampled to `fraction` before noise injection; the validation
+    split gets given labels from an independent stream.
     """
-    tables, matrix = source
+    tables, matrices = source
+    matrix = matrices[ratio]
     cell = cell_seed(master_seed, ratio, fraction)
     spec = config.dataset
     if tables is None:
@@ -313,8 +316,6 @@ def build_cell_datasets(config: ExperimentConfig, ratio: float, fraction: float,
     else:
         train_set, val_set = tables
     train_set = subsample(train_set, fraction, derive_seed(cell, STREAM_SUBSAMPLE))
-    if matrix is None:
-        matrix = symmetric_matrix(train_set.n_classes, ratio)
     train_set = train_set.with_given(corrupt_labels(
         train_set.true_labels, matrix, derive_seed(cell, STREAM_NOISE_TRAIN)))
     val_set = val_set.with_given(corrupt_labels(
@@ -345,82 +346,85 @@ def train_method(config: ExperimentConfig, method: str, cell: int, train_set: Da
                           weight_decay=config.weight_decay)
 
 
-def _cell_label(method: str, ratio: float, fraction: float, master_seed: int) -> str:
-    return f"[{method} rho={ratio:g} frac={fraction:g} seed={master_seed}]"
+@dataclass(frozen=True, order=True)
+class MethodRun:
+    """One method's outcome on one grid cell; runs sort by (method, ratio, fraction, seed)."""
+    method: str
+    noise_ratio: float
+    fraction: float
+    seed: int
+    epochs: int
+    diagnostic: str = ""  # "" when the method trained; a failed run has no data or history
+    dataset_hash: str = ""
+    train_n: int = 0
+    val_n: int = 0
+    history: tuple[EpochStats, ...] = ()
+    seconds: float = 0.0
 
 
-def _failed_blocks(config: ExperimentConfig, methods, ratio: float, fraction: float,
-            master_seed: int, exc: Exception):
-    """One failed block per method: a failed record per reported mode and a FAILED log line."""
+def _failed_runs(config: ExperimentConfig, methods, ratio: float, fraction: float,
+                 master_seed: int, exc: Exception) -> list[MethodRun]:
+    """One failed run per method, all with the diagnostic of `exc`."""
     # numpy raises a private MemoryError subclass; the diagnostic names the public one
     kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-    diagnostic = f"{kind}: {exc}"
-    return [([ResultRecord(method=method, mode=mode, noise_ratio=ratio, fraction=fraction,
-                           seed=master_seed, accuracy=None, epochs=config.epochs,
-                           dataset_hash="", status="failed", diagnostic=diagnostic)
-              for mode in METHODS[method]],
-             [f"{_cell_label(method, ratio, fraction, master_seed)} FAILED {diagnostic}"])
+    return [MethodRun(method, ratio, fraction, master_seed, config.epochs, f"{kind}: {exc}")
             for method in methods]
 
 
 def _run_cell(config: ExperimentConfig, ratio: float, fraction: float, master_seed: int,
-              source):
+              source) -> list[MethodRun]:
     """Build and hash one cell's data once and train every method on it.
 
-    Returns one (records, log lines) block per method.  A build failure fails
-    every method of the cell with its diagnostic and a training failure fails
-    that method only; neither raises, so the rest of the grid still runs.
+    Returns one MethodRun per method.  A build failure fails every method of
+    the cell with its diagnostic and a training failure fails that method
+    only; neither raises, so the rest of the grid still runs.
     """
     try:
         train_set, val_set, matrix = build_cell_datasets(config, ratio, fraction, master_seed,
                                                          source)
     except CELL_ERRORS as exc:
-        return _failed_blocks(config, config.methods, ratio, fraction, master_seed, exc)
+        return _failed_runs(config, config.methods, ratio, fraction, master_seed, exc)
     dhash = dataset_hash(train_set, val_set)
     cell = cell_seed(master_seed, ratio, fraction)
-    blocks = []
+    runs = []
     for method in config.methods:
-        started = time.perf_counter()
+        t0 = time.perf_counter()
         try:
             _, history = train_method(config, method, cell, train_set, val_set, matrix)
         except CELL_ERRORS as exc:
-            blocks += _failed_blocks(config, (method,), ratio, fraction, master_seed, exc)
+            runs += _failed_runs(config, (method,), ratio, fraction, master_seed, exc)
             continue
-        label = _cell_label(method, ratio, fraction, master_seed)
-        logs = [f"{label} dataset_hash={dhash} train_n={train_set.n} val_n={val_set.n}"]
-        logs.extend(f"{label} epoch={h.epoch} {h.describe()}" for h in history)
-        logs.append(f"{label} done in {time.perf_counter() - started:.2f}s")
-        final = history[-1]
-        accuracies = (final.val_amateur_accuracy, final.val_full_accuracy)
-        blocks.append(([ResultRecord(method=method, mode=mode, noise_ratio=ratio,
-                                     fraction=fraction, seed=master_seed, accuracy=acc,
-                                     epochs=config.epochs, dataset_hash=dhash)
-                        for mode, acc in zip(METHODS[method], accuracies)], logs))
-    return blocks
+        runs.append(MethodRun(method, ratio, fraction, master_seed, config.epochs, "", dhash,
+                              train_set.n, val_set.n, tuple(history), time.perf_counter() - t0))
+    return runs
 
 
-def run_grid(config: ExperimentConfig, *,
-             log_lines: list[str] | None = None) -> list[ResultRecord]:
-    """Run every (ratio, fraction, seed) cell, each training every method; returns sorted records.
+def run_grid(config: ExperimentConfig) -> list[MethodRun]:
+    """Run every (ratio, fraction, seed) cell, each training every method; returns sorted runs.
 
-    A failing method yields failed records with its diagnostic; the rest of
-    the grid still runs.  The input files are read once, before any cell;
-    when one cannot be read, every method of every cell fails with its
-    diagnostic.  Per-method log lines (incl. timing) land in `log_lines` in
-    canonical order when a list is supplied.
+    A failing method yields a failed run with its diagnostic; the rest of the
+    grid still runs.  The input files are read once, before any cell; when
+    one cannot be read, every method of every cell fails with its diagnostic.
     """
     cells = list(itertools.product(config.noise_ratios, config.fractions, config.seeds))
     try:
         source = load_source(config)
     except CELL_ERRORS as exc:
-        outcomes = [_failed_blocks(config, config.methods, *cell, exc) for cell in cells]
-    else:
-        outcomes = [_run_cell(config, *cell, source) for cell in cells]
-    blocks = sorted((block for blocks in outcomes for block in blocks),
-                    key=lambda block: block[0][0].sort_key())
-    if log_lines is not None:
-        log_lines.extend(line for _, logs in blocks for line in logs)
-    return sorted((r for records, _ in blocks for r in records), key=ResultRecord.sort_key)
+        return sorted(r for cell in cells for r in _failed_runs(config, config.methods, *cell, exc))
+    return sorted(r for cell in cells for r in _run_cell(config, *cell, source))
+
+
+def grid_records(runs) -> list[ResultRecord]:
+    """The sorted `results.csv` rows of `runs`: one per mode each method reports."""
+    records = []
+    for run in runs:
+        last = run.history[-1] if run.history else None
+        accuracies = (last.val_amateur_accuracy, last.val_full_accuracy) if last else (None, None)
+        records += [ResultRecord(run.method, mode, run.noise_ratio, run.fraction, run.seed, acc,
+                                 run.epochs, run.dataset_hash,
+                                 "failed" if run.diagnostic else "ok", run.diagnostic)
+                    for mode, acc in zip(METHODS[run.method], accuracies)]
+    return sorted(records)
 
 
 # --- report emission ----------------------------------------------------------
@@ -432,36 +436,28 @@ def _fmt_accuracy(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _write_csv(path, rows) -> str:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
-    return path
+def _csv_text(rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
-def emit_report(records, out_dir) -> list[str]:
-    """Write results.csv plus one pivot CSV per noise ratio; returns the paths.
+def emit_report(runs, out_dir) -> list[str]:
+    """Write results.csv, one pivot CSV per noise ratio and run.log; returns the paths.
 
     Pivot rows are fractions (descending), columns are method/mode pairs, and
-    cells are mean +/- sample standard deviation over seeds.  Byte-identical
-    output for identical records.  A `pivot_rho*.csv` file already in
-    `out_dir` that this report does not write is removed first.
+    cells are mean +/- sample standard deviation over seeds.  Runs in any order
+    give the same bytes.  A `pivot_rho*.csv` in `out_dir` that this report does
+    not write is removed first; a file it cannot write raises ConfigurationError.
     """
-    records = sorted(records, key=ResultRecord.sort_key)
-    if not records:
-        raise DataError("no records to report")
-    os.makedirs(out_dir, exist_ok=True)
-    pivots = {pivot_name(r.noise_ratio) for r in records}
-    with os.scandir(out_dir) as entries:
-        stale = [e.path for e in entries if e.is_file() and e.name not in pivots
-                 and e.name.startswith("pivot_rho") and e.name.endswith(".csv")]
-    for path in stale:
-        os.remove(path)
-    table = [LONG_CSV_HEADER.split(",")] + [
+    runs = sorted(runs)
+    if not runs:
+        raise DataError("no runs to report")
+    records = grid_records(runs)
+    files = {"results.csv": _csv_text([LONG_CSV_HEADER.split(",")] + [
         [r.method, r.mode, f"{r.noise_ratio:g}", f"{r.fraction:g}", r.seed,
          _fmt_accuracy(r.accuracy), r.epochs, r.status, r.dataset_hash, r.diagnostic]
-        for r in records]
-    paths = [_write_csv(os.path.join(out_dir, "results.csv"), table)]
-
+        for r in records])}
     ok = [r for r in records if r.status == "ok"]
     for ratio in sorted({r.noise_ratio for r in records}):
         subset = [r for r in ok if r.noise_ratio == ratio]
@@ -473,12 +469,29 @@ def emit_report(records, out_dir) -> list[str]:
             for method, mode in columns:
                 accs = [r.accuracy for r in subset
                         if r.fraction == fraction and (r.method, r.mode) == (method, mode)]
-                if accs:
-                    mean = float(np.mean(accs))
-                    std = float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
-                    cells.append(f"{mean:.4f}±{std:.4f}")
-                else:
-                    cells.append("")
+                std = float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
+                cells.append(f"{float(np.mean(accs)):.4f}±{std:.4f}" if accs else "")
             rows.append(cells)
-        paths.append(_write_csv(os.path.join(out_dir, pivot_name(ratio)), rows))
+        files[pivot_name(ratio)] = _csv_text(rows)
+    log = []
+    for run in runs:
+        label = f"[{run.method} rho={run.noise_ratio:g} frac={run.fraction:g} seed={run.seed}]"
+        log += [f"{label} FAILED {run.diagnostic}"] if run.diagnostic else [
+            f"{label} dataset_hash={run.dataset_hash} train_n={run.train_n} val_n={run.val_n}",
+            *(f"{label} epoch={h.epoch} {h.describe()}" for h in run.history),
+            f"{label} done in {run.seconds:.2f}s"]
+    files["run.log"] = "".join(line + "\n" for line in log)
+    os.makedirs(out_dir, exist_ok=True)
+    with os.scandir(out_dir) as entries:
+        stale = [e.path for e in entries if e.is_file() and e.name not in files
+                 and e.name.startswith("pivot_rho") and e.name.endswith(".csv")]
+    for path in stale:
+        os.remove(path)
+    paths = [os.path.join(out_dir, name) for name in files]
+    for path, text in zip(paths, files.values()):
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write {path}: {exc.strerror}") from None
     return paths

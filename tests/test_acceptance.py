@@ -13,7 +13,7 @@ import pytest
 import expertnet.model as model_mod
 from expertnet.baselines import BaselineSpec, train_baseline
 from expertnet.data import make_blobs, one_hot_batch, stratified_split
-from expertnet.harness import BlobsSpec, ExperimentConfig, emit_report, run_grid
+from expertnet.harness import BlobsSpec, ExperimentConfig, emit_report, grid_records, run_grid
 from expertnet.model import build_expertnet, train_step
 from expertnet.nn import CROSS_ENTROPY, ForwardCorrectedLoss, StepDecay, gradient_check, mlp
 from expertnet.noise import corrupt_labels, empirical_matrix, symmetric_matrix
@@ -179,7 +179,7 @@ FRACTION_BLOBS = BlobsSpec(classes=4, dim=16, per_class=500, val_per_class=250,
 def test_criterion_4_zero_noise_sanity():
     config = grid_config(dataset=ZERO_NOISE_BLOBS, noise_ratios=(0.0,),
                          fractions=(1.0,), epochs=60, lr_decay_period=None)
-    records = run_grid(config)
+    records = grid_records(run_grid(config))
     full = {r.seed: r.accuracy for r in records if r.mode == "full"}
     amateur = {r.seed: r.accuracy for r in records if r.mode == "amateur-only"}
     threshold_ok = len(full) == 5 and all(a >= 0.99 for a in full.values())
@@ -192,7 +192,7 @@ def test_criterion_4_zero_noise_sanity():
 
 def test_criterion_5_label_channel_ordering():
     config = grid_config(dataset=ORDERING_BLOBS, noise_ratios=(0.2, 0.4), fractions=(1.0,))
-    records = run_grid(config)
+    records = grid_records(run_grid(config))
     details, ok = [], True
     for ratio in (0.2, 0.4):
         means = mode_means(records, ratio, 1.0)
@@ -210,7 +210,7 @@ def test_criterion_5_label_channel_ordering():
 def test_criterion_6_data_fraction_trend():
     config = grid_config(dataset=FRACTION_BLOBS, noise_ratios=(0.3,),
                          fractions=(1.0, 0.6, 0.2))
-    records = run_grid(config)
+    records = grid_records(run_grid(config))
     full = {f: mode_means(records, 0.3, f)["full"] for f in (1.0, 0.6, 0.2)}
     amateur_at_full_data = mode_means(records, 0.3, 1.0)["amateur-only"]
     monotone = full[1.0] >= full[0.6] - 0.01 and full[0.6] >= full[0.2] - 0.01
@@ -247,7 +247,7 @@ def test_criterion_7_baseline_reductions():
     config = grid_config(dataset=BlobsSpec(4, 16, 500, 250, 2.5, 1.0),
                          methods=("plain-ce", "forward"),
                          noise_ratios=(0.4,), fractions=(1.0,))
-    records = run_grid(config)
+    records = grid_records(run_grid(config))
 
     def mean_for(method):
         return float(np.mean([r.accuracy for r in records if r.method == method]))
@@ -274,7 +274,7 @@ def test_criterion_8_determinism_and_fairness(tmp_path):
     identical = (tmp_path / "a" / "results.csv").read_bytes() == \
         (tmp_path / "b" / "results.csv").read_bytes()
     hashes_by_cell = {}
-    for r in first:
+    for r in grid_records(first):
         hashes_by_cell.setdefault((r.noise_ratio, r.fraction, r.seed), set()).add(r.dataset_hash)
     fair = all(len(hashes) == 1 for hashes in hashes_by_cell.values())
     report(8, "determinism and fairness", identical and fair,

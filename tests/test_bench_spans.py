@@ -34,7 +34,7 @@ def test_tracer_wraps_every_span_and_sees_both_training_procedures(monkeypatch, 
             noise_ratios=(0.2,), fractions=(1.0,), methods=tuple(METHODS),
             seeds=(1,), epochs=1, batch_size=16, amateur_hidden=(8,), expert_hidden=(8,))
         # through the module: a name bound before install() is not the wrapper
-        records = harness.run_grid(config)
+        records = harness.grid_records(harness.run_grid(config))
     finally:
         trace.uninstall()
     assert all(r.status == "ok" for r in records)
@@ -50,3 +50,31 @@ def test_tracer_wraps_every_span_and_sees_both_training_procedures(monkeypatch, 
     assert [name for name, value in metrics.items() if value is None] == []
     after = package_bindings()
     assert all(after[key] is value for key, value in before.items())  # originals are back
+
+
+def test_traced_cli_run_measures_every_layer_and_writes_one_report(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer
+
+    config = tmp_path / "tiny.cfg"
+    config.write_text("blobs.classes = 3\nblobs.dim = 4\nblobs.per_class = 25\n"
+                      "blobs.val_per_class = 15\nnoise_ratios = 0.2\nseeds = 1, 2\n"
+                      f"methods = {', '.join(METHODS)}\nepochs = 1\nbatch_size = 16\n"
+                      "amateur_hidden = 8\nexpert_hidden = 8\n", encoding="utf-8")
+    trace = tracer.Tracer()
+    try:
+        trace.install()
+        assert trace.missing == set()
+        # through the module, as bench/child.py calls it
+        rc = expertnet.cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    finally:
+        trace.uninstall()
+    assert rc == 0
+    trace.dump(str(tmp_path / "trace"))
+    loaded = tracer.load(str(tmp_path / "trace"))
+    cells = 2  # one noise ratio x one fraction x two seeds
+    metrics = tracer.layer_metrics(loaded, len(METHODS) * cells, cells)
+    assert [name for name, value in metrics.items() if value is None] == []
+    assert metrics["cli.main.calls"] == 1
+    assert metrics["harness.emit_report.calls"] == 1
+    assert metrics["harness.cell.calls"] == cells

@@ -1,5 +1,6 @@
 """CLI smoke tests for every subcommand and the exit-code contract."""
 
+import math
 import pathlib
 import re
 import threading
@@ -210,6 +211,31 @@ def test_run_out_on_a_file_exits_two_before_training(config_path, tmp_path, monk
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(taken) in err and err.count("\n") == 1
     assert taken.read_text(encoding="utf-8") == "not a directory"
+
+
+@pytest.mark.parametrize("name", ["run.log", "results.csv"])
+def test_a_report_file_that_cannot_be_written_exits_two(config_path, tmp_path, capsys, name):
+    blocked = tmp_path / "out" / name
+    blocked.mkdir(parents=True)
+    assert main(["run", "--config", config_path, "--set", "methods=plain-ce",
+                 "--set", "epochs=1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {blocked}: Is a directory\n"
+    assert "wrote" not in captured.out
+
+
+def test_negative_zero_noise_ratio_is_the_ratio_zero(config_path, tmp_path):
+    (ratio,) = harness.ExperimentConfig(noise_ratios=(-0.0,)).noise_ratios
+    assert math.copysign(1.0, ratio) == 1.0
+    outputs = {}
+    for spelling in ("0", "-0"):
+        out = tmp_path / f"rho{spelling}"
+        assert main(["run", "--config", config_path, "--out", str(out),
+                     "--set", f"noise_ratios={spelling}", "--set", "epochs=1"]) == 0
+        log = re.sub(rb" done in [0-9.]+s", b" done in Xs", (out / "run.log").read_bytes())
+        outputs[spelling] = [(out / "results.csv").read_bytes(), log]
+    assert outputs["-0"] == outputs["0"]
+    assert b"rho=0 " in outputs["-0"][1]
 
 
 @pytest.mark.parametrize("save", ["nope/model.ckpt", "."])

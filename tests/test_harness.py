@@ -20,17 +20,18 @@ from expertnet.harness import (
     BlobsSpec,
     ExperimentConfig,
     FileSpec,
-    ResultRecord,
+    MethodRun,
     build_cell_datasets,
     cell_seed,
     dataset_hash,
     emit_report,
+    grid_records,
     load_source,
     parse_config,
     pivot_name,
     run_grid,
 )
-from expertnet.model import accuracy
+from expertnet.model import EpochStats, accuracy
 from expertnet.noise import save_matrix_csv, symmetric_matrix
 
 
@@ -129,7 +130,7 @@ def test_parse_config_errors():
 # --- grid counting and fairness ---------------------------------------------------
 
 def test_run_grid_expertnet_contributes_two_modes():
-    records = run_grid(tiny_config())
+    records = grid_records(run_grid(tiny_config()))
     assert len(records) == 2
     assert {r.mode for r in records} == {"amateur-only", "full"}
     assert all(r.status == "ok" for r in records)
@@ -138,50 +139,50 @@ def test_run_grid_expertnet_contributes_two_modes():
 def test_run_grid_record_count():
     config = tiny_config(methods=("expertnet", "plain-ce"), noise_ratios=(0.2, 0.4),
                          seeds=(1, 2, 3), epochs=1)
-    records = run_grid(config)
+    records = grid_records(run_grid(config))
     assert len(records) == 18  # (2 + 1) modes x 2 ratios x 1 fraction x 3 seeds
 
 
 def test_equal_seed_cells_share_dataset_hash():
     config = tiny_config(methods=("expertnet", "plain-ce", "bootstrap", "forward"), epochs=1)
-    records = run_grid(config)
+    records = grid_records(run_grid(config))
     hashes = {r.dataset_hash for r in records}
     assert len(hashes) == 1
-    different_seed = run_grid(tiny_config(seeds=(2,), epochs=1))
+    different_seed = grid_records(run_grid(tiny_config(seeds=(2,), epochs=1)))
     assert different_seed[0].dataset_hash not in hashes
 
 
 def test_run_grid_is_deterministic(tmp_path):
     config = tiny_config(methods=("expertnet", "plain-ce"), seeds=(1, 2), epochs=1)
-    first_log, second_log = [], []
-    first = run_grid(config, log_lines=first_log)
-    second = run_grid(config, log_lines=second_log)
-    assert first == second
-
-    def masked(lines):
-        return [re.sub(r" done in [0-9.]+s$", " done in Xs", line) for line in lines]
-    assert len(first_log) == 2 * (1 + 1 + 1) * 2  # 2 methods x (hash, epoch, done) x 2 seeds
-    assert masked(first_log) == masked(second_log)
+    first = run_grid(config)
+    second = run_grid(config)
+    assert grid_records(first) == grid_records(second)
     emit_report(first, tmp_path / "a")
     emit_report(second, tmp_path / "b")
     for name in ("results.csv", "pivot_rho20.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def masked(run):
+        return re.sub(r" done in [0-9.]+s$", " done in Xs",
+                      (tmp_path / run / "run.log").read_text(), flags=re.M).splitlines()
+    assert len(masked("a")) == 2 * (1 + 1 + 1) * 2  # 2 methods x (hash, epoch, done) x 2 seeds
+    assert masked("a") == masked("b")
 
-def test_failed_cell_is_recorded_and_grid_continues(monkeypatch):
+
+def test_failed_cell_is_recorded_and_grid_continues(monkeypatch, tmp_path):
     def boom(*args, **kwargs):
         raise NumericError("intentional test failure")
 
     monkeypatch.setattr(harness, "train_baseline", boom)
     config = tiny_config(methods=("expertnet", "plain-ce"), epochs=1)
-    log_lines = []
-    records = run_grid(config, log_lines=log_lines)
-    by_method = {r.method: r for r in records}
+    runs = run_grid(config)
+    by_method = {r.method: r for r in grid_records(runs)}
     assert by_method["plain-ce"].status == "failed"
     assert "intentional test failure" in by_method["plain-ce"].diagnostic
     assert by_method["plain-ce"].accuracy is None
     assert by_method["expertnet"].status == "ok"
-    assert any("FAILED" in line for line in log_lines)
+    emit_report(runs, tmp_path)
+    assert "FAILED" in (tmp_path / "run.log").read_text()
 
 
 def test_each_cell_builds_and_hashes_its_data_once(monkeypatch):
@@ -198,22 +199,24 @@ def test_each_cell_builds_and_hashes_its_data_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(harness, name, counting(name))
     config = tiny_config(methods=tuple(METHODS), noise_ratios=(0.2, 0.4), seeds=(1, 2), epochs=1)
-    records = run_grid(config)
+    records = grid_records(run_grid(config))
     assert len(records) == 5 * 2 * 2 and all(r.status == "ok" for r in records)
     assert calls == {"build_cell_datasets": 4, "dataset_hash": 4}
 
 
-def test_cell_build_failure_fails_every_method_of_that_cell_only():
+def test_cell_build_failure_fails_every_method_of_that_cell_only(tmp_path):
     # 0.0001 of 75 training rows rounds to none: that cell's build fails
     config = tiny_config(methods=tuple(METHODS), fractions=(1.0, 0.0001), epochs=1)
-    log_lines = []
-    records = run_grid(config, log_lines=log_lines)
+    runs = run_grid(config)
+    records = grid_records(runs)
     small = [r for r in records if r.fraction == 0.0001]
     assert len(small) == 5 and all(r.status == "failed" for r in small)
     (diagnostic,) = {r.diagnostic for r in small}
     assert diagnostic == "ConfigurationError: fraction 0.0001 of 75 samples selects nothing"
     assert all(r.status == "ok" for r in records if r.fraction == 1.0)
-    failed_lines = [line for line in log_lines if " FAILED " in line]
+    emit_report(runs, tmp_path)
+    failed_lines = [line for line in (tmp_path / "run.log").read_text().splitlines()
+                    if " FAILED " in line]
     assert failed_lines == [f"[{m} rho=0.2 frac=0.0001 seed=1] FAILED {diagnostic}"
                             for m in sorted(METHODS)]
 
@@ -230,7 +233,8 @@ def test_cell_seed_depends_on_all_coordinates():
 
 def test_build_cell_datasets_noise_after_subsample():
     config = tiny_config(dataset=BlobsSpec(classes=4, dim=4, per_class=2500,
-                                           val_per_class=100, separation=5.0, spread=1.0))
+                                           val_per_class=100, separation=5.0, spread=1.0),
+                         noise_ratios=(0.3,))
     train_set, val_set, matrix = build_cell_datasets(config, ratio=0.3, fraction=0.2,
                                                      master_seed=5, source=load_source(config))
     assert train_set.n == 2000  # 0.2 of 10000
@@ -268,51 +272,78 @@ def test_file_dataset_grid(tmp_path):
     config = tiny_config(
         dataset=FileSpec(str(tmp_path / "train.csv"), str(tmp_path / "val.csv"), "label"),
         methods=("plain-ce",), epochs=1)
-    records = run_grid(config)
+    records = grid_records(run_grid(config))
     assert len(records) == 1 and records[0].status == "ok"
 
 
 # --- report emission ----------------------------------------------------------------
 
-def make_record(**kwargs):
-    defaults = dict(method="expertnet", mode="full", noise_ratio=0.2, fraction=1.0,
-                    seed=1, accuracy=0.9, epochs=10, dataset_hash="abc123")
+def make_run(accuracy=0.9, **kwargs):
+    """A hand-built plain-ce run whose one epoch scored `accuracy`; None makes it failed."""
+    defaults = dict(method="plain-ce", noise_ratio=0.2, fraction=1.0, seed=1, epochs=10)
+    if accuracy is None:
+        defaults["diagnostic"] = "NumericError: boom"
+    else:
+        defaults.update(dataset_hash="abc123", train_n=75, val_n=45, seconds=1.5,
+                        history=(EpochStats(0, 0.5, None, accuracy, None),))
     defaults.update(kwargs)
-    return ResultRecord(**defaults)
+    return MethodRun(**defaults)
 
 
 def test_emit_report_single_record(tmp_path):
-    paths = emit_report([make_record()], tmp_path / "out")
+    paths = emit_report([make_run()], tmp_path / "out")
     lines = (tmp_path / "out" / "results.csv").read_text().splitlines()
     assert len(lines) == 2  # header + one row
     assert lines[0].startswith("method,mode,noise_ratio,fraction,seed,accuracy")
-    assert lines[1].startswith("expertnet,full,0.2,1,1,0.9,10,ok,abc123")
-    assert any("pivot_rho20.csv" in p for p in paths)
+    assert lines[1].startswith("plain-ce,amateur-only,0.2,1,1,0.9,10,ok,abc123")
+    assert [p.rsplit("/", 1)[1] for p in paths] == ["results.csv", "pivot_rho20.csv", "run.log"]
 
 
 def test_emit_report_pivot_mean_and_sample_stdev(tmp_path):
-    records = [make_record(seed=1, accuracy=0.80), make_record(seed=2, accuracy=0.82)]
-    emit_report(records, tmp_path / "out")
+    runs = [make_run(seed=1, accuracy=0.80), make_run(seed=2, accuracy=0.82)]
+    emit_report(runs, tmp_path / "out")
     pivot = (tmp_path / "out" / "pivot_rho20.csv").read_text().splitlines()
-    assert pivot[0] == "fraction,expertnet/full"
+    assert pivot[0] == "fraction,plain-ce/amateur-only"
     assert pivot[1] == "1,0.8100±0.0141"
 
 
 def test_emit_report_all_failed_pivot_bytes(tmp_path):
-    records = [make_record(fraction=f, accuracy=None, status="failed", diagnostic="boom")
-               for f in (0.5, 1.0)]
-    emit_report(records, tmp_path / "out")
+    runs = [make_run(fraction=f, accuracy=None) for f in (0.5, 1.0)]
+    emit_report(runs, tmp_path / "out")
     assert (tmp_path / "out" / "pivot_rho20.csv").read_bytes() == b"fraction\n1\n0.5\n"
 
 
+def test_emit_report_writes_the_run_log_grammar(tmp_path):
+    expert = make_run(method="expertnet", seed=2, seconds=2.5, history=(
+        EpochStats(0, 1.5, 0.75, 0.5, 0.625), EpochStats(1, 1.25, 0.5, 0.75, 0.875)))
+    emit_report([make_run(noise_ratio=0.4, fraction=0.5, accuracy=None), make_run(seed=3),
+                 expert], tmp_path)
+    assert (tmp_path / "run.log").read_bytes() == (
+        b"[expertnet rho=0.2 frac=1 seed=2] dataset_hash=abc123 train_n=75 val_n=45\n"
+        b"[expertnet rho=0.2 frac=1 seed=2] epoch=0 amateur_loss=1.500000 "
+        b"expert_loss=0.750000 val_amateur=0.5000 val_full=0.6250\n"
+        b"[expertnet rho=0.2 frac=1 seed=2] epoch=1 amateur_loss=1.250000 "
+        b"expert_loss=0.500000 val_amateur=0.7500 val_full=0.8750\n"
+        b"[expertnet rho=0.2 frac=1 seed=2] done in 2.50s\n"
+        b"[plain-ce rho=0.2 frac=1 seed=3] dataset_hash=abc123 train_n=75 val_n=45\n"
+        b"[plain-ce rho=0.2 frac=1 seed=3] epoch=0 loss=0.500000 val_amateur=0.9000\n"
+        b"[plain-ce rho=0.2 frac=1 seed=3] done in 1.50s\n"
+        b"[plain-ce rho=0.4 frac=0.5 seed=1] FAILED NumericError: boom\n")
+
+
 def test_emit_report_is_byte_deterministic(tmp_path):
-    records = [make_record(seed=s, accuracy=0.5 + 0.01 * s) for s in range(5)]
-    emit_report(records, tmp_path / "a")
-    emit_report(list(reversed(records)), tmp_path / "b")  # input order irrelevant
-    assert (tmp_path / "a" / "results.csv").read_bytes() == \
-        (tmp_path / "b" / "results.csv").read_bytes()
-    assert (tmp_path / "a" / "pivot_rho20.csv").read_bytes() == \
-        (tmp_path / "b" / "pivot_rho20.csv").read_bytes()
+    runs = [make_run(seed=s, accuracy=0.5 + 0.01 * s) for s in range(5)]
+    runs += [make_run(method="expertnet", noise_ratio=0.4, seed=s,
+                      history=(EpochStats(0, 0.5, 0.25, 0.6, 0.7 + 0.01 * s),)) for s in (1, 2)]
+    runs += [make_run(method="forward", fraction=f, accuracy=None) for f in (0.5, 1.0)]
+    orders = [runs, runs[::-1], runs[3:] + runs[:3]]
+    for i, order in enumerate(orders):
+        emit_report(order, tmp_path / str(i))
+    names = sorted(p.name for p in (tmp_path / "0").iterdir())
+    assert names == ["pivot_rho20.csv", "pivot_rho40.csv", "results.csv", "run.log"]
+    for i in range(1, len(orders)):
+        for name in names:
+            assert (tmp_path / str(i) / name).read_bytes() == (tmp_path / "0" / name).read_bytes()
 
 
 def test_emit_report_requires_records(tmp_path):
@@ -321,7 +352,7 @@ def test_emit_report_requires_records(tmp_path):
 
 
 def test_dataset_hash_tracks_content():
-    config = tiny_config()
+    config = tiny_config(noise_ratios=(0.2, 0.4))
     source = load_source(config)
     a_train, a_val, _ = build_cell_datasets(config, 0.2, 1.0, master_seed=1, source=source)
     b_train, b_val, _ = build_cell_datasets(config, 0.2, 1.0, master_seed=1, source=source)
@@ -336,7 +367,7 @@ def test_failed_expertnet_cell_reports_both_modes_and_grid_continues(monkeypatch
 
     monkeypatch.setattr(harness, "train", boom)
     config = tiny_config(methods=("expertnet", "plain-ce"), epochs=1)
-    records = run_grid(config)
+    records = grid_records(run_grid(config))
     failed = [r for r in records if r.method == "expertnet"]
     assert sorted(r.mode for r in failed) == ["amateur-only", "full"]
     assert all(r.status == "failed" and r.accuracy is None for r in failed)
@@ -519,7 +550,7 @@ def test_missing_input_file_fails_cells_and_grid_continues(tmp_path, missing):
         dataset=FileSpec(str(tmp_path / "train.csv"), str(tmp_path / "val.csv"), "label"),
         matrix=str(tmp_path / "matrix.csv"), methods=("expertnet", "plain-ce"),
         seeds=(1, 2), epochs=1)
-    records = run_grid(config)
+    records = grid_records(run_grid(config))
     assert len(records) == 6  # 3 (method, mode) pairs x 2 seeds
     assert all(r.status == "failed" for r in records)
     assert all(r.diagnostic.startswith("InputError: ") and f"{missing}.csv" in r.diagnostic
@@ -533,7 +564,7 @@ def test_one_class_file_fails_every_cell_naming_the_file(tmp_path):
     train_path = tmp_path / "train.csv"
     config = tiny_config(dataset=FileSpec(str(train_path), str(tmp_path / "val.csv"), "label"),
                          methods=("expertnet", "plain-ce"), noise_ratios=(0.2, 0.4), epochs=1)
-    records = run_grid(config)
+    records = grid_records(run_grid(config))
     assert len(records) == 6  # 3 (method, mode) pairs x 2 ratios
     assert all(r.status == "failed" for r in records)
     assert {r.diagnostic for r in records} == {
@@ -569,7 +600,7 @@ def test_run_grid_reads_each_input_file_once(tmp_path, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(harness, name, counting(name))
-    records = run_grid(file_grid_config(tmp_path))
+    records = grid_records(run_grid(file_grid_config(tmp_path)))
     assert len(records) == 6 and all(r.status == "ok" for r in records)
     assert calls == {"load_table": 2, "load_matrix_csv": 1}
 
@@ -594,7 +625,7 @@ def test_matrix_class_mismatch_fails_every_cell_before_building_data(tmp_path, m
     config = tiny_config(dataset=BlobsSpec(classes=4, dim=4, per_class=25, val_per_class=15),
                          matrix=str(tmp_path / "matrix.csv"),
                          methods=("expertnet", "forward"), seeds=(1, 2))
-    records = run_grid(config)
+    records = grid_records(run_grid(config))
     assert len(records) == 6  # 3 (method, mode) pairs x 2 seeds
     assert all(r.status == "failed" for r in records)
     assert {r.diagnostic for r in records} == {
@@ -608,10 +639,11 @@ def test_results_csv_quotes_a_diagnostic_with_a_comma(tmp_path):
         (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
     config = tiny_config(
         dataset=FileSpec(str(tmp_path / "train.csv"), str(tmp_path / "val.csv"), "label"))
-    records = run_grid(config)
+    runs = run_grid(config)
+    records = grid_records(runs)
     diagnostic = f"InputError: {tmp_path / 'train.csv'}:5: expected 5 cells, got 4"
     assert {r.diagnostic for r in records} == {diagnostic}
-    emit_report(records, tmp_path / "out")
+    emit_report(runs, tmp_path / "out")
     with open(tmp_path / "out" / "results.csv", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [row["diagnostic"] for row in rows] == [diagnostic] * len(records)
