@@ -35,6 +35,7 @@ from .model import (
     EpochStats,
     ExpertNet,
     accuracy,
+    amateur_network,
     build_expertnet,
     expert_input,
     infer_amateur,
@@ -53,7 +54,6 @@ from .nn import (
     SgdState,
     StepDecay,
     backward,
-    cross_entropy,
     forward,
     gradient_check,
     loss_and_gradients,

@@ -15,18 +15,8 @@ import numpy as np
 
 from .data import Dataset, one_hot_batch
 from .errors import ConfigurationError, DataError, DimensionError
-from .model import fit
-from .nn import (
-    CROSS_ENTROPY,
-    ForwardCorrectedLoss,
-    SgdState,
-    StepDecay,
-    backward,
-    forward,
-    mlp,
-    sgd_step,
-)
-from .seeding import STREAM_INIT, derive_rng
+from .model import amateur_network, fit
+from .nn import CROSS_ENTROPY, ForwardCorrectedLoss, StepDecay, backward, forward, sgd_step
 
 BASELINE_KINDS = ("plain-ce", "bootstrap", "forward")
 
@@ -76,15 +66,14 @@ def train_baseline(spec: BaselineSpec, train_set: Dataset, val_set: Dataset,
                    hidden=(128, 64), momentum: float = 0.9, weight_decay: float = 1e-4):
     """Train one amateur-shaped network under the chosen loss recipe.
 
-    Only the per-batch step is its own; `fit` runs the epochs.  Equal seeds
-    give the co-training loop's batch sequences and the amateur's initial
-    weights.  Validation accuracy is amateur-only (no given labels at
-    inference).
+    Only the per-batch step is its own: `fit` runs the epochs and
+    `amateur_network` builds the network, so equal seeds give the co-training
+    loop's batch sequences and the amateur's initial weights.  Validation
+    accuracy is amateur-only (no given labels at inference).
     Returns (network, history of EpochStats).
     """
-    net = mlp((train_set.dim, *hidden, train_set.n_classes), hidden="relu",
-              terminal="softmax", rng=derive_rng(seed, STREAM_INIT, 0))
-    state = SgdState.for_network(net, momentum, weight_decay)
+    net, state = amateur_network(train_set.dim, train_set.n_classes, seed, hidden, momentum,
+                                 weight_decay)
     loss = ForwardCorrectedLoss(spec.matrix) if spec.kind == "forward" else CROSS_ENTROPY
 
     def step(x, y, _, lr):
@@ -94,8 +83,7 @@ def train_baseline(spec: BaselineSpec, train_set: Dataset, val_set: Dataset,
         else:
             target = one_hot_batch(y, train_set.n_classes)
         loss_value, grads = backward(net, acts, target, loss)
-        if lr != 0.0:
-            sgd_step(net.params, grads, state, lr)
+        sgd_step(net.params, grads, state, lr)
         return loss_value, None
 
     history = fit(net, step, train_set, val_set, epochs, batch_size, schedule, seed)

@@ -42,11 +42,7 @@ def cmd_run(args) -> int:
     config = _load_config(args, {} if args.out is None else {"out": args.out})
     if args.threads < 1:  # --threads has no other effect; checked before the output dir is made
         raise ConfigurationError(f"threads must be >= 1, got {args.threads}")
-    try:
-        os.makedirs(config.out, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot use {config.out} as the output directory: "
-                                 f"{exc.strerror}") from None
+    harness.make_output_dir(config.out)
     runs = harness.run_grid(config)
     paths = harness.emit_report(runs, config.out)
     records = harness.grid_records(runs)

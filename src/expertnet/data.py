@@ -182,6 +182,9 @@ def load_table(path, label_column: str, feature_columns=None,
         raise InputError(f"{path}:1: no feature columns besides {label_column!r}")
     if label_column in feature_columns:
         raise InputError(f"{path}:1: label column {label_column!r} is listed as a feature")
+    twice = next((c for i, c in enumerate(feature_columns) if c in feature_columns[:i]), None)
+    if twice is not None:
+        raise InputError(f"{path}:1: column {twice!r} is listed twice")
     missing = [c for c in feature_columns if c not in header]
     if missing:
         raise InputError(f"{path}:1: missing feature columns {missing}")
@@ -196,6 +199,8 @@ def load_table(path, label_column: str, feature_columns=None,
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(header):
             raise InputError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
+        if not cells[label_idx]:
+            raise InputError(f"{path}:{lineno}: empty label")
         try:
             features[len(linenos)] = [float(cells[i]) for i in feat_idx]
         except ValueError as exc:

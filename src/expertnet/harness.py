@@ -12,6 +12,7 @@ perturbs existing cells.  Timing goes to run.log, never into the CSVs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -442,13 +443,25 @@ def _csv_text(rows) -> str:
     return buffer.getvalue()
 
 
+def make_output_dir(path) -> None:
+    """Create the output directory unless it exists; ConfigurationError when it cannot be."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot use {path} as the output directory: "
+                                 f"{exc.strerror}") from None
+
+
 def emit_report(runs, out_dir) -> list[str]:
     """Write results.csv, one pivot CSV per noise ratio and run.log; returns the paths.
 
     Pivot rows are fractions (descending), columns are method/mode pairs, and
     cells are mean +/- sample standard deviation over seeds.  Runs in any order
-    give the same bytes.  A `pivot_rho*.csv` in `out_dir` that this report does
-    not write is removed first; a file it cannot write raises ConfigurationError.
+    give the same bytes.  The report is written whole or not at all: every file
+    goes to a temporary name in `out_dir`, the files replace their targets only
+    once all are written, and only then is a `pivot_rho*.csv` this report does
+    not write removed.  An `out_dir` or a file that cannot be written raises
+    ConfigurationError.
     """
     runs = sorted(runs)
     if not runs:
@@ -481,17 +494,27 @@ def emit_report(runs, out_dir) -> list[str]:
             *(f"{label} epoch={h.epoch} {h.describe()}" for h in run.history),
             f"{label} done in {run.seconds:.2f}s"]
     files["run.log"] = "".join(line + "\n" for line in log)
-    os.makedirs(out_dir, exist_ok=True)
+    make_output_dir(out_dir)
+    paths = [os.path.join(out_dir, name) for name in files]
+    blocked = next((path for path in paths if os.path.isdir(path)), None)
+    if blocked is not None:
+        raise ConfigurationError(f"cannot write {blocked}: Is a directory")
+    temps = [os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in files]
+    try:
+        for path, temp, text in zip(paths, temps, files.values()):
+            with open(temp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        for path, temp in zip(paths, temps):
+            os.replace(temp, path)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        for temp in temps:
+            with contextlib.suppress(OSError):  # renamed already, or never made
+                os.remove(temp)
     with os.scandir(out_dir) as entries:
         stale = [e.path for e in entries if e.is_file() and e.name not in files
                  and e.name.startswith("pivot_rho") and e.name.endswith(".csv")]
     for path in stale:
         os.remove(path)
-    paths = [os.path.join(out_dir, name) for name in files]
-    for path, text in zip(paths, files.values()):
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigurationError(f"cannot write {path}: {exc.strerror}") from None
     return paths

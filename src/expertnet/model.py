@@ -83,22 +83,34 @@ class EpochStats:
                 f"val_full={self.val_full_accuracy:.4f}")
 
 
+def amateur_network(feature_dim: int, n_classes: int, seed: int, hidden, momentum: float,
+                    weight_decay: float):
+    """Fresh relu MLP ending in softmax, and its optimizer state: (Network, SgdState).
+
+    The co-training amateur and every baseline start here, so equal seeds give
+    them equal initial weights.
+    """
+    net = mlp((feature_dim, *hidden, n_classes), hidden="relu", terminal="softmax",
+              rng=derive_rng(seed, STREAM_INIT, 0))
+    return net, SgdState.for_network(net, momentum, weight_decay)
+
+
 def build_expertnet(feature_dim: int, n_classes: int, seed: int,
                     amateur_hidden=(128, 64), expert_hidden=(64, 32),
                     expert_terminal: str = "softmax", leaky_slope: float = 0.01,
                     momentum: float = 0.9, weight_decay: float = 1e-4) -> ExpertNet:
-    """Fresh model: relu amateur MLP, leaky-relu expert MLP over 2K inputs."""
+    """Fresh model: the amateur of `amateur_network`, a leaky-relu expert MLP over 2K inputs."""
     if expert_terminal not in ("softmax", "sigmoid"):
         raise ConfigurationError(f"expert terminal must be softmax or sigmoid, got {expert_terminal!r}")
-    amateur = mlp((feature_dim, *amateur_hidden, n_classes), hidden="relu",
-                  terminal="softmax", rng=derive_rng(seed, STREAM_INIT, 0))
+    amateur, amateur_state = amateur_network(feature_dim, n_classes, seed, amateur_hidden,
+                                             momentum, weight_decay)
     expert = mlp((2 * n_classes, *expert_hidden, n_classes), hidden="leaky-relu",
                  terminal=expert_terminal, leaky_slope=leaky_slope,
                  rng=derive_rng(seed, STREAM_INIT, 1))
     return ExpertNet(
         amateur=amateur,
         expert=expert,
-        amateur_state=SgdState.for_network(amateur, momentum, weight_decay),
+        amateur_state=amateur_state,
         expert_state=SgdState.for_network(expert, momentum, weight_decay),
         n_classes=n_classes,
     )
@@ -150,14 +162,12 @@ def train_step(model: ExpertNet, x, given_labels, true_labels, lr: float):
     z = _join_given(amateur_probs, given_labels)
     true_onehot = one_hot_batch(true_labels, model.n_classes)
     expert_loss, expert_grads = loss_and_gradients(model.expert, z, true_onehot, CROSS_ENTROPY)
-    if lr != 0.0:
-        sgd_step(model.expert.params, expert_grads, model.expert_state, lr)
+    sgd_step(model.expert.params, expert_grads, model.expert_state, lr)
     expert_out, _ = forward(model.expert, z)
     amateur_target = _soft_target(model, expert_out)
     amateur_loss, amateur_grads = backward(model.amateur, amateur_acts, amateur_target,
                                            CROSS_ENTROPY)
-    if lr != 0.0:
-        sgd_step(model.amateur.params, amateur_grads, model.amateur_state, lr)
+    sgd_step(model.amateur.params, amateur_grads, model.amateur_state, lr)
     return amateur_loss, expert_loss
 
 
@@ -288,7 +298,7 @@ def load_checkpoint(path) -> ExpertNet:
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ConfigurationError(f"{path} is not an {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise ConfigurationError(f"unsupported checkpoint version {doc.get('version')}")
+        raise ConfigurationError(f"{path}: unsupported checkpoint version {doc.get('version')}")
     try:
         amateur = Network([_layer_from_json(e) for e in doc["amateur"]])
         expert = Network([_layer_from_json(e) for e in doc["expert"]])

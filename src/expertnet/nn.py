@@ -40,19 +40,6 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return e
 
 
-def cross_entropy(target: np.ndarray, prediction: np.ndarray) -> float:
-    """-sum(target * ln(max(prediction, eps))), averaged over rows if 2-D.
-
-    Argument order is (target, prediction); soft targets are allowed.
-    """
-    t = np.asarray(target, dtype=float)
-    p = np.asarray(prediction, dtype=float)
-    if t.shape != p.shape:
-        raise DimensionError(f"cross_entropy: target shape {t.shape} vs prediction {p.shape}")
-    per_row = -np.add.reduce(t * np.log(np.maximum(p, LOG_EPS)), axis=-1)
-    return float(np.add.reduce(per_row, axis=None) / per_row.size)
-
-
 class Dense:
     """Affine layer y = x @ W.T + b with weight (out, in) and bias (out,)."""
 
@@ -206,7 +193,13 @@ class CrossEntropyLoss:
     """Mean cross-entropy of predictions against (possibly soft) target rows."""
 
     def value(self, prediction, target) -> float:
-        return cross_entropy(target, prediction)
+        """-sum(target * ln(max(prediction, eps))), averaged over rows if 2-D."""
+        t = np.asarray(target, dtype=float)
+        p = np.asarray(prediction, dtype=float)
+        if t.shape != p.shape:
+            raise DimensionError(f"cross-entropy: target shape {t.shape} vs prediction {p.shape}")
+        per_row = -np.add.reduce(t * np.log(np.maximum(p, LOG_EPS)), axis=-1)
+        return float(np.add.reduce(per_row, axis=None) / per_row.size)
 
     def prediction_grad(self, prediction, target):
         n = prediction.shape[0]
@@ -300,13 +293,16 @@ class SgdState:
 def sgd_step(params, grads, state: SgdState, lr: float):
     """v <- momentum*v + (grad + weight_decay*param); param <- param - lr*v.
 
-    Mutates the flat parameter buffer and the velocity in place.
+    Mutates the flat parameter buffer and the velocity in place; at lr == 0 it
+    checks its arguments and changes nothing.
     """
     if not lr >= 0.0:
         raise ConfigurationError(f"learning rate must be >= 0, got {lr}")
     v = state.velocity
     if not params.shape == grads.shape == v.shape:
         raise DimensionError(f"shape mismatch: param {params.shape}, grad {grads.shape}, velocity {v.shape}")
+    if lr == 0.0:
+        return
     v *= state.momentum
     v += grads + state.weight_decay * params  # one expression: splitting it changes the bytes
     params -= lr * v

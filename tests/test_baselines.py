@@ -15,7 +15,7 @@ from expertnet.baselines import (
     train_baseline,
 )
 from expertnet.data import make_blobs, stratified_split
-from expertnet.errors import ConfigurationError, DimensionError
+from expertnet.errors import ConfigurationError, DataError, DimensionError
 from expertnet.model import build_expertnet, train
 from expertnet.nn import ForwardCorrectedLoss, StepDecay
 from expertnet.noise import corrupt_labels, symmetric_matrix
@@ -65,6 +65,8 @@ def test_bootstrap_target_validation():
         bootstrap_target(np.array([[1.0, 0.0]]), [0], beta=0.5, variant="medium")
     with pytest.raises(DimensionError):
         bootstrap_target(np.array([1.0, 0.0]), [0], beta=0.5)  # a single row must be (1, K)
+    with pytest.raises(DataError, match=re.escape("2 prediction rows but (1,) labels")):
+        bootstrap_target(np.full((2, 2), 0.5), [0], beta=0.5)
 
 
 def test_forward_corrected_identity_matrix():
@@ -140,7 +142,7 @@ def test_forward_identity_matrix_bit_identical_to_plain_ce():
 
 def test_bootstrap_runs_the_network_once_per_batch(monkeypatch):
     calls = []
-    real_mlp = baselines_mod.mlp
+    real_mlp = model_mod.mlp
 
     def counting_mlp(*args, **kwargs):
         net = real_mlp(*args, **kwargs)
@@ -153,7 +155,7 @@ def test_bootstrap_runs_the_network_once_per_batch(monkeypatch):
         net.layers[0].apply = counted
         return net
 
-    monkeypatch.setattr(baselines_mod, "mlp", counting_mlp)
+    monkeypatch.setattr(model_mod, "mlp", counting_mlp)
     train_set, _ = noisy_sets()
     batches = -(-train_set.n // 16)
     run_baseline(BaselineSpec("bootstrap", beta=0.8), epochs=2)

@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+import expertnet.cli as cli_mod
 import expertnet.harness as harness
 from expertnet.cli import main
 from expertnet.errors import NumericError
@@ -102,6 +103,14 @@ def test_noise_stats(capsys):
 def test_gradcheck(capsys):
     assert main(["gradcheck", "--cases", "10", "--seed", "1"]) == 0
     assert "gradcheck PASS" in capsys.readouterr().out
+
+
+def test_gradcheck_exits_one_on_a_case_above_tolerance(monkeypatch, capsys):
+    monkeypatch.setattr(cli_mod, "gradient_check", lambda *args, **kwargs: 1.0)
+    assert main(["gradcheck", "--cases", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "case 0: FAIL relative error 1.000e+00 (hidden=relu, terminal=softmax)" in out
+    assert out.endswith("gradcheck FAIL (2 cases)\n")
 
 
 def test_error_exit_code(tmp_path, capsys):
@@ -215,13 +224,20 @@ def test_run_out_on_a_file_exits_two_before_training(config_path, tmp_path, monk
 
 @pytest.mark.parametrize("name", ["run.log", "results.csv"])
 def test_a_report_file_that_cannot_be_written_exits_two(config_path, tmp_path, capsys, name):
-    blocked = tmp_path / "out" / name
+    out = tmp_path / "out"
+    blocked = out / name
     blocked.mkdir(parents=True)
+    previous = {}  # an earlier run's report, less the file now blocked
+    for old in {"results.csv", "run.log", "pivot_rho30.csv"} - {name}:
+        (out / old).write_text(f"{old} of an earlier run\n", encoding="utf-8")
+        previous[old] = (out / old).read_bytes()
     assert main(["run", "--config", config_path, "--set", "methods=plain-ce",
                  "--set", "epochs=1"]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: cannot write {blocked}: Is a directory\n"
     assert "wrote" not in captured.out
+    assert sorted(p.name for p in out.iterdir()) == sorted([name, *previous])
+    assert {old: (out / old).read_bytes() for old in previous} == previous
 
 
 def test_negative_zero_noise_ratio_is_the_ratio_zero(config_path, tmp_path):

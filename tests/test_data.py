@@ -258,6 +258,21 @@ def test_load_table_takes_columns_or_a_schema_not_both(tmp_path):
         load_table(path, "label", ["a"], schema=schema)
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Dataset(np.zeros(3), [0, 0, 1], 2), DimensionError,
+     "features must be 2-D, got shape (3,)"),
+    (lambda: Dataset(np.zeros((3, 1)), [0, 0, 1], 2, given_labels=[0, 1]), DimensionError,
+     "given labels must match true labels in length"),
+    (lambda: Dataset(np.zeros((3, 1)), [0, 0, 1], 2, given_labels=[0, 1, 2]), DataError,
+     "given label out of range [0, 2)"),
+    (lambda: stratified_split(make_blobs(2, 3, 2, 5.0, 1.0, seed=0), 0), ConfigurationError,
+     "per_class must be >= 1, got 0"),
+], ids=["1-D features", "given-label length", "given-label range", "per_class 0"])
+def test_dataset_and_split_reject_unusable_arguments(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
 @pytest.mark.parametrize("text, columns, message", [
     ("", None, "t.csv:1: empty file"),
     ("a,b,label\n\n", None, "t.csv:2: no data rows"),
@@ -265,8 +280,10 @@ def test_load_table_takes_columns_or_a_schema_not_both(tmp_path):
     ("label\nx\ny\n", None, "t.csv:1: no feature columns besides 'label'"),
     ("a,label\n1.0,0\n2.0,1\n", ["a", "label"],
      "t.csv:1: label column 'label' is listed as a feature"),
+    ("a,label\n1.0,x\n2.0,y\n", ["a", "a"], "t.csv:1: column 'a' is listed twice"),
+    ("a,label\n1.0,x\n2.0,\n3.0,x\n4.0,y\n", None, "t.csv:3: empty label"),
 ], ids=["empty file", "no data rows", "missing feature column", "label column only",
-        "label column listed as a feature"])
+        "label column listed as a feature", "feature column listed twice", "empty label"])
 def test_load_table_rejects_an_unusable_table(tmp_path, text, columns, message):
     path = _write(tmp_path, "t.csv", text)
     with pytest.raises(InputError, match=re.escape(message)):

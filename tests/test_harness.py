@@ -3,6 +3,7 @@ determinism of emitted CSVs, failed-cell handling, and config parsing."""
 
 import csv
 import dataclasses
+import errno
 import math
 import re
 import string
@@ -125,6 +126,8 @@ def test_parse_config_errors():
         parse_config("methods = expertnet, d2l")
     with pytest.raises(ConfigurationError):
         parse_config("noise_ratios = 1.5")
+    with pytest.raises(ConfigurationError, match="unknown dataset kind 'mnist'"):
+        parse_config("dataset = mnist")
 
 
 # --- grid counting and fairness ---------------------------------------------------
@@ -344,6 +347,34 @@ def test_emit_report_is_byte_deterministic(tmp_path):
     for i in range(1, len(orders)):
         for name in names:
             assert (tmp_path / str(i) / name).read_bytes() == (tmp_path / "0" / name).read_bytes()
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_emit_report_into_a_file_raises_configuration_error(tmp_path, under):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    out = taken / "out" if under else taken
+    with pytest.raises(ConfigurationError,
+                       match=f"^cannot use {re.escape(str(out))} as the output directory: "):
+        emit_report([make_run()], out)
+    assert taken.read_text(encoding="utf-8") == "not a directory"
+
+
+def test_a_report_that_fails_midway_leaves_the_previous_report(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    emit_report([make_run(accuracy=0.5)], out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def open_or_fail(path, *args, **kwargs):
+        if ".run.log." in str(path):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "open", open_or_fail, raising=False)
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"cannot write {out / 'run.log'}: No space left on device")):
+        emit_report([make_run(accuracy=0.9), make_run(noise_ratio=0.4)], out)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_emit_report_requires_records(tmp_path):

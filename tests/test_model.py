@@ -3,6 +3,7 @@ gradient isolation (via spies), an independent five-step replay oracle, both
 inference modes, and checkpointing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from expertnet.data import make_blobs, one_hot_batch, stratified_split
 from expertnet.errors import ConfigurationError, DataError, DimensionError, InputError
 from expertnet.model import (
     ExpertNet,
+    accuracy,
     build_expertnet,
     expert_input,
     infer_amateur,
@@ -30,7 +32,6 @@ from expertnet.nn import (
     Network,
     SgdState,
     StepDecay,
-    cross_entropy,
     forward,
     loss_and_gradients,
     sgd_step,
@@ -270,7 +271,7 @@ def test_train_step_zero_lr_is_identity():
 
 def test_train_step_with_copy_expert_descends_toward_given_labels():
     # an expert that echoes the given-label half makes y the amateur's target,
-    # so one small step must reduce cross_entropy(onehot(y), amateur(x))
+    # so one small step must reduce CROSS_ENTROPY.value(amateur(x), onehot(y))
     amateur = build_expertnet(3, 2, seed=12, amateur_hidden=(8,)).amateur
     expert = copy_expert(2)
     model = ExpertNet(amateur, expert,
@@ -283,7 +284,7 @@ def test_train_step_with_copy_expert_descends_toward_given_labels():
 
     def ce_vs_given():
         probs, _ = forward(model.amateur, x)
-        return cross_entropy(one_hot_batch(y, 2), probs)
+        return CROSS_ENTROPY.value(probs, one_hot_batch(y, 2))
 
     before = ce_vs_given()
     train_step(model, x, y, t, lr=0.01)
@@ -531,6 +532,32 @@ def test_model_validation():
                   SgdState.for_network(mlp_for(3, 2)), n_classes=2)
 
 
+@pytest.mark.parametrize("amateur, expert, error, message", [
+    ((3, 3, "softmax"), (4, 2, "softmax"), DimensionError, "amateur outputs 3, expected 2"),
+    ((3, 2, "softmax"), (4, 3, "softmax"), DimensionError, "expert outputs 3, expected 2"),
+    ((3, 2, "sigmoid"), (4, 2, "softmax"), ConfigurationError, "amateur must end in softmax"),
+    ((3, 2, "softmax"), (4, 2, "relu"), ConfigurationError,
+     "expert must end in softmax or sigmoid"),
+], ids=["amateur width", "expert width", "amateur terminal", "expert terminal"])
+def test_model_validation_names_the_mismatch(amateur, expert, error, message):
+    def net(in_dim, out_dim, terminal):
+        return Network([Dense(np.zeros((out_dim, in_dim)), np.zeros(out_dim)),
+                        Activation(terminal)])
+
+    a, e = net(*amateur), net(*expert)
+    with pytest.raises(error, match=message):
+        ExpertNet(a, e, SgdState.for_network(a), SgdState.for_network(e), n_classes=2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: accuracy([0, 1], [0]), "prediction/truth shapes differ: (2,) vs (1,)"),
+    (lambda: expert_input([[1.5, -0.5]], [0]), "probability entries outside [0, 1]"),
+], ids=["accuracy shapes", "probability range"])
+def test_scoring_and_expert_input_reject_unusable_arguments(call, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        call()
+
+
 def mlp_for(in_dim, out_dim):
     rng = derive_rng(99)
     return Network([Dense(rng.standard_normal((out_dim, in_dim)), np.zeros(out_dim)),
@@ -625,6 +652,8 @@ def test_checkpoint_sigmoid_variant_and_bad_file(tmp_path):
      "wrong type"),
     ('{"format": "expertnet-checkpoint", "version": 1, "amateur": '
      '[{"kind": "dense", "weight": [["a"]], "bias": [0]}]}', InputError, "wrong type"),
+    ('{"format": "expertnet-checkpoint", "version": 2}', ConfigurationError,
+     "unsupported checkpoint version 2"),
 ])
 def test_malformed_checkpoint_names_the_file(tmp_path, text, error, what):
     path = tmp_path / "bad.ckpt"

@@ -3,6 +3,7 @@ against scalar re-evaluation, gradients against central finite differences,
 and the optimizer against hand recurrences."""
 
 import math
+import re
 import tracemalloc
 from decimal import Decimal, getcontext
 
@@ -20,7 +21,6 @@ from expertnet.nn import (
     SgdState,
     StepDecay,
     backward,
-    cross_entropy,
     epoch_batches,
     forward,
     gradient_check,
@@ -95,24 +95,24 @@ def test_softmax_rows_sum_to_one_and_shift_invariance():
 def test_cross_entropy_perfect_match():
     target = np.zeros(5)
     target[2] = 1.0
-    assert cross_entropy(target, target) == pytest.approx(0.0, abs=1e-10)
+    assert CROSS_ENTROPY.value(target, target) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_cross_entropy_uniform_prediction():
     target = np.zeros(10)
     target[0] = 1.0
-    assert cross_entropy(target, np.full(10, 0.1)) == pytest.approx(math.log(10.0), rel=1e-12)
+    assert CROSS_ENTROPY.value(np.full(10, 0.1), target) == pytest.approx(math.log(10.0), rel=1e-12)
 
 
 def test_cross_entropy_against_decimal_oracle():
     oracle = -(Decimal("0.5") * Decimal("0.25").ln() + Decimal("0.5") * Decimal("0.75").ln())
     assert float(oracle) == pytest.approx(CE_HALF_ORACLE, rel=1e-15)
-    assert cross_entropy([0.5, 0.5], [0.25, 0.75]) == pytest.approx(CE_HALF_ORACLE, rel=1e-12)
+    assert CROSS_ENTROPY.value([0.25, 0.75], [0.5, 0.5]) == pytest.approx(CE_HALF_ORACLE, rel=1e-12)
 
 
 def test_cross_entropy_length_mismatch():
     with pytest.raises(DimensionError):
-        cross_entropy([1.0, 0.0], [1.0, 0.0, 0.0])
+        CROSS_ENTROPY.value([1.0, 0.0, 0.0], [1.0, 0.0])
 
 
 def test_cross_entropy_nonnegative_and_minimal_at_target():
@@ -121,12 +121,12 @@ def test_cross_entropy_nonnegative_and_minimal_at_target():
         k = int(rng.integers(2, 8))
         t = rng.random(k)
         t /= t.sum()
-        base = cross_entropy(t, t)
+        base = CROSS_ENTROPY.value(t, t)
         assert base >= 0.0
         for _ in range(10):
             p = rng.random(k)
             p /= p.sum()
-            assert cross_entropy(t, p) >= base - 1e-12
+            assert CROSS_ENTROPY.value(p, t) >= base - 1e-12
 
 
 def test_forward_identity_network():
@@ -312,8 +312,8 @@ def test_reductions_are_bit_equal_to_the_textbook_forms(shape):
     p = softmax(rng.standard_normal(shape))
     t = rng.random(shape)
     textbook = float(np.mean(-(t * np.log(np.maximum(p, 1e-12))).sum(axis=-1)))
-    assert cross_entropy(t, p) == textbook
-    assert cross_entropy(t[0], p[0]) == float(np.mean(-(t[0] * np.log(p[0])).sum(axis=-1)))
+    assert CROSS_ENTROPY.value(p, t) == textbook
+    assert CROSS_ENTROPY.value(p[0], t[0]) == float(np.mean(-(t[0] * np.log(p[0])).sum(axis=-1)))
     g = rng.standard_normal(shape)
     out = Activation("softmax").backward(z, p, g)
     assert out.tobytes() == (p * (g - (p * g).sum(axis=-1, keepdims=True))).tobytes()
@@ -457,6 +457,16 @@ def test_sgd_shape_mismatch_rejected():
         sgd_step(np.zeros(2), np.zeros(3), state, lr=0.1)
 
 
+def test_sgd_zero_lr_changes_nothing_but_still_checks_shapes():
+    params = np.array([1.5, -2.0])
+    state = SgdState(velocity=np.array([0.25, -0.5]), momentum=0.9, weight_decay=1e-2)
+    sgd_step(params, np.array([3.0, 4.0]), state, lr=0.0)
+    np.testing.assert_array_equal(params, [1.5, -2.0])
+    np.testing.assert_array_equal(state.velocity, [0.25, -0.5])
+    with pytest.raises(DimensionError, match="shape mismatch"):
+        sgd_step(params, np.zeros(3), state, lr=0.0)
+
+
 def test_weight_decay_equals_l2_penalty_gradient():
     # five steps with decay lambda == five steps with decay 0 and grad + lambda*param
     rng = derive_rng(77)
@@ -549,6 +559,27 @@ def test_epoch_batches_keeps_partial_batch_and_is_seed_stable():
 def test_network_rejects_mismatched_chain():
     with pytest.raises(DimensionError):
         Network([Dense(np.zeros((3, 2)), np.zeros(3)), Dense(np.zeros((2, 4)), np.zeros(2))])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: mlp((3,), rng=derive_rng(0)), ConfigurationError,
+     "mlp needs at least input and output dims"),
+    (lambda: Network([Activation("relu")]), ConfigurationError,
+     "network needs at least one dense layer"),
+    (lambda: Dense(np.zeros((2, 3)), np.zeros(3)), DimensionError,
+     "dense: weight (2, 3) and bias (3,) are inconsistent"),
+    (lambda: next(epoch_batches(0, 4, seed=1, epoch=0)), ConfigurationError,
+     "cannot batch an empty dataset"),
+    (lambda: next(epoch_batches(10, 0, seed=1, epoch=0)), ConfigurationError,
+     "batch size must be >= 1, got 0"),
+    (lambda: loss_and_gradients(mlp((3, 4, 2), rng=derive_rng(0)), np.ones((1, 3)),
+                                [[np.inf, 0.0]], CROSS_ENTROPY), NumericError,
+     "non-finite loss value inf"),
+], ids=["mlp of one dim", "no dense layer", "dense shapes", "empty dataset",
+        "batch size 0", "non-finite loss"])
+def test_engine_rejects_unusable_arguments(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_activation_validation():

@@ -1,6 +1,7 @@
 """Noise-engine tests: rational-arithmetic row sums, binomial flip-rate bands,
 and independent tallies for the empirical matrix."""
 
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -214,6 +215,22 @@ def test_load_matrix_csv_input_errors_name_the_file(tmp_path, text, where):
         path.write_text(text, encoding="utf-8")
     with pytest.raises(InputError, match=where):
         load_matrix_csv(path)
+
+
+def test_load_matrix_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "matrix.csv"
+    path.write_text("\n0.75,0.25\n\n0.5,0.5\n  \n", encoding="utf-8")
+    np.testing.assert_array_equal(load_matrix_csv(path), [[0.75, 0.25], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: corrupt_labels(np.zeros((2, 2)), symmetric_matrix(2, 0.2), 0),
+     "labels must be 1-D, got shape (2, 2)"),
+    (lambda: empirical_matrix([0, 2], [0, 1], 2), "true label out of range [0, 2)"),
+], ids=["2-D labels", "label out of range"])
+def test_label_arguments_are_checked(call, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        call()
 
 
 def test_noise_spec_validation():
