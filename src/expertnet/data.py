@@ -96,8 +96,8 @@ def make_blobs(n_classes: int, per_class: int, dim: int, separation: float,
         raise ConfigurationError(
             f"invalid blob parameters: n_classes={n_classes}, per_class={per_class}, dim={dim}"
         )
-    if separation <= 0.0 or spread <= 0.0:
-        raise ConfigurationError("separation and spread must be positive")
+    if not (0.0 < separation < math.inf and 0.0 < spread < math.inf):
+        raise ConfigurationError("separation and spread must be finite and above 0")
     rng = derive_rng(seed)
     centers = rng.standard_normal((n_classes, dim))
     diffs = centers[:, None, :] - centers[None, :, :]

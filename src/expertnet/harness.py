@@ -30,8 +30,8 @@ from .baselines import BASELINE_KINDS, BaselineSpec, train_baseline
 from .data import (Dataset, check_array_size, load_table, make_blobs, read_text,
                    stratified_split, subsample)
 from .errors import ConfigurationError, DataError, DimensionError, ExpertNetError, InputError
-from .model import EpochStats, ExpertNet, build_expertnet, train
-from .nn import StepDecay
+from .model import EpochStats, ExpertNet, build_expertnet, check_expert_terminal, train
+from .nn import SgdState, StepDecay, check_mlp_dims
 from .noise import corrupt_labels, load_matrix_csv, symmetric_matrix
 from .seeding import (
     STREAM_DATA,
@@ -111,15 +111,22 @@ class ExperimentConfig:
         for f in self.fractions:
             if not 0.0 < f <= 1.0:
                 raise ConfigurationError(f"fraction must be in (0, 1], got {f}")
+        for s in self.seeds:  # seeding masks seeds to 64 bits: one outside would alias one inside
+            if not 0 <= s < 2**64:
+                raise ConfigurationError(f"seeds must be in [0, 2**64), got {s}")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigurationError(f"unknown method {m!r} (choose from {tuple(METHODS)})")
-        pivots: dict[str, float] = {}
         for r in self.noise_ratios:
             symmetric_matrix(2, r)
-            if pivots.setdefault(pivot_name(r), r) != r:
-                raise ConfigurationError(
-                    f"noise ratios {pivots[pivot_name(r)]:g} and {r:g} share {pivot_name(r)}")
+        # two values the report prints alike would be one row, pivot or log label twice
+        for key, label in (("noise_ratios", pivot_name), ("noise_ratios", "{:g}".format),
+                           ("fractions", "{:g}".format)):
+            seen: dict[str, float] = {}
+            for value in getattr(self, key):
+                if (first := seen.setdefault(label(value), value)) != value:
+                    raise ConfigurationError(
+                        f"{key} {first!r} and {value!r} share the output label {label(value)!r}")
         if self.matrix is not None and len(self.noise_ratios) > 1:
             raise ConfigurationError("a matrix sets the noise, so noise_ratios must list one "
                                      f"value to label the run, got {self.noise_ratios}")
@@ -128,9 +135,12 @@ class ExperimentConfig:
         for key in ("epochs", "batch_size", "amateur_hidden", "expert_hidden"):
             if min(np.atleast_1d(getattr(self, key)), default=1) < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
-        # the objects that own the remaining rules reject bad values before any cell runs
+        # the owners of the remaining rules check values alone: nothing sized by the config
         self.schedule()
-        self.expertnet(1, 2, 0)
+        check_expert_terminal(self.expert_terminal)
+        for widths in (self.amateur_hidden, self.expert_hidden):
+            check_mlp_dims((1, *widths, 1))
+        SgdState(np.empty(0), self.momentum, self.weight_decay)
         BaselineSpec("bootstrap", self.bootstrap_beta, self.bootstrap_variant)
         if isinstance(self.dataset, BlobsSpec):
             for key, low in (("classes", 2), ("dim", 1), ("per_class", 1), ("val_per_class", 1)):

@@ -39,6 +39,12 @@ from .seeding import STREAM_INIT, derive_rng
 DISTRIBUTION_TOL = 1e-6
 
 
+def check_expert_terminal(kind: str) -> None:
+    """The expert's output rule: it ends in softmax or sigmoid."""
+    if kind not in ("softmax", "sigmoid"):
+        raise ConfigurationError(f"expert must end in softmax or sigmoid, got expert terminal {kind!r}")
+
+
 @dataclass
 class ExpertNet:
     """Amateur and expert networks plus their optimizer states."""
@@ -62,8 +68,7 @@ class ExpertNet:
             raise DimensionError(f"expert outputs {self.expert.output_dim}, expected {k}")
         if self.amateur.terminal_kind != "softmax":
             raise ConfigurationError("amateur must end in softmax")
-        if self.expert.terminal_kind not in ("softmax", "sigmoid"):
-            raise ConfigurationError("expert must end in softmax or sigmoid")
+        check_expert_terminal(self.expert.terminal_kind)
 
 
 @dataclass(frozen=True)
@@ -100,8 +105,7 @@ def build_expertnet(feature_dim: int, n_classes: int, seed: int,
                     expert_terminal: str = "softmax", leaky_slope: float = 0.01,
                     momentum: float = 0.9, weight_decay: float = 1e-4) -> ExpertNet:
     """Fresh model: the amateur of `amateur_network`, a leaky-relu expert MLP over 2K inputs."""
-    if expert_terminal not in ("softmax", "sigmoid"):
-        raise ConfigurationError(f"expert terminal must be softmax or sigmoid, got {expert_terminal!r}")
+    check_expert_terminal(expert_terminal)
     amateur, amateur_state = amateur_network(feature_dim, n_classes, seed, amateur_hidden,
                                              momentum, weight_decay)
     expert = mlp((2 * n_classes, *expert_hidden, n_classes), hidden="leaky-relu",

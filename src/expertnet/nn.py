@@ -333,22 +333,23 @@ def lr_at(schedule: StepDecay, epoch: int) -> float:
     return schedule.base_lr * schedule.factor ** (epoch // schedule.period)
 
 
-def glorot_dense(in_dim: int, out_dim: int, rng: np.random.Generator) -> Dense:
-    # uniform +-sqrt(6/(fan_in+fan_out)), biases zero
-    check_array_size(f"dense layer {in_dim} -> {out_dim}", out_dim, in_dim)
-    limit = np.sqrt(6.0 / (in_dim + out_dim))
-    return Dense(rng.uniform(-limit, limit, size=(out_dim, in_dim)), np.zeros(out_dim))
+def check_mlp_dims(dims) -> None:
+    """Reject dims `mlp` cannot build, checking the values alone: allocates nothing."""
+    if len(dims) < 2:
+        raise ConfigurationError("mlp needs at least input and output dims")
+    for in_dim, out_dim in zip(dims, dims[1:]):
+        check_array_size(f"dense layer {in_dim} -> {out_dim}", out_dim, in_dim)
 
 
 def mlp(dims, hidden: str = "relu", terminal: str = "softmax",
         leaky_slope: float = 0.01, *, rng: np.random.Generator) -> Network:
     """Fully connected stack: dense+hidden activation per layer, custom terminal."""
     dims = list(dims)
-    if len(dims) < 2:
-        raise ConfigurationError("mlp needs at least input and output dims")
+    check_mlp_dims(dims)
     layers = []
-    for i in range(len(dims) - 1):
-        layers.append(glorot_dense(dims[i], dims[i + 1], rng))
+    for i, (in_dim, out_dim) in enumerate(zip(dims, dims[1:])):
+        limit = np.sqrt(6.0 / (in_dim + out_dim))  # Glorot uniform; biases zero
+        layers.append(Dense(rng.uniform(-limit, limit, size=(out_dim, in_dim)), np.zeros(out_dim)))
         kind = terminal if i == len(dims) - 2 else hidden
         layers.append(Activation(kind, slope=leaky_slope))
     return Network(layers)

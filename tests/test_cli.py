@@ -335,10 +335,12 @@ def test_run_cells_run_on_the_calling_thread_whatever_threads_says(config_path, 
     (["run", "--set", f"blobs.classes={10**30}"], "blobs"),
     (["run", "--set", f"amateur_hidden={10**30}"], "dense layer"),
     (["run", "--set", f"expert_hidden=8,{10**30}"], "dense layer"),
-    (["run", "--set", f"amateur_hidden={10**14}"], "Unable to allocate"),  # the trial build
+    (["noise-stats", "--classes", "2", "--samples", str(10**14)], "Unable to allocate"),
     (["noise-stats", "--classes", str(10**30)], "classes"),
     (["noise-stats", "--classes", str(10**7)], "Unable to allocate"),
     (["noise-stats", "--classes", "2", "--samples", str(10**30)], "--samples"),
+    # each width alone fits, but the 2**31 x 2**31 layer between them does not
+    (["run", "--set", f"amateur_hidden={2**31},{2**31}"], "dense layer"),
 ])
 def test_sizes_the_machine_cannot_hold_exit_two(tmp_path, capsys, argv, key):
     out = tmp_path / "out"
@@ -353,13 +355,16 @@ def test_sizes_the_machine_cannot_hold_exit_two(tmp_path, capsys, argv, key):
 
 def test_a_cell_that_cannot_allocate_its_data_fails_and_the_report_is_written(
         config_path, tmp_path, capsys):
-    # the config never builds blobs data, so 3 x 10**13 centres reach the cell
-    assert main(["run", "--config", config_path, "--set", f"blobs.dim={10**13}"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "" and "3 records, 3 failed" in captured.out
-    rows = (tmp_path / "out" / "results.csv").read_text(encoding="utf-8").splitlines()[1:]
-    assert len(rows) == 3
-    assert all(",failed,,\"MemoryError: Unable to allocate" in row for row in rows)
+    # Sizes numpy can describe but no machine can hold: parsing builds neither the
+    # blobs data (3 x 10**13 centres) nor a network (a 10**14 x 4 first layer), so
+    # each reaches the cell, whose allocation fails.
+    for override in (f"blobs.dim={10**13}", f"amateur_hidden={10**14}"):
+        assert main(["run", "--config", config_path, "--set", override]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "" and "3 records, 3 failed" in captured.out
+        rows = (tmp_path / "out" / "results.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert len(rows) == 3
+        assert all(",failed,,\"MemoryError: Unable to allocate" in row for row in rows), override
 
 
 def test_a_method_out_of_memory_fails_alone(config_path, tmp_path, monkeypatch, capsys):

@@ -3,6 +3,7 @@ subsampling against hypergeometric bounds, and the table loader against
 two-pass statistics."""
 
 import re
+from math import inf, nan
 
 import numpy as np
 import pytest
@@ -59,6 +60,9 @@ def test_make_blobs_validation():
         make_blobs(1, 10, 4, 5.0, 1.0, seed=0)
     with pytest.raises(ConfigurationError):
         make_blobs(3, 10, 4, -5.0, 1.0, seed=0)
+    for separation, spread in ((nan, 1.0), (inf, 1.0), (5.0, nan), (5.0, inf)):
+        with pytest.raises(ConfigurationError, match="finite and above 0"):
+            make_blobs(3, 5, 2, separation, spread, seed=0)
 
 
 def test_subsample_full_fraction_is_identity():

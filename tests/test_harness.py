@@ -7,6 +7,7 @@ import errno
 import math
 import re
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,24 @@ def test_equal_seed_cells_share_dataset_hash():
     assert len(hashes) == 1
     different_seed = grid_records(run_grid(tiny_config(seeds=(2,), epochs=1)))
     assert different_seed[0].dataset_hash not in hashes
+
+
+def test_a_row_depends_only_on_its_coordinates():
+    # the module's promise: adding methods (or ratios, fractions, seeds) never perturbs a cell
+    full = tiny_config(methods=tuple(METHODS), noise_ratios=(0.2, 0.4), fractions=(1.0, 0.6),
+                       seeds=(1, 2), epochs=1, amateur_hidden=(4,), expert_hidden=(4,))
+    rows = {(r.method, r.mode, r.noise_ratio, r.fraction, r.seed): r
+            for r in grid_records(run_grid(full))}
+    assert len(rows) == 5 * 2 * 2 * 2 and all(r.status == "ok" for r in rows.values())
+    one = dataclasses.replace(full, methods=("forward",), noise_ratios=(0.4,), fractions=(0.6,),
+                              seeds=(2,))
+    reordered = dataclasses.replace(full, methods=("plain-ce", "expertnet"),
+                                    noise_ratios=(0.4, 0.2), fractions=(0.6,), seeds=(2, 1))
+    for config, count in ((one, 1), (reordered, 3 * 2 * 2)):
+        records = grid_records(run_grid(config))
+        assert len(records) == count
+        for r in records:
+            assert r == rows[(r.method, r.mode, r.noise_ratio, r.fraction, r.seed)]
 
 
 def test_run_grid_is_deterministic(tmp_path):
@@ -426,8 +445,14 @@ def test_failed_expertnet_cell_reports_both_modes_and_grid_continues(monkeypatch
     ("noise_ratios = 0.12, 0.125", "pivot_rho12"),
     ("matrix = m.csv\nnoise_ratios = 0.2, 0.4", "noise_ratios"),
     ("seeds = 1, 1", "seeds"),
+    ("seeds = -1", "seeds"),
+    ("seeds = 1, 18446744073709551617", "seeds"),  # 2**64 + 1 would alias seed 1
     ("noise_ratios = 0.2, 0.4, 0.2", "noise_ratios"),
     ("fractions = 1.0, 1", "fractions"),
+    ("fractions = 1.0, 0.99999999999999",
+     re.escape("fractions 1.0 and 0.99999999999999 share the output label '1'")),
+    ("noise_ratios = 0.125, 0.1250000001",
+     re.escape("noise_ratios 0.125 and 0.1250000001 share the output label '0.125'")),
     ("methods = expertnet, plain-ce, expertnet", "methods"),
     ("lr = nan", "lr"),
     ("weight_decay = inf", "weight_decay"),
@@ -452,6 +477,20 @@ def test_failed_expertnet_cell_reports_both_modes_and_grid_continues(monkeypatch
 def test_parse_config_rejects_unusable_values(given, key):
     with pytest.raises(ConfigurationError, match=key):
         tiny_config(**given) if isinstance(given, dict) else parse_config(given)
+
+
+def test_parse_config_allocates_nothing_sized_by_the_widths():
+    def peak(overrides):
+        tracemalloc.start()
+        try:
+            parse_config("", overrides)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    defaults = peak({})
+    for overrides in ({"amateur_hidden": "2000000"}, {"expert_hidden": "3000,3000"}):
+        assert abs(peak(overrides) - defaults) <= 64 * 1024, overrides
 
 
 FILE_CONFIG_TEXT = """
@@ -505,10 +544,11 @@ def configs(draw, kind):
     matrix = draw(st.none() | file_names)
     # a matrix sets the noise itself, so it comes with the one ratio that labels the run
     ratios = st.lists(st.floats(0, 0.99, **finite), min_size=1, max_size=1 if matrix else 3,
-                      unique_by=pivot_name).map(tuple)
+                      unique_by=(pivot_name, "{:g}".format)).map(tuple)
+    fractions = st.lists(st.floats(0, 1, exclude_min=True, **finite), min_size=1, max_size=3,
+                         unique_by="{:g}".format).map(tuple)  # the report's label
     return draw(st.builds(
-        ExperimentConfig, dataset=DATASET_SPECS[kind], noise_ratios=ratios,
-        fractions=distinct(st.floats(0, 1, exclude_min=True, **finite)),
+        ExperimentConfig, dataset=DATASET_SPECS[kind], noise_ratios=ratios, fractions=fractions,
         methods=distinct(st.sampled_from(tuple(METHODS))),
         seeds=distinct(st.integers(0, 2**32)),
         matrix=st.just(matrix), epochs=st.integers(1, 500), batch_size=st.integers(1, 512),
