@@ -59,7 +59,6 @@ from .nn import (
     loss_and_gradients,
     lr_at,
     mlp,
-    predict,
     sgd_step,
     softmax,
 )

@@ -15,7 +15,7 @@ from .errors import ConfigurationError, ExpertNetError
 from .model import save_checkpoint
 from .nn import CROSS_ENTROPY, ForwardCorrectedLoss, gradient_check, mlp
 from .noise import corrupt_labels, empirical_matrix, load_matrix_csv, symmetric_matrix
-from .seeding import derive_rng
+from .seeding import check_seed, derive_rng
 
 
 def _add_common(parser):
@@ -81,6 +81,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_noise_stats(args) -> int:
+    check_seed(args.seed, "--seed")
     matrix = (load_matrix_csv(args.matrix) if args.matrix
               else symmetric_matrix(args.classes, args.ratio))
     k = matrix.shape[0]
@@ -106,6 +107,7 @@ def cmd_noise_stats(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.cases < 1:
         raise ConfigurationError(f"--cases must be >= 1, got {args.cases}")
+    check_seed(args.seed, "--seed")
     rng = derive_rng(args.seed)
     hiddens = ["relu", "leaky-relu", "sigmoid"]
     terminals = ["softmax", "sigmoid"]

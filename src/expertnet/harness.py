@@ -39,6 +39,7 @@ from .seeding import (
     STREAM_NOISE_VAL,
     STREAM_SUBSAMPLE,
     STREAM_TRAIN,
+    check_seed,
     derive_seed,
     stable_hash64,
 )
@@ -111,9 +112,8 @@ class ExperimentConfig:
         for f in self.fractions:
             if not 0.0 < f <= 1.0:
                 raise ConfigurationError(f"fraction must be in (0, 1], got {f}")
-        for s in self.seeds:  # seeding masks seeds to 64 bits: one outside would alias one inside
-            if not 0 <= s < 2**64:
-                raise ConfigurationError(f"seeds must be in [0, 2**64), got {s}")
+        for s in self.seeds:
+            check_seed(s)
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigurationError(f"unknown method {m!r} (choose from {tuple(METHODS)})")
@@ -138,10 +138,10 @@ class ExperimentConfig:
         # the owners of the remaining rules check values alone: nothing sized by the config
         self.schedule()
         check_expert_terminal(self.expert_terminal)
-        for widths in (self.amateur_hidden, self.expert_hidden):
-            check_mlp_dims((1, *widths, 1))
         SgdState(np.empty(0), self.momentum, self.weight_decay)
         BaselineSpec("bootstrap", self.bootstrap_beta, self.bootstrap_variant)
+        # a file's dims are known only after the read, so its widths are checked alone
+        nets = ((1, *self.amateur_hidden, 1), (1, *self.expert_hidden, 1))
         if isinstance(self.dataset, BlobsSpec):
             for key, low in (("classes", 2), ("dim", 1), ("per_class", 1), ("val_per_class", 1)):
                 if (value := getattr(self.dataset, key)) < low:
@@ -152,12 +152,16 @@ class ExperimentConfig:
             spec = self.dataset  # make_blobs' largest arrays: the features and center differences
             check_array_size("blobs", spec.classes * (spec.per_class + spec.val_per_class), spec.dim)
             check_array_size("blobs", spec.classes, spec.classes, spec.dim)
+            k = spec.classes
+            nets = ((spec.dim, *self.amateur_hidden, k), (2 * k, *self.expert_hidden, k))
         elif len(set(self.dataset.features)) != len(self.dataset.features):
             raise ConfigurationError(
                 f"file.features must list distinct columns, got {self.dataset.features}")
         elif self.dataset.label in self.dataset.features:
             raise ConfigurationError("file.features must not list the label column, "
                                      f"file.label = {self.dataset.label!r}")
+        for dims in nets:
+            check_mlp_dims(dims)
 
     def schedule(self) -> StepDecay:
         return StepDecay(self.lr, self.lr_decay_factor, self.lr_decay_period)

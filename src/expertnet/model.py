@@ -31,7 +31,6 @@ from .nn import (
     loss_and_gradients,
     lr_at,
     mlp,
-    predict,
     sgd_step,
 )
 from .seeding import STREAM_INIT, derive_rng
@@ -188,17 +187,17 @@ def accuracy(predictions, truths) -> float:
 
 def infer_amateur(model: ExpertNet, x) -> np.ndarray:
     """Argmax of the amateur's probabilities; ties go to the lowest class index."""
-    return np.argmax(predict(model.amateur, x), axis=1)
+    return np.argmax(forward(model.amateur, x)[0], axis=1)
 
 
 def infer_full(model: ExpertNet, x, given_labels) -> np.ndarray:
     """Argmax of the expert applied to (amateur probabilities, given label)."""
-    return _full_predictions(model, predict(model.amateur, x), given_labels)
+    return _full_predictions(model, forward(model.amateur, x)[0], given_labels)
 
 
 def _full_predictions(model: ExpertNet, probs, given_labels) -> np.ndarray:
     # full mode from an amateur pass already taken, so evaluation can share it
-    return np.argmax(predict(model.expert, expert_input(probs, given_labels)), axis=1)
+    return np.argmax(forward(model.expert, expert_input(probs, given_labels))[0], axis=1)
 
 
 def fit(net: Network, step, train_set: Dataset, val_set: Dataset, epochs: int,
@@ -229,7 +228,7 @@ def fit(net: Network, step, train_set: Dataset, val_set: Dataset, epochs: int,
                 step(train_set.features[idx], train_set.given_labels[idx],
                      train_set.true_labels[idx], lr)
                 for idx in epoch_batches(train_set.n, batch_size, seed, epoch)])
-            probs = predict(net, val_set.features)
+            probs = forward(net, val_set.features)[0]
             history.append(EpochStats(
                 epoch=epoch,
                 amateur_loss=float(np.mean(amateur_losses)),
@@ -317,3 +316,5 @@ def load_checkpoint(path) -> ExpertNet:
         raise InputError(f"{path}: checkpoint entry {exc} is missing") from None
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: checkpoint entry of the wrong type ({exc})") from None
+    except (ConfigurationError, DimensionError) as exc:  # layers that cannot form the model
+        raise InputError(f"{path}: {exc}") from None

@@ -102,11 +102,12 @@ class Activation:
             return out
         return softmax(x, out)
 
-    def backward(self, x, out, grad_out):
+    def backward(self, out, grad_out):
+        # from the output alone: for relu and leaky-relu (0 < slope < 1), out > 0 iff x > 0
         if self.kind == "relu":
-            return grad_out * (x > 0.0)
+            return grad_out * (out > 0.0)
         if self.kind == "leaky-relu":
-            return np.where(x > 0.0, grad_out, self.slope * grad_out)
+            return np.where(out > 0.0, grad_out, self.slope * grad_out)
         if self.kind == "sigmoid":
             return out * (1.0 - out) * grad_out
         # softmax rows couple: dL/dz = a * (g - sum(a * g))
@@ -115,33 +116,36 @@ class Activation:
 
 
 class Network:
-    """Ordered stack of layers whose dense dimensions chain correctly.
+    """Dense layers, each followed by one activation, whose dimensions chain.
 
     `params` is one flat buffer holding every dense layer's weight then bias,
-    in layer order.  Its dense layers are new `Dense` layers over views into it;
-    the dense layers it was given keep their own arrays.  `slots[i]` is the
-    (weight, bias) slice pair of layer i in that layout, None for an activation.
+    in layer order.  Its dense layers are new `Dense` layers over
+    `views(params)`; the dense layers it was given keep their own arrays.
     """
 
     def __init__(self, layers):
         layers = list(layers)
-        dense = [l for l in layers if l.kind == "dense"]
-        if not dense:
-            raise ConfigurationError("network needs at least one dense layer")
+        if not layers or [l.kind == "dense" for l in layers] != [True, False] * (len(layers) // 2):
+            raise ConfigurationError("a network is dense layers each followed by one activation, "
+                                     f"got {[l.kind for l in layers]}")
+        dense = layers[::2]
         for prev, layer in zip(dense, dense[1:]):
             if layer.in_dim != prev.out_dim:
                 raise DimensionError(
                     f"layer expects width {layer.in_dim} but receives {prev.out_dim}")
         self.input_dim, self.output_dim = dense[0].in_dim, dense[-1].out_dim
-        arrays = [a for l in dense for a in (l.weight, l.bias)]
-        self.params = np.concatenate([a.ravel() for a in arrays])
-        ends = np.cumsum([a.size for a in arrays]).tolist()
-        spans = iter(zip([0, *ends], ends))  # (start, stop) of each array in `params`
-        self.slots = [(slice(*next(spans)), slice(*next(spans))) if l.kind == "dense" else None
-                      for l in layers]
-        self.layers = [Dense(self.params[s[0]].reshape(l.weight.shape), self.params[s[1]])
-                       if s else l for l, s in zip(layers, self.slots)]
-        self.first_dense = next(i for i, s in enumerate(self.slots) if s)
+        self.shapes = [l.weight.shape for l in dense]
+        self.params = np.concatenate([a.ravel() for l in dense for a in (l.weight, l.bias)])
+        self.layers = [l for view, act in zip(self.views(self.params), layers[1::2])
+                       for l in (Dense(*view), act)]
+
+    def views(self, flat):
+        """Each dense layer's (weight, bias) views into `flat`, laid out like `params`."""
+        views, stop = [], 0
+        for rows, cols in self.shapes:
+            start, stop = stop, stop + rows * cols + rows
+            views.append((flat[start:stop - rows].reshape(rows, cols), flat[stop - rows:stop]))
+        return views
 
     @property
     def terminal_kind(self) -> str:
@@ -164,29 +168,18 @@ def _checked_output(out: np.ndarray) -> np.ndarray:
 
 
 def forward(net: Network, batch) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Evaluate the network on a (B, in) batch.
+    """Evaluate the network on a (B, in) batch; the one pass, with or without gradients.
 
-    Returns the (B, out) output and the list of per-layer activations
-    (input first, output last), which backward passes reuse.
+    Returns the (B, out) output and the per-layer activations [x, z1, a1, ...]
+    (input first, output last), which backward passes reuse.  Each activation
+    runs in place over the dense output it follows, which this pass allocated,
+    so its entry is that dense layer's array and the batch is never written.
     """
     acts = [_checked_batch(net, batch)]
-    for layer in net.layers:
-        acts.append(layer.apply(acts[-1]))
+    for dense, activation in zip(net.layers[::2], net.layers[1::2]):
+        out = dense.apply(acts[-1])
+        acts += (out, activation.apply(out, out=out))
     return _checked_output(acts[-1]), acts
-
-
-def predict(net: Network, batch) -> np.ndarray:
-    """`forward`'s output alone, for passes that take no gradient.
-
-    Keeps no activation list: each activation after the first dense layer
-    overwrites the output it reads, which this pass allocated, so at most
-    two layer outputs are alive at once and the batch is never written.
-    """
-    x = _checked_batch(net, batch)
-    for i, layer in enumerate(net.layers):
-        in_place = net.slots[i] is None and i > net.first_dense
-        x = layer.apply(x, out=x) if in_place else layer.apply(x)
-    return _checked_output(x)
 
 
 class CrossEntropyLoss:
@@ -243,7 +236,8 @@ def backward(net: Network, acts, targets, loss):
     `acts` is the activation list `forward(net, batch)` returned, taken with
     the parameters the gradients are for.  Gradients are one new flat array
     aligned with net.params that each dense layer fills in place; the pass
-    stops at the first dense layer, so no gradient of the batch is computed.
+    walks the (dense, activation) pairs from the last, and the first pair
+    takes no input gradient, so no gradient of the batch is computed.
     """
     if len(acts) != len(net.layers) + 1:
         raise DimensionError(f"{len(acts)} activations for a {len(net.layers)}-layer network")
@@ -256,13 +250,9 @@ def backward(net: Network, acts, targets, loss):
         raise NumericError(f"non-finite loss value {value!r}")
     grad = loss.prediction_grad(out, targets)
     grads = np.empty_like(net.params)
-    for i in range(len(net.layers) - 1, net.first_dense - 1, -1):
-        layer, slot = net.layers[i], net.slots[i]
-        if slot is None:
-            grad = layer.backward(acts[i], acts[i + 1], grad)
-        else:
-            grad = layer.backward(acts[i], grad, grads[slot[0]].reshape(layer.weight.shape),
-                                  grads[slot[1]], i > net.first_dense)
+    pairs = zip(net.layers[::2], net.layers[1::2], acts[::2], acts[2::2], net.views(grads))
+    for i, (dense, activation, x, a, (grad_w, grad_b)) in reversed(list(enumerate(pairs))):
+        grad = dense.backward(x, activation.backward(a, grad), grad_w, grad_b, i > 0)
     return value, grads
 
 
@@ -374,7 +364,7 @@ def finite_difference_gradients(net: Network, batch, targets, loss, h: float = 1
     """Central-difference gradients of the scalar loss; checks the backward pass."""
 
     def value():
-        return loss.value(predict(net, batch), np.asarray(targets, dtype=float))
+        return loss.value(forward(net, batch)[0], np.asarray(targets, dtype=float))
 
     p = net.params
     grads = np.zeros_like(p)

@@ -11,6 +11,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 # Stream tags. Changing any of these changes every derived stream, so they are
 # part of the reproducibility contract.
 STREAM_DATA = 1
@@ -22,6 +24,12 @@ STREAM_SUBSAMPLE = 6
 STREAM_TRAIN = 7
 
 _MASK64 = (1 << 64) - 1
+
+
+def check_seed(seed: int, what: str = "seeds") -> None:
+    """Reject a seed outside [0, 2**64): masked to 64 bits, it would alias one inside."""
+    if not 0 <= seed < 2**64:
+        raise ConfigurationError(f"{what} must be in [0, 2**64), got {seed}")
 
 
 def stable_hash64(text: str) -> int:

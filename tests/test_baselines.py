@@ -188,9 +188,9 @@ def test_baselines_share_batching_with_cotraining(monkeypatch):
         np.testing.assert_array_equal(a, b)
 
 
-def test_forward_passes_belong_to_the_steps_and_evaluation_takes_none(monkeypatch):
-    """3 passes per co-training step, 1 per baseline step; the validation pass builds
-    no activation list."""
+def test_forward_passes_belong_to_the_steps_and_one_per_network_to_each_evaluation(monkeypatch):
+    """3 passes per co-training step, 1 per baseline step; each epoch's validation pass
+    is one more per network it evaluates."""
     import expertnet.nn as nn_mod
 
     calls = []
@@ -206,11 +206,11 @@ def test_forward_passes_belong_to_the_steps_and_evaluation_takes_none(monkeypatc
     steps = 2 * -(-train_set.n // 16)
     model = build_expertnet(4, 3, seed=77, amateur_hidden=(8,), expert_hidden=(8,))
     train(model, train_set, val_set, epochs=2, batch_size=16, schedule=StepDecay(0.01), seed=42)
-    assert len(calls) == 3 * steps
+    assert len(calls) == 3 * steps + 2 * 2 == 52  # the amateur and the expert, per epoch
     calls.clear()
     train_baseline(BaselineSpec("plain-ce"), train_set, val_set, epochs=2, batch_size=16,
                    schedule=StepDecay(0.01), seed=42, hidden=(8,))
-    assert len(calls) == steps
+    assert len(calls) == steps + 2 == 18
 
 
 def co_train(train_set, val_set, epochs=1):

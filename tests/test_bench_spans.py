@@ -7,6 +7,8 @@ one would break `bench/run.py --trace 1` without any other test noticing.
 import pathlib
 import sys
 
+import pytest
+
 import expertnet.cli  # noqa: F401  (the tracer wraps functions in every module)
 from expertnet import harness
 from expertnet.harness import METHODS, BlobsSpec, ExperimentConfig
@@ -52,7 +54,10 @@ def test_tracer_wraps_every_span_and_sees_both_training_procedures(monkeypatch, 
     assert all(after[key] is value for key, value in before.items())  # originals are back
 
 
-def test_traced_cli_run_measures_every_layer_and_writes_one_report(monkeypatch, tmp_path):
+# `bench/child.py` runs `grid` with `--threads 2`: cells must stay in the traced process
+@pytest.mark.parametrize("threads", [[], ["--threads", "2"]], ids=["default", "threads-2"])
+def test_traced_cli_run_measures_every_layer_and_writes_one_report(monkeypatch, tmp_path,
+                                                                   threads):
     monkeypatch.syspath_prepend(str(BENCH))
     import tracer
 
@@ -66,7 +71,8 @@ def test_traced_cli_run_measures_every_layer_and_writes_one_report(monkeypatch, 
         trace.install()
         assert trace.missing == set()
         # through the module, as bench/child.py calls it
-        rc = expertnet.cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        rc = expertnet.cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                                 *threads])
     finally:
         trace.uninstall()
     assert rc == 0

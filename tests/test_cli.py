@@ -341,6 +341,10 @@ def test_run_cells_run_on_the_calling_thread_whatever_threads_says(config_path, 
     (["noise-stats", "--classes", "2", "--samples", str(10**30)], "--samples"),
     # each width alone fits, but the 2**31 x 2**31 layer between them does not
     (["run", "--set", f"amateur_hidden={2**31},{2**31}"], "dense layer"),
+    # the width fits after a 1-wide input, but not after the blobs' 10**6 features
+    (["run", "--set", "blobs.classes=2", "--set", "blobs.per_class=1",
+      "--set", "blobs.val_per_class=1", "--set", f"blobs.dim={10**6}",
+      "--set", f"amateur_hidden={10**13}"], "dense layer"),
 ])
 def test_sizes_the_machine_cannot_hold_exit_two(tmp_path, capsys, argv, key):
     out = tmp_path / "out"
@@ -390,6 +394,17 @@ def test_too_small_counts_exit_two(capsys, argv, key):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and key in captured.err
     assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("argv", [["noise-stats", "--classes", "3", "--samples", "2000"],
+                                  ["gradcheck", "--cases", "2"]], ids=["noise-stats", "gradcheck"])
+def test_seed_flags_reject_seeds_that_alias_another(capsys, argv, seed):
+    # seeds are masked to 64 bits, so -1 would run as 2**64 - 1 and 2**64 as 0
+    assert main([*argv, "--seed", str(seed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --seed must be in [0, 2**64), got {seed}\n"
+    assert captured.out == ""
 
 
 def test_train_matrix_class_mismatch_exits_two(config_path, tmp_path, capsys):

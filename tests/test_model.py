@@ -654,6 +654,18 @@ def test_checkpoint_sigmoid_variant_and_bad_file(tmp_path):
      '[{"kind": "dense", "weight": [["a"]], "bias": [0]}]}', InputError, "wrong type"),
     ('{"format": "expertnet-checkpoint", "version": 2}', ConfigurationError,
      "unsupported checkpoint version 2"),
+    # layers that cannot form a network: shapes that do not chain, a stack that does not
+    # alternate dense and activation, an unknown activation kind
+    ('{"format": "expertnet-checkpoint", "version": 1, "amateur": ['
+     '{"kind": "dense", "weight": [[0, 0]], "bias": [0]}, {"kind": "relu"}, '
+     '{"kind": "dense", "weight": [[0, 0, 0]], "bias": [0]}, {"kind": "softmax"}]}',
+     InputError, "layer expects width 3 but receives 1"),
+    ('{"format": "expertnet-checkpoint", "version": 1, "amateur": [{"kind": "relu"}, '
+     '{"kind": "dense", "weight": [[0]], "bias": [0]}, {"kind": "softmax"}]}',
+     InputError, "dense layers each followed by one activation"),
+    ('{"format": "expertnet-checkpoint", "version": 1, "amateur": ['
+     '{"kind": "dense", "weight": [[0]], "bias": [0]}, {"kind": "swish"}]}',
+     InputError, "unknown activation kind 'swish'"),
 ])
 def test_malformed_checkpoint_names_the_file(tmp_path, text, error, what):
     path = tmp_path / "bad.ckpt"

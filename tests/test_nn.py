@@ -27,7 +27,6 @@ from expertnet.nn import (
     loss_and_gradients,
     lr_at,
     mlp,
-    predict,
     sgd_step,
     softmax,
 )
@@ -130,10 +129,10 @@ def test_cross_entropy_nonnegative_and_minimal_at_target():
 
 
 def test_forward_identity_network():
-    net = Network([Dense(np.eye(2), np.zeros(2))])
+    net = Network([Dense(np.eye(2), np.zeros(2)), Activation("relu")])
     out, acts = forward(net, [[1.0, 2.0]])
     np.testing.assert_array_equal(out, [[1.0, 2.0]])
-    assert len(acts) == 2
+    assert len(acts) == 3
 
 
 def test_forward_dense_relu_clips():
@@ -253,49 +252,47 @@ def test_backward_is_bit_equal_to_the_per_layer_formulas(hidden, terminal, dims)
         _, acts = forward(net, x)
         grads = backward(net, acts, targets, loss)[1]
         assert np.array_equal(grads, reference_gradients(net, acts, targets, loss))
-    assert np.array_equal(predict(net, x), acts[-1])
+    assert np.array_equal(forward(net, x)[0], acts[-1])
 
 
 @pytest.mark.parametrize("kind", ["relu", "leaky-relu", "sigmoid", "softmax"])
 def test_predict_leaves_the_batch_alone(kind):
+    # the activations run in place, but only over the dense outputs the pass allocated
     rng = derive_rng(37)
-    layers = [Activation(kind), Dense(rng.standard_normal((3, 4)), rng.standard_normal(3)),
-              Activation(kind), Activation("softmax")]
     x = rng.standard_normal((5, 4))
     before = x.copy()
-    for net in (Network(layers), mlp((4, 6, 3), hidden=kind, rng=rng)):
-        out = predict(net, x)
-        assert np.array_equal(out, forward(net, x)[0])
-        assert x.tobytes() == before.tobytes()
-        assert not np.shares_memory(out, x)
-        frozen = x.copy()
-        frozen.setflags(write=False)  # a Dataset's features are read-only
-        assert np.array_equal(predict(net, frozen), out)
+    net = mlp((4, 6, 3), hidden=kind, rng=rng)
+    out = forward(net, x)[0]
+    assert x.tobytes() == before.tobytes()
+    assert not np.shares_memory(out, x)
+    frozen = x.copy()
+    frozen.setflags(write=False)  # a Dataset's features are read-only
+    assert np.array_equal(forward(net, frozen)[0], out)
 
 
 def test_predict_raises_forwards_errors():
     net = mlp((3, 4, 2), rng=derive_rng(0))
     soft_out = Network([Dense(np.ones((1, 1)), np.zeros(1)), Activation("softmax")])
     relu_out = Network([Dense(np.eye(2), np.zeros(2)), Activation("relu")])
-    for fn in (forward, predict):
-        with pytest.raises(DimensionError):
-            fn(net, np.zeros((2, 5)))
-        with pytest.raises(DimensionError):
-            fn(net, [1.0, 2.0, 3.0])
-        with pytest.raises(NumericError, match="softmax: non-finite logits"):
-            fn(soft_out, [[np.inf]])
-        with pytest.raises(NumericError, match="network produced non-finite outputs"):
-            fn(relu_out, [[np.nan, 1.0]])
+    with pytest.raises(DimensionError):
+        forward(net, np.zeros((2, 5)))
+    with pytest.raises(DimensionError):
+        forward(net, [1.0, 2.0, 3.0])
+    with pytest.raises(NumericError, match="softmax: non-finite logits"):
+        forward(soft_out, [[np.inf]])
+    with pytest.raises(NumericError, match="network produced non-finite outputs"):
+        forward(relu_out, [[np.nan, 1.0]])
 
 
 def test_predict_holds_at_most_two_layer_outputs():
-    # the default amateur (16 -> 128 -> 64 -> 4) on a 1,000-row validation split
+    # the default amateur (16 -> 128 -> 64 -> 4) on a 1,000-row validation split: the
+    # activations overwrite their dense outputs, so the pass keeps one array per dense layer
     net = mlp((16, 128, 64, 4), rng=derive_rng(41))
     x = derive_rng(43).standard_normal((1000, 16))
-    predict(net, x)
+    forward(net, x)
     tracemalloc.start()
     try:
-        predict(net, x)
+        forward(net, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -315,7 +312,7 @@ def test_reductions_are_bit_equal_to_the_textbook_forms(shape):
     assert CROSS_ENTROPY.value(p, t) == textbook
     assert CROSS_ENTROPY.value(p[0], t[0]) == float(np.mean(-(t[0] * np.log(p[0])).sum(axis=-1)))
     g = rng.standard_normal(shape)
-    out = Activation("softmax").backward(z, p, g)
+    out = Activation("softmax").backward(p, g)
     assert out.tobytes() == (p * (g - (p * g).sum(axis=-1, keepdims=True))).tobytes()
     if len(shape) == 2:
         layer = Dense(rng.standard_normal((3, shape[1])), np.zeros(3))
@@ -327,12 +324,15 @@ def test_reductions_are_bit_equal_to_the_textbook_forms(shape):
 
 def test_backward_stops_at_the_first_dense_layer():
     rng = derive_rng(29)
-    # an activation in front of the first dense layer only shapes the batch
-    net = Network([Activation("relu"), Dense(rng.standard_normal((3, 4)), np.zeros(3)),
-                   Activation("softmax")])
+    net = mlp((4, 6, 5, 3), rng=rng)
     _, acts = forward(net, rng.standard_normal((5, 4)))
+    asked = []  # each dense layer's `input_grad`, in the order backward calls them
+    for layer in net.layers[::2]:
+        real = layer.backward
+        layer.backward = lambda *args, real=real: asked.append(args[-1]) or real(*args)
     targets = np.full((5, 3), 1.0 / 3.0)
     grads = backward(net, acts, targets, CROSS_ENTROPY)[1]
+    assert asked == [True, True, False]
     assert np.array_equal(grads, reference_gradients(net, acts, targets, CROSS_ENTROPY))
 
 
@@ -366,7 +366,7 @@ def test_leaky_relu_apply_is_bit_equal_to_the_select_form(slope):
 def test_relu_backward_equals_the_select_form():
     finite = EDGE_VALUES[np.isfinite(EDGE_VALUES)]
     x, g = np.meshgrid(EDGE_VALUES, finite)
-    out = Activation("relu").backward(x, np.maximum(x, 0.0), g)
+    out = Activation("relu").backward(np.maximum(x, 0.0), g)
     # equal as numbers; a negative gradient at x <= 0 gives -0.0 where the select gives 0.0
     assert np.array_equal(out, np.where(x > 0.0, g, 0.0))
 
@@ -558,14 +558,26 @@ def test_epoch_batches_keeps_partial_batch_and_is_seed_stable():
 
 def test_network_rejects_mismatched_chain():
     with pytest.raises(DimensionError):
-        Network([Dense(np.zeros((3, 2)), np.zeros(3)), Dense(np.zeros((2, 4)), np.zeros(2))])
+        Network([Dense(np.zeros((3, 2)), np.zeros(3)), Activation("relu"),
+                 Dense(np.zeros((2, 4)), np.zeros(2)), Activation("softmax")])
+
 
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: mlp((3,), rng=derive_rng(0)), ConfigurationError,
      "mlp needs at least input and output dims"),
     (lambda: Network([Activation("relu")]), ConfigurationError,
-     "network needs at least one dense layer"),
+     "a network is dense layers each followed by one activation, got ['relu']"),
+    (lambda: Network([Dense(np.eye(2), np.zeros(2))]), ConfigurationError,
+     "a network is dense layers each followed by one activation, got ['dense']"),
+    (lambda: Network([Activation("relu"), Dense(np.eye(2), np.zeros(2)), Activation("softmax")]),
+     ConfigurationError, "one activation, got ['relu', 'dense', 'softmax']"),
+    (lambda: Network([Dense(np.eye(2), np.zeros(2)), Activation("relu"), Activation("softmax")]),
+     ConfigurationError, "one activation, got ['dense', 'relu', 'softmax']"),
+    (lambda: Network([Dense(np.eye(2), np.zeros(2)), Activation("relu"),
+                      Dense(np.eye(2), np.zeros(2))]),
+     ConfigurationError, "one activation, got ['dense', 'relu', 'dense']"),
+    (lambda: Network([]), ConfigurationError, "one activation, got []"),
     (lambda: Dense(np.zeros((2, 3)), np.zeros(3)), DimensionError,
      "dense: weight (2, 3) and bias (3,) are inconsistent"),
     (lambda: next(epoch_batches(0, 4, seed=1, epoch=0)), ConfigurationError,
@@ -575,7 +587,8 @@ def test_network_rejects_mismatched_chain():
     (lambda: loss_and_gradients(mlp((3, 4, 2), rng=derive_rng(0)), np.ones((1, 3)),
                                 [[np.inf, 0.0]], CROSS_ENTROPY), NumericError,
      "non-finite loss value inf"),
-], ids=["mlp of one dim", "no dense layer", "dense shapes", "empty dataset",
+], ids=["mlp of one dim", "no dense layer", "no activation", "activation first",
+        "two activations", "dense last", "no layer", "dense shapes", "empty dataset",
         "batch size 0", "non-finite loss"])
 def test_engine_rejects_unusable_arguments(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
