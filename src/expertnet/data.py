@@ -149,6 +149,25 @@ def read_text(path) -> str:
         raise InputError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
+def write_text(path, text: str) -> None:
+    """Write `text` as UTF-8 to `path` in place, so a link or device there is written
+    through, never replaced; a failed write raises ConfigurationError naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def text_lines(text: str) -> list[str]:
+    """`text` split only where `open` ends a line (LF, CRLF, CR); str.splitlines() also
+    splits at U+0085, U+2028, form feeds and others that may sit inside a value."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    return lines[:-1] if lines[-1] == "" else lines  # a final line end opens no line
+
+
 # A training table's feature columns, their mean and population standard
 # deviation, and its sorted label names (label i is class i).
 TableSchema = namedtuple("TableSchema", "columns mean std classes")
@@ -165,7 +184,7 @@ def load_table(path, label_column: str, feature_columns=None,
     them with its statistics and maps labels through its classes; an unseen
     label raises DataError.  Returns (dataset, schema).
     """
-    lines = read_text(path).splitlines()
+    lines = text_lines(read_text(path))
     if not lines:
         raise InputError(f"{path}:1: empty file")
     header = [h.strip() for h in lines[0].split(",")]

@@ -28,7 +28,7 @@ import numpy as np
 
 from .baselines import BASELINE_KINDS, BaselineSpec, train_baseline
 from .data import (Dataset, check_array_size, load_table, make_blobs, read_text,
-                   stratified_split, subsample)
+                   stratified_split, subsample, text_lines)
 from .errors import ConfigurationError, DataError, DimensionError, ExpertNetError, InputError
 from .model import EpochStats, ExpertNet, build_expertnet, check_expert_terminal, train
 from .nn import SgdState, StepDecay, check_mlp_dims
@@ -250,7 +250,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     ExperimentConfig and of the dataset spec that `dataset` names.
     """
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text_lines(text), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .data import Dataset, one_hot_batch, read_text
+from .data import Dataset, one_hot_batch, read_text, write_text
 from .errors import ConfigurationError, DataError, DimensionError, InputError
 from .nn import (
     CROSS_ENTROPY,
@@ -52,12 +52,9 @@ class ExpertNet:
     expert: Network
     amateur_state: SgdState
     expert_state: SgdState
-    n_classes: int
 
     def __post_init__(self):
-        k = self.n_classes
-        if self.amateur.output_dim != k:
-            raise DimensionError(f"amateur outputs {self.amateur.output_dim}, expected {k}")
+        k = self.amateur.output_dim  # the class count every other width follows
         if self.expert.input_dim != 2 * k:
             raise DimensionError(
                 f"expert input dim must be 2*{k} (probabilities + one-hot given label), "
@@ -115,7 +112,6 @@ def build_expertnet(feature_dim: int, n_classes: int, seed: int,
         expert=expert,
         amateur_state=amateur_state,
         expert_state=SgdState.for_network(expert, momentum, weight_decay),
-        n_classes=n_classes,
     )
 
 
@@ -163,7 +159,7 @@ def train_step(model: ExpertNet, x, given_labels, true_labels, lr: float):
     amateur_probs, amateur_acts = forward(model.amateur, x)
     # the amateur ends in softmax (ExpertNet checks), so its rows are distributions
     z = _join_given(amateur_probs, given_labels)
-    true_onehot = one_hot_batch(true_labels, model.n_classes)
+    true_onehot = one_hot_batch(true_labels, model.amateur.output_dim)
     expert_loss, expert_grads = loss_and_gradients(model.expert, z, true_onehot, CROSS_ENTROPY)
     sgd_step(model.expert.params, expert_grads, model.expert_state, lr)
     expert_out, _ = forward(model.expert, z)
@@ -275,12 +271,10 @@ def _layer_from_json(entry):
 
 
 def save_checkpoint(model: ExpertNet, path) -> None:
-    """Write a self-describing JSON checkpoint (decimal parameter values)."""
+    """Write a JSON checkpoint: both networks' layers (decimal values) and optimizer settings."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "n_classes": model.n_classes,
-        "feature_dim": model.amateur.input_dim,
         "amateur": [_layer_to_json(l) for l in model.amateur.layers],
         "expert": [_layer_to_json(l) for l in model.expert.layers],
         "amateur_opt": {"momentum": model.amateur_state.momentum,
@@ -288,8 +282,7 @@ def save_checkpoint(model: ExpertNet, path) -> None:
         "expert_opt": {"momentum": model.expert_state.momentum,
                        "weight_decay": model.expert_state.weight_decay},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    write_text(path, json.dumps(doc))
 
 
 def load_checkpoint(path) -> ExpertNet:
@@ -305,12 +298,13 @@ def load_checkpoint(path) -> ExpertNet:
     try:
         amateur = Network([_layer_from_json(e) for e in doc["amateur"]])
         expert = Network([_layer_from_json(e) for e in doc["expert"]])
+        if not (np.isfinite(amateur.params).all() and np.isfinite(expert.params).all()):
+            raise InputError(f"{path}: a weight is not a finite number")
         return ExpertNet(
             amateur=amateur,
             expert=expert,
             amateur_state=SgdState.for_network(amateur, **doc["amateur_opt"]),
             expert_state=SgdState.for_network(expert, **doc["expert_opt"]),
-            n_classes=doc["n_classes"],
         )
     except KeyError as exc:
         raise InputError(f"{path}: checkpoint entry {exc} is missing") from None

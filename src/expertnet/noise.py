@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .data import check_array_size, read_text
+from .data import check_array_size, read_text, text_lines, write_text
 from .errors import ConfigurationError, DataError, DimensionError, InputError
 from .seeding import derive_rng
 
@@ -91,15 +91,13 @@ def empirical_matrix(true_labels, given_labels, n_classes: int) -> np.ndarray:
 
 def save_matrix_csv(matrix, path) -> None:
     matrix = validate_transition_matrix(matrix)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in matrix:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_text(path, "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix))
 
 
 def load_matrix_csv(path) -> np.ndarray:
     """K lines of K comma-separated entries; a bad cell, row or matrix raises InputError."""
     rows = []
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(text_lines(read_text(path)), start=1):
         if not line.strip():
             continue
         try:

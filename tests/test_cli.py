@@ -1,5 +1,7 @@
 """CLI smoke tests for every subcommand and the exit-code contract."""
 
+import builtins
+import errno
 import math
 import pathlib
 import re
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import expertnet.cli as cli_mod
+import expertnet.data as data_mod
 import expertnet.harness as harness
 from expertnet.cli import main
 from expertnet.errors import NumericError
@@ -263,6 +266,21 @@ def test_train_save_to_an_unusable_path_exits_two(config_path, tmp_path, capsys,
     assert captured.err.count("\n") == 1
     assert "epoch" not in captured.out  # rejected before training
     assert not (tmp_path / "nope").exists()
+
+
+def test_train_save_that_fails_to_write_exits_two(config_path, tmp_path, monkeypatch, capsys):
+    ckpt = tmp_path / "model.ckpt"
+
+    def full_disk(file, mode="r", *args, **kwargs):
+        if mode == "w":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return builtins.open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(data_mod, "open", full_disk, raising=False)
+    assert main(["train", "--config", config_path, "--save", str(ckpt)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {ckpt}: No space left on device\n"
+    assert "epoch" in captured.out and "checkpoint written" not in captured.out
 
 
 def test_missing_config_file_exits_two(tmp_path, capsys):

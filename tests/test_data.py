@@ -2,12 +2,15 @@
 subsampling against hypergeometric bounds, and the table loader against
 two-pass statistics."""
 
+import builtins
+import errno
 import re
 from math import inf, nan
 
 import numpy as np
 import pytest
 
+import expertnet.data as data_mod
 from expertnet.data import (
     Dataset,
     load_table,
@@ -15,10 +18,11 @@ from expertnet.data import (
     one_hot_batch,
     stratified_split,
     subsample,
+    write_text,
 )
 from expertnet.errors import ConfigurationError, DataError, DimensionError, InputError
 from expertnet.harness import read_config
-from expertnet.noise import load_matrix_csv
+from expertnet.noise import load_matrix_csv, save_matrix_csv, symmetric_matrix
 
 
 def test_make_blobs_shape_and_balance():
@@ -294,6 +298,14 @@ def test_load_table_rejects_an_unusable_table(tmp_path, text, columns, message):
         load_table(path, "label", columns)
 
 
+def test_load_table_ends_lines_only_at_line_ends(tmp_path):
+    # U+0085 inside a cell is part of the label, not a line break
+    path = _write(tmp_path, "t.csv", "a,label\r\n1.0,x\x85y\r2.0,z\n")
+    ds, schema = load_table(path, "label")
+    assert schema.classes == ("x\x85y", "z")
+    np.testing.assert_array_equal(ds.true_labels, [0, 1])
+
+
 @pytest.mark.parametrize("text, read", [
     ("label,a,b\nx,1.0,2.0\ny,3.0,4.0\n", lambda path: load_table(path, "label")[0].n),
     ("0.75,0.25\n0.5,0.5\n", lambda path: load_matrix_csv(path)[0, 0]),
@@ -305,3 +317,22 @@ def test_a_byte_order_mark_is_ignored(tmp_path, text, read):
     marked.write_text(text, encoding="utf-8-sig")
     assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
     assert read(str(marked)) == read(str(plain))
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_text(path, "text\n"),
+    lambda path: save_matrix_csv(symmetric_matrix(2, 0.2), path),
+], ids=["text", "matrix"])
+def test_a_write_that_fails_names_the_path(tmp_path, monkeypatch, write):
+    def full_disk(file, mode="r", *args, **kwargs):
+        if mode == "w":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return builtins.open(file, mode, *args, **kwargs)
+
+    path = tmp_path / "out.txt"
+    write(path)
+    assert path.read_bytes()
+    monkeypatch.setattr(data_mod, "open", full_disk, raising=False)
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"cannot write {path}: No space left on device")):
+        write(path)

@@ -114,6 +114,14 @@ def test_parse_config_defaults_and_overrides():
     assert overridden.epochs == 99
 
 
+def test_parse_config_ends_lines_only_at_line_ends():
+    config = parse_config("epochs = 2\r\nbatch_size = 8\rseeds = 4")
+    assert (config.epochs, config.batch_size, config.seeds) == (2, 8, (4,))
+    # \x1c is no line end: the value of epochs is the rest of the line
+    with pytest.raises(ConfigurationError, match="config key epochs"):
+        parse_config("epochs = 2\x1cepochs = 3")
+
+
 def test_parse_config_errors():
     with pytest.raises(ConfigurationError):
         parse_config("schema = 2")

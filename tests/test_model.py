@@ -2,6 +2,7 @@
 gradient isolation (via spies), an independent five-step replay oracle, both
 inference modes, and checkpointing."""
 
+import json
 import math
 import re
 
@@ -224,7 +225,7 @@ def reference_step(model, x, given_labels, true_labels, lr):
     """The step before the split: the amateur's gradient re-runs its forward pass."""
     amateur_probs, _ = forward(model.amateur, x)
     z = expert_input(amateur_probs, given_labels)
-    true_onehot = one_hot_batch(true_labels, model.n_classes)
+    true_onehot = one_hot_batch(true_labels, model.amateur.output_dim)
     expert_loss, grads = loss_and_gradients(model.expert, z, true_onehot, CROSS_ENTROPY)
     sgd_step(model.expert.params, grads, model.expert_state, lr)
     expert_out, _ = forward(model.expert, z)
@@ -276,7 +277,7 @@ def test_train_step_with_copy_expert_descends_toward_given_labels():
     expert = copy_expert(2)
     model = ExpertNet(amateur, expert,
                       SgdState.for_network(amateur, 0.0, 0.0),
-                      SgdState.for_network(expert, 0.0, 0.0), n_classes=2)
+                      SgdState.for_network(expert, 0.0, 0.0))
     rng = derive_rng(14)
     x = rng.standard_normal((16, 3))
     y = rng.integers(0, 2, size=16)
@@ -313,7 +314,7 @@ def test_train_step_matches_independent_replay_oracle():
     expert = Network([Dense(we.copy(), be.copy()), Activation("softmax")])
     model = ExpertNet(amateur, expert,
                       SgdState.for_network(amateur, momentum, wd),
-                      SgdState.for_network(expert, momentum, wd), n_classes=2)
+                      SgdState.for_network(expert, momentum, wd))
     train_step(model, np.array([x]), np.array([y_label]), np.array([t_label]), lr)
 
     # --- independent replay ---
@@ -377,12 +378,12 @@ def test_infer_amateur_one_hot_and_tie():
                        Activation("softmax")])
     expert = copy_expert(k)
     model = ExpertNet(amateur, expert, SgdState.for_network(amateur),
-                      SgdState.for_network(expert), n_classes=k)
+                      SgdState.for_network(expert))
     np.testing.assert_array_equal(infer_amateur(model, [[1.0, 2.0, 3.0]]), [3])
 
     flat = Network([Dense(np.zeros((2, 3)), np.zeros(2)), Activation("softmax")])
     model2 = ExpertNet(flat, copy_expert(2), SgdState.for_network(flat),
-                       SgdState.for_network(copy_expert(2)), n_classes=2)
+                       SgdState.for_network(copy_expert(2)))
     # exact tie -> class 0
     np.testing.assert_array_equal(infer_amateur(model2, [[0.3, -0.4, 0.9]]), [0])
 
@@ -411,7 +412,7 @@ def test_infer_amateur_matches_argmax_scan():
 def test_infer_full_copy_expert_returns_given_label():
     model = small_model(seed=23)
     model = ExpertNet(model.amateur, copy_expert(2), model.amateur_state,
-                      SgdState.for_network(copy_expert(2)), n_classes=2)
+                      SgdState.for_network(copy_expert(2)))
     rng = derive_rng(24)
     x = rng.standard_normal((50, 3))
     y = rng.integers(0, 2, size=50)
@@ -428,7 +429,7 @@ def test_infer_full_matches_forward_replay():
     amateur = Network([Dense(wa, ba), Activation("softmax")])
     expert = Network([Dense(we, be), Activation("softmax")])
     model = ExpertNet(amateur, expert, SgdState.for_network(amateur),
-                      SgdState.for_network(expert), n_classes=2)
+                      SgdState.for_network(expert))
     x = [0.7, -0.9]
     y = 1
 
@@ -529,11 +530,11 @@ def test_model_validation():
     amateur = mlp_for(3, 2)
     with pytest.raises(DimensionError):
         ExpertNet(amateur, mlp_for(3, 2), SgdState.for_network(amateur),
-                  SgdState.for_network(mlp_for(3, 2)), n_classes=2)
+                  SgdState.for_network(mlp_for(3, 2)))
 
 
 @pytest.mark.parametrize("amateur, expert, error, message", [
-    ((3, 3, "softmax"), (4, 2, "softmax"), DimensionError, "amateur outputs 3, expected 2"),
+    ((3, 3, "softmax"), (4, 2, "softmax"), DimensionError, "expert input dim must be 2\\*3"),
     ((3, 2, "softmax"), (4, 3, "softmax"), DimensionError, "expert outputs 3, expected 2"),
     ((3, 2, "sigmoid"), (4, 2, "softmax"), ConfigurationError, "amateur must end in softmax"),
     ((3, 2, "softmax"), (4, 2, "relu"), ConfigurationError,
@@ -546,7 +547,7 @@ def test_model_validation_names_the_mismatch(amateur, expert, error, message):
 
     a, e = net(*amateur), net(*expert)
     with pytest.raises(error, match=message):
-        ExpertNet(a, e, SgdState.for_network(a), SgdState.for_network(e), n_classes=2)
+        ExpertNet(a, e, SgdState.for_network(a), SgdState.for_network(e))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -582,6 +583,26 @@ def test_checkpoint_round_trip(tmp_path):
         infer_full(model, x, val_set.given_labels),
         infer_full(loaded, x, val_set.given_labels),
     )
+
+
+@pytest.mark.parametrize("header", [{"n_classes": 3, "feature_dim": 4}, {"n_classes": 4.0}, {}],
+                         ids=["old header", "float class count", "none"])
+def test_a_checkpoint_is_its_two_networks(tmp_path, header):
+    """Class and feature counts are the layers' widths; a header that states them is ignored."""
+    train_set, val_set = noisy_blob_sets(seed=51)
+    model = build_expertnet(4, 3, seed=12, amateur_hidden=(8,), expert_hidden=(8,))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert list(doc) == ["format", "version", "amateur", "expert", "amateur_opt", "expert_opt"]
+    path.write_text(json.dumps({**doc, **header}), encoding="utf-8")
+    loaded = load_checkpoint(path)
+    x, given_labels = val_set.features, val_set.given_labels
+    np.testing.assert_array_equal(infer_amateur(loaded, x), infer_amateur(model, x))
+    np.testing.assert_array_equal(infer_full(loaded, x, given_labels),
+                                  infer_full(model, x, given_labels))
+    losses = train_step(loaded, x[:8], given_labels[:8], val_set.true_labels[:8], 0.01)
+    assert all(math.isfinite(loss) for loss in losses)
 
 
 def test_load_checkpoint_adopts_the_layers_into_one_buffer(tmp_path):
@@ -666,6 +687,15 @@ def test_checkpoint_sigmoid_variant_and_bad_file(tmp_path):
     ('{"format": "expertnet-checkpoint", "version": 1, "amateur": ['
      '{"kind": "dense", "weight": [[0]], "bias": [0]}, {"kind": "swish"}]}',
      InputError, "unknown activation kind 'swish'"),
+    # Python's json reads NaN and Infinity; a weight must still be a finite number
+    ('{"format": "expertnet-checkpoint", "version": 1, '
+     '"amateur": [{"kind": "dense", "weight": [[NaN]], "bias": [0]}, {"kind": "softmax"}], '
+     '"expert": [{"kind": "dense", "weight": [[0]], "bias": [0]}, {"kind": "softmax"}]}',
+     InputError, "a weight is not a finite number"),
+    ('{"format": "expertnet-checkpoint", "version": 1, '
+     '"amateur": [{"kind": "dense", "weight": [[0]], "bias": [0]}, {"kind": "softmax"}], '
+     '"expert": [{"kind": "dense", "weight": [[0]], "bias": [Infinity]}, {"kind": "softmax"}]}',
+     InputError, "a weight is not a finite number"),
 ])
 def test_malformed_checkpoint_names_the_file(tmp_path, text, error, what):
     path = tmp_path / "bad.ckpt"

@@ -208,6 +208,7 @@ def test_matrix_csv_round_trip(tmp_path):
     (None, "matrix.csv: "),            # no such file
     ("0.5,0.4\n0.0,1.0\n", "matrix.csv: transition matrix rows must sum to 1"),
     ("", "matrix.csv: transition matrix must be square"),  # empty file
+    ("1.0,0.0\u20280.0,1.0\n", ":1: expected numbers"),   # U+2028 ends no line
 ])
 def test_load_matrix_csv_input_errors_name_the_file(tmp_path, text, where):
     path = tmp_path / "matrix.csv"
