@@ -3,7 +3,9 @@ one-hot encoding, deterministic splits, and fraction subsampling."""
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
@@ -149,14 +151,31 @@ def read_text(path) -> str:
         raise InputError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
-def write_text(path, text: str) -> None:
-    """Write `text` as UTF-8 to `path` in place, so a link or device there is written
-    through, never replaced; a failed write raises ConfigurationError naming the path."""
+def write_files(texts: dict) -> None:
+    """Write each {path: text} as UTF-8; a failure raises ConfigurationError naming the path.
+
+    A regular file, or none yet, is replaced whole through its links: its text goes to a
+    temporary file beside the real target, and the temporaries replace their targets only
+    once every text is written.  A device or FIFO cannot be replaced; it is written in place.
+    """
+    temps = {}  # path: (temporary, real target)
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        for path, text in texts.items():
+            temp = path  # a device or FIFO in place; a directory fails to open
+            if os.path.isfile(path) or not os.path.exists(path):
+                head, name = os.path.split(os.path.realpath(path))
+                temp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+                temps[path] = temp, os.path.join(head, name)
+            with open(temp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        for path, (temp, real) in temps.items():
+            os.replace(temp, real)
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        for temp, _ in temps.values():
+            with contextlib.suppress(OSError):  # renamed already, or never made
+                os.remove(temp)
 
 
 def text_lines(text: str) -> list[str]:
@@ -236,7 +255,10 @@ def load_table(path, label_column: str, feature_columns=None,
         raise InputError(f"{path}:{linenos[row]}: column {feature_columns[col]!r} is "
                          f"{features[row, col]}, not a finite number")
     if schema is None:
-        schema = TableSchema(tuple(feature_columns), features.mean(axis=0),
+        mean = features.mean(axis=0)
+        constant = (features == features[0]).all(axis=0)
+        mean[constant] = features[0, constant]  # a summed mean can miss the value itself
+        schema = TableSchema(tuple(feature_columns), mean,
                              features.std(axis=0), tuple(sorted(set(raw_labels))))
     index = {name: i for i, name in enumerate(schema.classes)}
     unseen = sorted(set(raw_labels) - set(index))

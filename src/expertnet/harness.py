@@ -12,7 +12,6 @@ perturbs existing cells.  Timing goes to run.log, never into the CSVs.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -28,7 +27,7 @@ import numpy as np
 
 from .baselines import BASELINE_KINDS, BaselineSpec, train_baseline
 from .data import (Dataset, check_array_size, load_table, make_blobs, read_text,
-                   stratified_split, subsample, text_lines)
+                   stratified_split, subsample, text_lines, write_files)
 from .errors import ConfigurationError, DataError, DimensionError, ExpertNetError, InputError
 from .model import EpochStats, ExpertNet, build_expertnet, check_expert_terminal, train
 from .nn import SgdState, StepDecay, check_mlp_dims
@@ -127,6 +126,8 @@ class ExperimentConfig:
                 if (first := seen.setdefault(label(value), value)) != value:
                     raise ConfigurationError(
                         f"{key} {first!r} and {value!r} share the output label {label(value)!r}")
+        if self.matrix == "":
+            raise ConfigurationError("matrix must name a file or be None, got ''")
         if self.matrix is not None and len(self.noise_ratios) > 1:
             raise ConfigurationError("a matrix sets the noise, so noise_ratios must list one "
                                      f"value to label the run, got {self.noise_ratios}")
@@ -303,7 +304,7 @@ def load_source(config: ExperimentConfig):
                             "need at least 2 classes")
         tables = (train_set, load_table(spec.val, spec.label, schema=schema)[0])
     n_classes = spec.classes if tables is None else tables[0].n_classes
-    if not config.matrix:
+    if config.matrix is None:
         return tables, {r: symmetric_matrix(n_classes, r) for r in config.noise_ratios}
     matrix = load_matrix_csv(config.matrix)
     if matrix.shape[0] != n_classes:
@@ -471,10 +472,9 @@ def emit_report(runs, out_dir) -> list[str]:
 
     Pivot rows are fractions (descending), columns are method/mode pairs, and
     cells are mean +/- sample standard deviation over seeds.  Runs in any order
-    give the same bytes.  The report is written whole or not at all: every file
-    goes to a temporary name in `out_dir`, the files replace their targets only
-    once all are written, and only then is a `pivot_rho*.csv` this report does
-    not write removed.  An `out_dir` or a file that cannot be written raises
+    give the same bytes.  The report is written whole or not at all, by one
+    `write_files` call, and only then is a `pivot_rho*.csv` this report does not
+    write removed.  An `out_dir` or a file that cannot be written raises
     ConfigurationError.
     """
     runs = sorted(runs)
@@ -510,22 +510,7 @@ def emit_report(runs, out_dir) -> list[str]:
     files["run.log"] = "".join(line + "\n" for line in log)
     make_output_dir(out_dir)
     paths = [os.path.join(out_dir, name) for name in files]
-    blocked = next((path for path in paths if os.path.isdir(path)), None)
-    if blocked is not None:
-        raise ConfigurationError(f"cannot write {blocked}: Is a directory")
-    temps = [os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in files]
-    try:
-        for path, temp, text in zip(paths, temps, files.values()):
-            with open(temp, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        for path, temp in zip(paths, temps):
-            os.replace(temp, path)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot write {path}: {exc.strerror}") from None
-    finally:
-        for temp in temps:
-            with contextlib.suppress(OSError):  # renamed already, or never made
-                os.remove(temp)
+    write_files(dict(zip(paths, files.values())))
     with os.scandir(out_dir) as entries:
         stale = [e.path for e in entries if e.is_file() and e.name not in files
                  and e.name.startswith("pivot_rho") and e.name.endswith(".csv")]

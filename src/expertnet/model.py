@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .data import Dataset, one_hot_batch, read_text, write_text
+from .data import Dataset, one_hot_batch, read_text, write_files
 from .errors import ConfigurationError, DataError, DimensionError, InputError
 from .nn import (
     CROSS_ENTROPY,
@@ -282,7 +282,7 @@ def save_checkpoint(model: ExpertNet, path) -> None:
         "expert_opt": {"momentum": model.expert_state.momentum,
                        "weight_decay": model.expert_state.weight_decay},
     }
-    write_text(path, json.dumps(doc))
+    write_files({path: json.dumps(doc)})
 
 
 def load_checkpoint(path) -> ExpertNet:

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .data import check_array_size, read_text, text_lines, write_text
+from .data import check_array_size, read_text, text_lines, write_files
 from .errors import ConfigurationError, DataError, DimensionError, InputError
 from .seeding import derive_rng
 
@@ -91,7 +91,7 @@ def empirical_matrix(true_labels, given_labels, n_classes: int) -> np.ndarray:
 
 def save_matrix_csv(matrix, path) -> None:
     matrix = validate_transition_matrix(matrix)
-    write_text(path, "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix))
+    write_files({path: "".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix)})
 
 
 def load_matrix_csv(path) -> np.ndarray:

@@ -2,9 +2,14 @@
 subsampling against hypergeometric bounds, and the table loader against
 two-pass statistics."""
 
+import ast
 import builtins
 import errno
+import os
+import pathlib
 import re
+import stat
+import threading
 from math import inf, nan
 
 import numpy as np
@@ -18,7 +23,7 @@ from expertnet.data import (
     one_hot_batch,
     stratified_split,
     subsample,
-    write_text,
+    write_files,
 )
 from expertnet.errors import ConfigurationError, DataError, DimensionError, InputError
 from expertnet.harness import read_config
@@ -174,10 +179,14 @@ def test_load_table_two_rows_exact(tmp_path):
     np.testing.assert_array_equal(ds.true_labels, [0, 1])
 
 
-def test_load_table_constant_column_becomes_zeros(tmp_path):
-    path = _write(tmp_path, "t.csv", "a,b,label\n5.0,1.0,x\n5.0,2.0,x\n5.0,3.0,y\n")
-    ds, _ = load_table(path, "label")
-    np.testing.assert_array_equal(ds.features[:, 0], np.zeros(3))
+@pytest.mark.parametrize("value, rows", [("5.0", 3), ("0.1", 3), ("7.7", 1000)])
+def test_load_table_constant_column_becomes_zeros(tmp_path, value, rows):
+    # a summed mean of 0.1 x 3 or 7.7 x 1000 is not the value itself
+    body = "".join(f"{value},{i}.0,{'y' if i == rows else 'x'}\n" for i in range(1, rows + 1))
+    path = _write(tmp_path, "t.csv", "a,b,label\n" + body)
+    ds, schema = load_table(path, "label")
+    np.testing.assert_array_equal(ds.features[:, 0], np.zeros(rows))
+    assert schema.mean[0] == float(value)
 
 
 def test_load_table_statistics_match_two_pass_oracle(tmp_path):
@@ -320,7 +329,7 @@ def test_a_byte_order_mark_is_ignored(tmp_path, text, read):
 
 
 @pytest.mark.parametrize("write", [
-    lambda path: write_text(path, "text\n"),
+    lambda path: write_files({path: "text\n"}),
     lambda path: save_matrix_csv(symmetric_matrix(2, 0.2), path),
 ], ids=["text", "matrix"])
 def test_a_write_that_fails_names_the_path(tmp_path, monkeypatch, write):
@@ -336,3 +345,77 @@ def test_a_write_that_fails_names_the_path(tmp_path, monkeypatch, write):
     with pytest.raises(ConfigurationError,
                        match=re.escape(f"cannot write {path}: No space left on device")):
         write(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_a_fifo_is_written_in_place(tmp_path):
+    matrix = symmetric_matrix(2, 0.2)
+    save_matrix_csv(matrix, tmp_path / "plain.csv")
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    save_matrix_csv(matrix, fifo)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [(tmp_path / "plain.csv").read_bytes()]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_a_pipe_named_by_its_descriptor_is_written_in_place():
+    """`--save /dev/stdout` into a pipe: the link resolves to a name no directory holds."""
+    read_end, write_end = os.pipe()
+    with os.fdopen(read_end, "rb") as reader, os.fdopen(write_end, "wb") as writer:
+        write_files({f"/proc/self/fd/{writer.fileno()}": "text\n"})
+        writer.close()
+        assert reader.read() == b"text\n"
+
+def _writes(call: ast.Call) -> bool:
+    """Whether a call opens a file to write, append, create or update, or renames one."""
+    func = call.func
+    owner = getattr(func.value, "id", None) if isinstance(func, ast.Attribute) else None
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if owner == "os" and name in ("replace", "rename", "renames"):
+        return True
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    at = 0 if owner not in (None, "io", "builtins") else 1  # Path.open(mode) vs open(file, mode)
+    mode = call.args[at] if len(call.args) > at else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        return False
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True  # a mode only known at run time may write
+    return bool(set(mode.value) & set("wax+"))
+
+
+@pytest.mark.parametrize("source, writes", [
+    ('open(p, "w")', True), ('open(p, mode="a", encoding="utf-8")', True),
+    ('io.open(p, "xb")', True), ('open(p, "r+")', True), ("open(p, m)", True),
+    ('p.open("w")', True), ("os.replace(a, b)", True), ("os.rename(a, b)", True),
+    ("p.write_text(t)", True),
+    ("open(p)", False), ('open(p, encoding="utf-8-sig")', False), ('open(p, "rb")', False),
+    ('p.open("r")', False), ("os.remove(p)", False), ("text.replace(a, b)", False),
+])
+def test_the_writer_check_reads_a_call(source, writes):
+    assert _writes(ast.parse(source).body[0].value) is writes
+
+
+def test_only_write_files_opens_a_file_for_writing_or_renames_one():
+    """Every file the package writes goes through `data.write_files`; a second write
+    path would bring back a policy it replaced (in-place writes, a link replaced)."""
+    offenders = []
+    for path in sorted(pathlib.Path(data_mod.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for node in tree.body:
+            if path.name == "data.py" and getattr(node, "name", None) == "write_files":
+                allowed = {id(n) for n in ast.walk(node)}
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and id(node) not in allowed and _writes(node)]
+    assert offenders == []

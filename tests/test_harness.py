@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import expertnet.data as data_mod
 import expertnet.harness as harness
 from expertnet.data import make_blobs
 from expertnet.errors import ConfigurationError, DataError, InputError, NumericError
@@ -387,6 +388,18 @@ def test_emit_report_into_a_file_raises_configuration_error(tmp_path, under):
     assert taken.read_text(encoding="utf-8") == "not a directory"
 
 
+def test_emit_report_writes_through_a_linked_results_csv(tmp_path):
+    out, kept = tmp_path / "out", tmp_path / "kept.csv"
+    kept.write_text("an earlier report\n", encoding="utf-8")
+    out.mkdir()
+    (out / "results.csv").symlink_to(kept)
+    emit_report([make_run()], out)
+    emit_report([make_run()], tmp_path / "plain")
+    assert (out / "results.csv").is_symlink()
+    assert kept.read_bytes() == (tmp_path / "plain" / "results.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "out", "plain"]
+
+
 def test_a_report_that_fails_midway_leaves_the_previous_report(tmp_path, monkeypatch):
     out = tmp_path / "out"
     emit_report([make_run(accuracy=0.5)], out)
@@ -397,7 +410,7 @@ def test_a_report_that_fails_midway_leaves_the_previous_report(tmp_path, monkeyp
             raise OSError(errno.ENOSPC, "No space left on device")
         return open(path, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "open", open_or_fail, raising=False)
+    monkeypatch.setattr(data_mod, "open", open_or_fail, raising=False)
     with pytest.raises(ConfigurationError, match=re.escape(
             f"cannot write {out / 'run.log'}: No space left on device")):
         emit_report([make_run(accuracy=0.9), make_run(noise_ratio=0.4)], out)
@@ -474,6 +487,9 @@ def test_failed_expertnet_cell_reports_both_modes_and_grid_continues(monkeypatch
                  "file.features = a, y", "file.label", id="file.features = a, y"),
     ("fractions = 0", re.escape("fraction must be in (0, 1], got 0.0")),
     ("fractions = 1.5", re.escape("fraction must be in (0, 1], got 1.5")),
+    # built in Python: parse_config reads an empty matrix as None, the config rejects ''
+    pytest.param(dict(matrix="", noise_ratios=(0.2,)), re.escape(
+        "matrix must name a file or be None, got ''"), id="ExperimentConfig(matrix='')"),
     # built in Python, not parsed: the config itself rejects non-finite numbers
     pytest.param(dict(lr=math.nan), "lr", id="ExperimentConfig(lr=nan)"),
     pytest.param(dict(lr=math.inf), "lr", id="ExperimentConfig(lr=inf)"),

@@ -2,6 +2,8 @@
 gradient isolation (via spies), an independent five-step replay oracle, both
 inference modes, and checkpointing."""
 
+import builtins
+import errno
 import json
 import math
 import re
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import expertnet.data as data_mod
 import expertnet.model as model_mod
 from expertnet.data import make_blobs, one_hot_batch, stratified_split
 from expertnet.errors import ConfigurationError, DataError, DimensionError, InputError
@@ -603,6 +606,42 @@ def test_a_checkpoint_is_its_two_networks(tmp_path, header):
                                   infer_full(model, x, given_labels))
     losses = train_step(loaded, x[:8], given_labels[:8], val_set.true_labels[:8], 0.01)
     assert all(math.isfinite(loss) for loss in losses)
+
+
+def test_a_checkpoint_save_that_fails_midway_keeps_the_previous_checkpoint(tmp_path,
+                                                                          monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_expertnet(4, 3, seed=9, amateur_hidden=(8,), expert_hidden=(8,)), path)
+    before = path.read_bytes()
+
+    class HalfFull:
+        """A file that takes half of a text, then finds the disk full."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def half_full(file, mode="r", *args, **kwargs):
+        fh = builtins.open(file, mode, *args, **kwargs)
+        return HalfFull(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(data_mod, "open", half_full, raising=False)
+    other = build_expertnet(4, 3, seed=10, amateur_hidden=(8,), expert_hidden=(8,))
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"cannot write {path}: No space left on device")):
+        save_checkpoint(other, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file is left
 
 
 def test_load_checkpoint_adopts_the_layers_into_one_buffer(tmp_path):
