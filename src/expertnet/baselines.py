@@ -16,7 +16,8 @@ import numpy as np
 from .data import Dataset, one_hot_batch
 from .errors import ConfigurationError, DataError, DimensionError
 from .model import amateur_network, fit
-from .nn import CROSS_ENTROPY, ForwardCorrectedLoss, StepDecay, backward, forward, sgd_step
+from .nn import (CROSS_ENTROPY, ForwardCorrectedLoss, SgdState, StepDecay, backward, forward,
+                 sgd_step)
 
 BASELINE_KINDS = ("plain-ce", "bootstrap", "forward")
 
@@ -72,8 +73,8 @@ def train_baseline(spec: BaselineSpec, train_set: Dataset, val_set: Dataset,
     accuracy is amateur-only (no given labels at inference).
     Returns (network, history of EpochStats).
     """
-    net, state = amateur_network(train_set.dim, train_set.n_classes, seed, hidden, momentum,
-                                 weight_decay)
+    net = amateur_network(train_set.dim, train_set.n_classes, seed, hidden)
+    state = SgdState.for_network(net, momentum, weight_decay)
     loss = ForwardCorrectedLoss(spec.matrix) if spec.kind == "forward" else CROSS_ENTROPY
 
     def step(x, y, _, lr):

@@ -6,6 +6,8 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import re
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
@@ -15,6 +17,8 @@ from .errors import ConfigurationError, DataError, DimensionError, InputError
 from .seeding import derive_rng
 
 VARIANCE_CLAMP = 1e-12
+# a path that names one of this process's open descriptors: (std name, descriptor number)
+DESCRIPTOR_PATH = re.compile(r"/dev/std(in|out|err)|/(?:dev|proc/self)/fd/(\d+)")
 MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)  # numpy cannot describe a larger array
 
 
@@ -107,10 +111,14 @@ def make_blobs(n_classes: int, per_class: int, dim: int, separation: float,
     min_dist = dists[~np.eye(n_classes, dtype=bool)].min()
     if min_dist == 0.0:
         raise ConfigurationError("degenerate center draw; use a different seed")
-    centers *= separation / min_dist
-    features = np.repeat(centers, per_class, axis=0) + spread * rng.standard_normal(
-        (n_classes * per_class, dim)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        centers *= separation / min_dist
+        features = np.repeat(centers, per_class, axis=0) + spread * rng.standard_normal(
+            (n_classes * per_class, dim)
+        )
+    if not np.isfinite(features).all():
+        raise ConfigurationError(f"separation {separation} and spread {spread} give "
+                                 "features beyond float range")
     labels = np.repeat(np.arange(n_classes), per_class)
     return Dataset(features, labels, n_classes)
 
@@ -157,12 +165,18 @@ def write_files(texts: dict) -> None:
     A regular file, or none yet, is replaced whole through its links: its text goes to a
     temporary file beside the real target, and the temporaries replace their targets only
     once every text is written.  A device or FIFO cannot be replaced; it is written in place.
+    A path that names an open descriptor (/dev/stdin, /dev/stdout, /dev/stderr, /dev/fd/N,
+    /proc/self/fd/N) is written through a copy of it, after what Python printed before.
     """
     temps = {}  # path: (temporary, real target)
     try:
         for path, text in texts.items():
             temp = path  # a device or FIFO in place; a directory fails to open
-            if os.path.isfile(path) or not os.path.exists(path):
+            if named := DESCRIPTOR_PATH.fullmatch(os.fspath(path)):
+                sys.stdout.flush()
+                sys.stderr.flush()
+                temp = os.dup(int(named[2]) if named[2] else ("in", "out", "err").index(named[1]))
+            elif os.path.isfile(path) or not os.path.exists(path):
                 head, name = os.path.split(os.path.realpath(path))
                 temp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
                 temps[path] = temp, os.path.join(head, name)
@@ -255,16 +269,21 @@ def load_table(path, label_column: str, feature_columns=None,
         raise InputError(f"{path}:{linenos[row]}: column {feature_columns[col]!r} is "
                          f"{features[row, col]}, not a finite number")
     if schema is None:
-        mean = features.mean(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # huge values are checked below
+            mean, std = features.mean(axis=0), features.std(axis=0)
         constant = (features == features[0]).all(axis=0)
         mean[constant] = features[0, constant]  # a summed mean can miss the value itself
-        schema = TableSchema(tuple(feature_columns), mean,
-                             features.std(axis=0), tuple(sorted(set(raw_labels))))
+        schema = TableSchema(tuple(feature_columns), mean, std, tuple(sorted(set(raw_labels))))
     index = {name: i for i, name in enumerate(schema.classes)}
     unseen = sorted(set(raw_labels) - set(index))
     if unseen:
         raise DataError(f"{path}: labels {unseen} not present in the training table")
     labels = np.array([index[name] for name in raw_labels], dtype=np.int64)
 
-    features = (features - schema.mean) / np.maximum(schema.std, VARIANCE_CLAMP)
+    with np.errstate(over="ignore", invalid="ignore"):
+        features = (features - schema.mean) / np.maximum(schema.std, VARIANCE_CLAMP)
+    finite = np.isfinite(schema.mean) & np.isfinite(schema.std) & np.isfinite(features).all(axis=0)
+    if not finite.all():
+        raise InputError(f"{path}: column {feature_columns[np.argmin(finite)]!r} holds values "
+                         "too large to standardize")
     return Dataset(features, labels, len(schema.classes)), schema

@@ -11,7 +11,7 @@ Neither step propagates gradients into the other network.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -46,14 +46,16 @@ def check_expert_terminal(kind: str) -> None:
 
 @dataclass
 class ExpertNet:
-    """Amateur and expert networks plus their optimizer states."""
+    """Amateur and expert networks, each with the SgdState this builds from one setting."""
 
     amateur: Network
     expert: Network
-    amateur_state: SgdState
-    expert_state: SgdState
+    momentum: InitVar[float] = 0.9
+    weight_decay: InitVar[float] = 1e-4
+    amateur_state: SgdState = field(init=False)
+    expert_state: SgdState = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, momentum, weight_decay):
         k = self.amateur.output_dim  # the class count every other width follows
         if self.expert.input_dim != 2 * k:
             raise DimensionError(
@@ -65,6 +67,8 @@ class ExpertNet:
         if self.amateur.terminal_kind != "softmax":
             raise ConfigurationError("amateur must end in softmax")
         check_expert_terminal(self.expert.terminal_kind)
+        self.amateur_state = SgdState.for_network(self.amateur, momentum, weight_decay)
+        self.expert_state = SgdState.for_network(self.expert, momentum, weight_decay)
 
 
 @dataclass(frozen=True)
@@ -84,16 +88,11 @@ class EpochStats:
                 f"val_full={self.val_full_accuracy:.4f}")
 
 
-def amateur_network(feature_dim: int, n_classes: int, seed: int, hidden, momentum: float,
-                    weight_decay: float):
-    """Fresh relu MLP ending in softmax, and its optimizer state: (Network, SgdState).
-
-    The co-training amateur and every baseline start here, so equal seeds give
-    them equal initial weights.
-    """
-    net = mlp((feature_dim, *hidden, n_classes), hidden="relu", terminal="softmax",
-              rng=derive_rng(seed, STREAM_INIT, 0))
-    return net, SgdState.for_network(net, momentum, weight_decay)
+def amateur_network(feature_dim: int, n_classes: int, seed: int, hidden) -> Network:
+    """Fresh relu MLP ending in softmax: the co-training amateur and every baseline start
+    here, so equal seeds give them equal initial weights."""
+    return mlp((feature_dim, *hidden, n_classes), hidden="relu", terminal="softmax",
+               rng=derive_rng(seed, STREAM_INIT, 0))
 
 
 def build_expertnet(feature_dim: int, n_classes: int, seed: int,
@@ -102,17 +101,11 @@ def build_expertnet(feature_dim: int, n_classes: int, seed: int,
                     momentum: float = 0.9, weight_decay: float = 1e-4) -> ExpertNet:
     """Fresh model: the amateur of `amateur_network`, a leaky-relu expert MLP over 2K inputs."""
     check_expert_terminal(expert_terminal)
-    amateur, amateur_state = amateur_network(feature_dim, n_classes, seed, amateur_hidden,
-                                             momentum, weight_decay)
     expert = mlp((2 * n_classes, *expert_hidden, n_classes), hidden="leaky-relu",
                  terminal=expert_terminal, leaky_slope=leaky_slope,
                  rng=derive_rng(seed, STREAM_INIT, 1))
-    return ExpertNet(
-        amateur=amateur,
-        expert=expert,
-        amateur_state=amateur_state,
-        expert_state=SgdState.for_network(expert, momentum, weight_decay),
-    )
+    return ExpertNet(amateur_network(feature_dim, n_classes, seed, amateur_hidden), expert,
+                     momentum, weight_decay)
 
 
 def expert_input(amateur_probs, given_labels) -> np.ndarray:
@@ -271,16 +264,16 @@ def _layer_from_json(entry):
 
 
 def save_checkpoint(model: ExpertNet, path) -> None:
-    """Write a JSON checkpoint: both networks' layers (decimal values) and optimizer settings."""
+    """Write a JSON checkpoint: both networks' layers (decimal values) and their SGD setting."""
+    setting = {"momentum": model.amateur_state.momentum,
+               "weight_decay": model.amateur_state.weight_decay}
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "amateur": [_layer_to_json(l) for l in model.amateur.layers],
         "expert": [_layer_to_json(l) for l in model.expert.layers],
-        "amateur_opt": {"momentum": model.amateur_state.momentum,
-                        "weight_decay": model.amateur_state.weight_decay},
-        "expert_opt": {"momentum": model.expert_state.momentum,
-                       "weight_decay": model.expert_state.weight_decay},
+        "amateur_opt": setting,  # version 1 names the one setting twice
+        "expert_opt": setting,
     }
     write_files({path: json.dumps(doc)})
 
@@ -289,7 +282,7 @@ def load_checkpoint(path) -> ExpertNet:
     """Rebuild a model for inference; optimizer velocity starts at zero."""
     try:
         doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or too long an integer
         raise InputError(f"{path}: not JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ConfigurationError(f"{path} is not an {CHECKPOINT_FORMAT} file")
@@ -300,15 +293,15 @@ def load_checkpoint(path) -> ExpertNet:
         expert = Network([_layer_from_json(e) for e in doc["expert"]])
         if not (np.isfinite(amateur.params).all() and np.isfinite(expert.params).all()):
             raise InputError(f"{path}: a weight is not a finite number")
-        return ExpertNet(
-            amateur=amateur,
-            expert=expert,
-            amateur_state=SgdState.for_network(amateur, **doc["amateur_opt"]),
-            expert_state=SgdState.for_network(expert, **doc["expert_opt"]),
-        )
+        if doc["expert_opt"] != doc["amateur_opt"]:
+            raise InputError(f"{path}: amateur_opt and expert_opt differ; both networks "
+                             "train with one SGD setting")
+        return ExpertNet(amateur, expert, **doc["amateur_opt"])
     except KeyError as exc:
         raise InputError(f"{path}: checkpoint entry {exc} is missing") from None
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: checkpoint entry of the wrong type ({exc})") from None
+    except OverflowError:  # an integer weight beyond float range
+        raise InputError(f"{path}: a weight is not a finite number") from None
     except (ConfigurationError, DimensionError) as exc:  # layers that cannot form the model
         raise InputError(f"{path}: {exc}") from None

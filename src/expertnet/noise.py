@@ -24,7 +24,7 @@ def validate_transition_matrix(matrix) -> np.ndarray:
         raise DimensionError(f"transition matrix must be square, got shape {matrix.shape}")
     if np.any(matrix < 0.0) or np.any(matrix > 1.0):
         raise ConfigurationError("transition matrix entries must lie in [0, 1]")
-    if not np.allclose(matrix.sum(axis=1), 1.0, atol=ROW_SUM_TOL):
+    if not np.allclose(matrix.sum(axis=1), 1.0, rtol=0.0, atol=ROW_SUM_TOL):
         raise ConfigurationError("transition matrix rows must sum to 1")
     return matrix
 

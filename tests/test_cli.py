@@ -3,8 +3,11 @@
 import builtins
 import errno
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -15,6 +18,7 @@ import expertnet.data as data_mod
 import expertnet.harness as harness
 from expertnet.cli import main
 from expertnet.errors import NumericError
+from expertnet.model import load_checkpoint
 from expertnet.noise import save_matrix_csv
 
 SMOKE_CONFIG = """
@@ -281,6 +285,27 @@ def test_train_save_that_fails_to_write_exits_two(config_path, tmp_path, monkeyp
     captured = capsys.readouterr()
     assert captured.err == f"error: cannot write {ckpt}: No space left on device\n"
     assert "epoch" in captured.out and "checkpoint written" not in captured.out
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_train_save_to_stdout_redirected_to_a_file_keeps_the_printed_lines(config_path,
+                                                                          tmp_path):
+    """`train --save /dev/stdout > out.txt`: the file holds the epoch lines, then the
+    checkpoint, then the line that reports it, and not the checkpoint alone."""
+    out = tmp_path / "out.txt"
+    src = pathlib.Path(cli_mod.__file__).parents[1]
+    with open(out, "w", encoding="utf-8") as stdout:
+        subprocess.run([sys.executable, "-m", "expertnet.cli", "train", "--config", config_path,
+                        "--set", "methods=expertnet", "--save", "/dev/stdout"],
+                       stdout=stdout, check=True,
+                       env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"})
+    text = out.read_text(encoding="utf-8")
+    assert text.startswith("method=expertnet ")
+    start, end = text.index('{"format"'), text.rindex("checkpoint written to /dev/stdout")
+    assert text.count("epoch ", 0, start) == 2 and text[end:].count("\n") == 1
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_text(text[start:end], encoding="utf-8")
+    assert load_checkpoint(ckpt).amateur.input_dim == 4
 
 
 def test_missing_config_file_exits_two(tmp_path, capsys):

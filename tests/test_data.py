@@ -284,7 +284,10 @@ def test_load_table_takes_columns_or_a_schema_not_both(tmp_path):
      "given label out of range [0, 2)"),
     (lambda: stratified_split(make_blobs(2, 3, 2, 5.0, 1.0, seed=0), 0), ConfigurationError,
      "per_class must be >= 1, got 0"),
-], ids=["1-D features", "given-label length", "given-label range", "per_class 0"])
+    (lambda: make_blobs(3, 5, 2, 5.0, 1e308, seed=0), ConfigurationError,
+     "separation 5.0 and spread 1e+308 give features beyond float range"),
+], ids=["1-D features", "given-label length", "given-label range", "per_class 0",
+        "blobs beyond float range"])
 def test_dataset_and_split_reject_unusable_arguments(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
@@ -299,8 +302,11 @@ def test_dataset_and_split_reject_unusable_arguments(call, error, message):
      "t.csv:1: label column 'label' is listed as a feature"),
     ("a,label\n1.0,x\n2.0,y\n", ["a", "a"], "t.csv:1: column 'a' is listed twice"),
     ("a,label\n1.0,x\n2.0,\n3.0,x\n4.0,y\n", None, "t.csv:3: empty label"),
+    ("a,b,label\n1.0,1e308,x\n2.0,1e308,y\n3.0,-1e308,x\n4.0,5,y\n", None,
+     "t.csv: column 'b' holds values too large to standardize"),
 ], ids=["empty file", "no data rows", "missing feature column", "label column only",
-        "label column listed as a feature", "feature column listed twice", "empty label"])
+        "label column listed as a feature", "feature column listed twice", "empty label",
+        "values too large to standardize"])
 def test_load_table_rejects_an_unusable_table(tmp_path, text, columns, message):
     path = _write(tmp_path, "t.csv", text)
     with pytest.raises(InputError, match=re.escape(message)):
@@ -372,6 +378,20 @@ def test_a_pipe_named_by_its_descriptor_is_written_in_place():
         write_files({f"/proc/self/fd/{writer.fileno()}": "text\n"})
         writer.close()
         assert reader.read() == b"text\n"
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+def test_a_file_named_by_its_descriptor_is_written_at_its_offset(tmp_path):
+    """`--save /dev/stdout > file`: the text lands after what was printed, in the same file."""
+    path = tmp_path / "out.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        inode = os.fstat(fh.fileno()).st_ino
+        fh.write("printed\n")
+        fh.flush()
+        write_files({f"/proc/self/fd/{fh.fileno()}": "saved\n"})
+        fh.write("printed after\n")
+    assert os.stat(path).st_ino == inode
+    assert path.read_text(encoding="utf-8") == "printed\nsaved\nprinted after\n"
+
 
 def _writes(call: ast.Call) -> bool:
     """Whether a call opens a file to write, append, create or update, or renames one."""

@@ -34,7 +34,6 @@ from expertnet.nn import (
     Activation,
     Dense,
     Network,
-    SgdState,
     StepDecay,
     forward,
     loss_and_gradients,
@@ -278,9 +277,7 @@ def test_train_step_with_copy_expert_descends_toward_given_labels():
     # so one small step must reduce CROSS_ENTROPY.value(amateur(x), onehot(y))
     amateur = build_expertnet(3, 2, seed=12, amateur_hidden=(8,)).amateur
     expert = copy_expert(2)
-    model = ExpertNet(amateur, expert,
-                      SgdState.for_network(amateur, 0.0, 0.0),
-                      SgdState.for_network(expert, 0.0, 0.0))
+    model = ExpertNet(amateur, expert, 0.0, 0.0)
     rng = derive_rng(14)
     x = rng.standard_normal((16, 3))
     y = rng.integers(0, 2, size=16)
@@ -315,9 +312,7 @@ def test_train_step_matches_independent_replay_oracle():
 
     amateur = Network([Dense(wa.copy(), ba.copy()), Activation("softmax")])
     expert = Network([Dense(we.copy(), be.copy()), Activation("softmax")])
-    model = ExpertNet(amateur, expert,
-                      SgdState.for_network(amateur, momentum, wd),
-                      SgdState.for_network(expert, momentum, wd))
+    model = ExpertNet(amateur, expert, momentum, wd)
     train_step(model, np.array([x]), np.array([y_label]), np.array([t_label]), lr)
 
     # --- independent replay ---
@@ -380,13 +375,11 @@ def test_infer_amateur_one_hot_and_tie():
     amateur = Network([Dense(np.zeros((k, 3)), np.array([0.0, 0.0, 0.0, 10.0])),
                        Activation("softmax")])
     expert = copy_expert(k)
-    model = ExpertNet(amateur, expert, SgdState.for_network(amateur),
-                      SgdState.for_network(expert))
+    model = ExpertNet(amateur, expert)
     np.testing.assert_array_equal(infer_amateur(model, [[1.0, 2.0, 3.0]]), [3])
 
     flat = Network([Dense(np.zeros((2, 3)), np.zeros(2)), Activation("softmax")])
-    model2 = ExpertNet(flat, copy_expert(2), SgdState.for_network(flat),
-                       SgdState.for_network(copy_expert(2)))
+    model2 = ExpertNet(flat, copy_expert(2))
     # exact tie -> class 0
     np.testing.assert_array_equal(infer_amateur(model2, [[0.3, -0.4, 0.9]]), [0])
 
@@ -414,8 +407,7 @@ def test_infer_amateur_matches_argmax_scan():
 
 def test_infer_full_copy_expert_returns_given_label():
     model = small_model(seed=23)
-    model = ExpertNet(model.amateur, copy_expert(2), model.amateur_state,
-                      SgdState.for_network(copy_expert(2)))
+    model = ExpertNet(model.amateur, copy_expert(2))
     rng = derive_rng(24)
     x = rng.standard_normal((50, 3))
     y = rng.integers(0, 2, size=50)
@@ -431,8 +423,7 @@ def test_infer_full_matches_forward_replay():
     be = np.array([-0.1, 0.3])
     amateur = Network([Dense(wa, ba), Activation("softmax")])
     expert = Network([Dense(we, be), Activation("softmax")])
-    model = ExpertNet(amateur, expert, SgdState.for_network(amateur),
-                      SgdState.for_network(expert))
+    model = ExpertNet(amateur, expert)
     x = [0.7, -0.9]
     y = 1
 
@@ -532,8 +523,7 @@ def test_sigmoid_terminal_expert_renormalizes_soft_targets():
 def test_model_validation():
     amateur = mlp_for(3, 2)
     with pytest.raises(DimensionError):
-        ExpertNet(amateur, mlp_for(3, 2), SgdState.for_network(amateur),
-                  SgdState.for_network(mlp_for(3, 2)))
+        ExpertNet(amateur, mlp_for(3, 2))
 
 
 @pytest.mark.parametrize("amateur, expert, error, message", [
@@ -550,7 +540,18 @@ def test_model_validation_names_the_mismatch(amateur, expert, error, message):
 
     a, e = net(*amateur), net(*expert)
     with pytest.raises(error, match=message):
-        ExpertNet(a, e, SgdState.for_network(a), SgdState.for_network(e))
+        ExpertNet(a, e)
+
+
+def test_the_model_builds_one_state_per_network_from_one_setting():
+    amateur, expert = mlp_for(3, 2), mlp_for(4, 2)  # 8 and 10 parameters
+    model = ExpertNet(amateur, expert, 0.5, 0.01)
+    assert model.amateur_state is not model.expert_state
+    for net, state in ((amateur, model.amateur_state), (expert, model.expert_state)):
+        assert state.velocity.shape == net.params.shape
+        assert not state.velocity.any()
+        assert (state.momentum, state.weight_decay) == (0.5, 0.01)
+    assert not np.shares_memory(model.amateur_state.velocity, model.expert_state.velocity)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -606,6 +607,24 @@ def test_a_checkpoint_is_its_two_networks(tmp_path, header):
                                   infer_full(model, x, given_labels))
     losses = train_step(loaded, x[:8], given_labels[:8], val_set.true_labels[:8], 0.01)
     assert all(math.isfinite(loss) for loss in losses)
+
+
+def test_a_checkpoint_holds_one_sgd_setting(tmp_path):
+    model = build_expertnet(4, 3, seed=12, amateur_hidden=(8,), expert_hidden=(8,),
+                            momentum=0.5, weight_decay=0.01)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert list(doc) == ["format", "version", "amateur", "expert", "amateur_opt", "expert_opt"]
+    assert doc["amateur_opt"] == doc["expert_opt"] == {"momentum": 0.5, "weight_decay": 0.01}
+    loaded = load_checkpoint(path)
+    for state in (loaded.amateur_state, loaded.expert_state):
+        assert (state.momentum, state.weight_decay) == (0.5, 0.01)
+    path.write_text(json.dumps({**doc, "expert_opt": {"momentum": 0.9, "weight_decay": 0.01}}),
+                    encoding="utf-8")
+    with pytest.raises(InputError,
+                       match=re.escape(f"{path}: amateur_opt and expert_opt differ")):
+        load_checkpoint(path)
 
 
 def test_a_checkpoint_save_that_fails_midway_keeps_the_previous_checkpoint(tmp_path,
@@ -735,6 +754,17 @@ def test_checkpoint_sigmoid_variant_and_bad_file(tmp_path):
      '"amateur": [{"kind": "dense", "weight": [[0]], "bias": [0]}, {"kind": "softmax"}], '
      '"expert": [{"kind": "dense", "weight": [[0]], "bias": [Infinity]}, {"kind": "softmax"}]}',
      InputError, "a weight is not a finite number"),
+    # input Python's json or float cannot hold: nesting past the recursion limit, an
+    # integer past the digit limit, and an integer weight past float range
+    pytest.param("[" * 100_000, InputError, "not JSON", id="nesting 100,000 deep"),
+    pytest.param('{"format": "expertnet-checkpoint", "version": 1, "amateur": ['
+                 + "7" * 5000 + "]}", InputError, "not JSON", id="a 5,000-digit integer"),
+    pytest.param('{"format": "expertnet-checkpoint", "version": 1, '
+                 '"amateur": [{"kind": "dense", "weight": [[1' + "0" * 400 + ']], '
+                 '"bias": [0]}, {"kind": "softmax"}], '
+                 '"expert": [{"kind": "dense", "weight": [[0]], "bias": [0]}, '
+                 '{"kind": "softmax"}]}',
+                 InputError, "a weight is not a finite number", id="a weight of 10**400"),
 ])
 def test_malformed_checkpoint_names_the_file(tmp_path, text, error, what):
     path = tmp_path / "bad.ckpt"

@@ -256,7 +256,7 @@ def test_backward_is_bit_equal_to_the_per_layer_formulas(hidden, terminal, dims)
 
 
 @pytest.mark.parametrize("kind", ["relu", "leaky-relu", "sigmoid", "softmax"])
-def test_predict_leaves_the_batch_alone(kind):
+def test_forward_leaves_the_batch_alone(kind):
     # the activations run in place, but only over the dense outputs the pass allocated
     rng = derive_rng(37)
     x = rng.standard_normal((5, 4))
@@ -270,7 +270,7 @@ def test_predict_leaves_the_batch_alone(kind):
     assert np.array_equal(forward(net, frozen)[0], out)
 
 
-def test_predict_raises_forwards_errors():
+def test_forward_raises_its_errors():
     net = mlp((3, 4, 2), rng=derive_rng(0))
     soft_out = Network([Dense(np.ones((1, 1)), np.zeros(1)), Activation("softmax")])
     relu_out = Network([Dense(np.eye(2), np.zeros(2)), Activation("relu")])
@@ -284,7 +284,7 @@ def test_predict_raises_forwards_errors():
         forward(relu_out, [[np.nan, 1.0]])
 
 
-def test_predict_holds_at_most_two_layer_outputs():
+def test_forward_holds_at_most_two_layer_outputs():
     # the default amateur (16 -> 128 -> 64 -> 4) on a 1,000-row validation split: the
     # activations overwrite their dense outputs, so the pass keeps one array per dense layer
     net = mlp((16, 128, 64, 4), rng=derive_rng(41))

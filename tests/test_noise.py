@@ -207,6 +207,7 @@ def test_matrix_csv_round_trip(tmp_path):
     ("1.0,0.0\n1.0\n", ":2:"),         # a ragged row
     (None, "matrix.csv: "),            # no such file
     ("0.5,0.4\n0.0,1.0\n", "matrix.csv: transition matrix rows must sum to 1"),
+    ("0.500005,0.5\n0.0,1.0\n", "matrix.csv: transition matrix rows must sum to 1"),  # 1 + 5e-6
     ("", "matrix.csv: transition matrix must be square"),  # empty file
     ("1.0,0.0\u20280.0,1.0\n", ":1: expected numbers"),   # U+2028 ends no line
 ])
@@ -216,6 +217,12 @@ def test_load_matrix_csv_input_errors_name_the_file(tmp_path, text, where):
         path.write_text(text, encoding="utf-8")
     with pytest.raises(InputError, match=where):
         load_matrix_csv(path)
+
+
+def test_a_row_within_the_row_sum_tolerance_loads(tmp_path):
+    path = tmp_path / "matrix.csv"
+    path.write_text("0.5000000005,0.5\n0.0,1.0\n", encoding="utf-8")  # 1 + 5e-10 < 1 + 1e-9
+    np.testing.assert_array_equal(load_matrix_csv(path), [[0.5000000005, 0.5], [0.0, 1.0]])
 
 
 def test_load_matrix_csv_skips_blank_lines(tmp_path):
@@ -234,7 +241,7 @@ def test_label_arguments_are_checked(call, message):
         call()
 
 
-def test_noise_spec_validation():
+def test_transition_matrix_validation():
     with pytest.raises(ConfigurationError):
         corrupt_labels([0, 1], np.array([[0.5, 0.2], [0.0, 1.0]]), 0)
     with pytest.raises(ConfigurationError):
