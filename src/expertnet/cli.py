@@ -10,7 +10,7 @@ import sys
 import numpy as np
 
 from . import harness
-from .data import check_array_size
+from .data import DESCRIPTOR_PATH, check_array_size
 from .errors import ConfigurationError, ExpertNetError
 from .model import save_checkpoint
 from .nn import CROSS_ENTROPY, ForwardCorrectedLoss, gradient_check, mlp
@@ -65,6 +65,9 @@ def cmd_train(args) -> int:
                       or not os.path.isdir(os.path.dirname(os.path.abspath(args.save)))):
         raise ConfigurationError(f"cannot write a checkpoint to {args.save}: it is a "
                                  "directory or its directory does not exist")
+    if args.save and DESCRIPTOR_PATH.fullmatch(args.save) and not os.path.exists(args.save):
+        raise ConfigurationError(f"cannot write a checkpoint to {args.save}: "
+                                 "that descriptor is not open")
     ratio, fraction, seed = config.noise_ratios[0], config.fractions[0], config.seeds[0]
     train_set, val_set, matrix = harness.build_cell_datasets(config, ratio, fraction, seed,
                                                              harness.load_source(config))
@@ -95,12 +98,10 @@ def cmd_noise_stats(args) -> int:
     print(f"classes={k} samples={true.size} seed={args.seed}")
     print(f"realized flip rate: {flip_rate:.4f}")
     print(f"max |observed - nominal| entry: {np.abs(observed - matrix).max():.4f}")
-    print("nominal matrix:")
-    for row in matrix:
-        print("  " + " ".join(f"{v:.4f}" for v in row))
-    print("observed matrix:")
-    for row in observed:
-        print("  " + " ".join(f"{v:.4f}" for v in row))
+    for name, rows in (("nominal", matrix), ("observed", observed)):
+        print(f"{name} matrix:")
+        for row in rows:
+            print("  " + " ".join(f"{v:.4f}" for v in row))
     return 0
 
 

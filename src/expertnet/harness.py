@@ -29,7 +29,7 @@ from .baselines import BASELINE_KINDS, BaselineSpec, train_baseline
 from .data import (Dataset, check_array_size, load_table, make_blobs, read_text,
                    stratified_split, subsample, text_lines, write_files)
 from .errors import ConfigurationError, DataError, DimensionError, ExpertNetError, InputError
-from .model import EpochStats, ExpertNet, build_expertnet, check_expert_terminal, train
+from .model import EpochStats, build_expertnet, check_expert_terminal, train
 from .nn import SgdState, StepDecay, check_mlp_dims
 from .noise import corrupt_labels, load_matrix_csv, symmetric_matrix
 from .seeding import (
@@ -166,12 +166,6 @@ class ExperimentConfig:
 
     def schedule(self) -> StepDecay:
         return StepDecay(self.lr, self.lr_decay_factor, self.lr_decay_period)
-
-    def expertnet(self, feature_dim: int, n_classes: int, seed: int) -> ExpertNet:
-        return build_expertnet(feature_dim, n_classes, seed, amateur_hidden=self.amateur_hidden,
-                               expert_hidden=self.expert_hidden,
-                               expert_terminal=self.expert_terminal,
-                               momentum=self.momentum, weight_decay=self.weight_decay)
 
 
 @dataclass(frozen=True, order=True)
@@ -349,10 +343,13 @@ def train_method(config: ExperimentConfig, method: str, cell: int, train_set: Da
     train_seed = derive_seed(cell, STREAM_TRAIN)
     schedule = config.schedule()
     if method == "expertnet":
-        model = config.expertnet(train_set.dim, train_set.n_classes, train_seed)
-        _, history = train(model, train_set, val_set, config.epochs,
-                           config.batch_size, schedule, train_seed)
-        return model, history
+        model = build_expertnet(train_set.dim, train_set.n_classes, train_seed,
+                                amateur_hidden=config.amateur_hidden,
+                                expert_hidden=config.expert_hidden,
+                                expert_terminal=config.expert_terminal,
+                                momentum=config.momentum, weight_decay=config.weight_decay)
+        return train(model, train_set, val_set, config.epochs, config.batch_size, schedule,
+                     train_seed)
     spec = BaselineSpec(method, config.bootstrap_beta, config.bootstrap_variant,
                         matrix if method == "forward" else None)
     return train_baseline(spec, train_set, val_set, config.epochs,
@@ -448,10 +445,6 @@ def grid_records(runs) -> list[ResultRecord]:
 LONG_CSV_HEADER = "method,mode,noise_ratio,fraction,seed,accuracy,epochs,status,dataset_hash,diagnostic"
 
 
-def _fmt_accuracy(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
-
-
 def _csv_text(rows) -> str:
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
@@ -483,7 +476,8 @@ def emit_report(runs, out_dir) -> list[str]:
     records = grid_records(runs)
     files = {"results.csv": _csv_text([LONG_CSV_HEADER.split(",")] + [
         [r.method, r.mode, f"{r.noise_ratio:g}", f"{r.fraction:g}", r.seed,
-         _fmt_accuracy(r.accuracy), r.epochs, r.status, r.dataset_hash, r.diagnostic]
+         "" if r.accuracy is None else repr(float(r.accuracy)), r.epochs, r.status,
+         r.dataset_hash, r.diagnostic]
         for r in records])}
     ok = [r for r in records if r.status == "ok"]
     for ratio in sorted({r.noise_ratio for r in records}):

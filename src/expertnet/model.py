@@ -275,7 +275,7 @@ def save_checkpoint(model: ExpertNet, path) -> None:
         "amateur_opt": setting,  # version 1 names the one setting twice
         "expert_opt": setting,
     }
-    write_files({path: json.dumps(doc)})
+    write_files({path: json.dumps(doc) + "\n"})
 
 
 def load_checkpoint(path) -> ExpertNet:
@@ -285,9 +285,9 @@ def load_checkpoint(path) -> ExpertNet:
     except (ValueError, RecursionError) as exc:  # also too deep, or too long an integer
         raise InputError(f"{path}: not JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigurationError(f"{path} is not an {CHECKPOINT_FORMAT} file")
+        raise InputError(f"{path} is not an {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise ConfigurationError(f"{path}: unsupported checkpoint version {doc.get('version')}")
+        raise InputError(f"{path}: unsupported checkpoint version {doc.get('version')}")
     try:
         amateur = Network([_layer_from_json(e) for e in doc["amateur"]])
         expert = Network([_layer_from_json(e) for e in doc["expert"]])

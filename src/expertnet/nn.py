@@ -152,21 +152,6 @@ class Network:
         return self.layers[-1].kind
 
 
-def _checked_batch(net: Network, batch) -> np.ndarray:
-    x = np.asarray(batch, dtype=float)
-    if x.ndim != 2:
-        raise DimensionError(f"batch must be (B, {net.input_dim}) rows, got shape {x.shape}")
-    if x.shape[1] != net.input_dim:
-        raise DimensionError(f"batch width {x.shape[1]} != network input dim {net.input_dim}")
-    return x
-
-
-def _checked_output(out: np.ndarray) -> np.ndarray:
-    if not np.isfinite(out).all():
-        raise NumericError("network produced non-finite outputs")
-    return out
-
-
 def forward(net: Network, batch) -> tuple[np.ndarray, list[np.ndarray]]:
     """Evaluate the network on a (B, in) batch; the one pass, with or without gradients.
 
@@ -175,11 +160,18 @@ def forward(net: Network, batch) -> tuple[np.ndarray, list[np.ndarray]]:
     runs in place over the dense output it follows, which this pass allocated,
     so its entry is that dense layer's array and the batch is never written.
     """
-    acts = [_checked_batch(net, batch)]
+    x = np.asarray(batch, dtype=float)
+    if x.ndim != 2:
+        raise DimensionError(f"batch must be (B, {net.input_dim}) rows, got shape {x.shape}")
+    if x.shape[1] != net.input_dim:
+        raise DimensionError(f"batch width {x.shape[1]} != network input dim {net.input_dim}")
+    acts = [x]
     for dense, activation in zip(net.layers[::2], net.layers[1::2]):
         out = dense.apply(acts[-1])
         acts += (out, activation.apply(out, out=out))
-    return _checked_output(acts[-1]), acts
+    if not np.isfinite(acts[-1]).all():
+        raise NumericError("network produced non-finite outputs")
+    return acts[-1], acts
 
 
 class CrossEntropyLoss:

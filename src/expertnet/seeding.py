@@ -23,11 +23,9 @@ STREAM_SHUFFLE = 5
 STREAM_SUBSAMPLE = 6
 STREAM_TRAIN = 7
 
-_MASK64 = (1 << 64) - 1
-
 
 def check_seed(seed: int, what: str = "seeds") -> None:
-    """Reject a seed outside [0, 2**64): masked to 64 bits, it would alias one inside."""
+    """Reject a seed outside [0, 2**64), the range of every seed the package derives."""
     if not 0 <= seed < 2**64:
         raise ConfigurationError(f"{what} must be in [0, 2**64), got {seed}")
 
@@ -37,7 +35,8 @@ def stable_hash64(text: str) -> int:
 
 
 def derive_seedseq(seed: int, *tags: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([int(seed) & _MASK64, *(int(t) & _MASK64 for t in tags)])
+    check_seed(seed, "seed")
+    return np.random.SeedSequence([seed, *tags])
 
 
 def derive_rng(seed: int, *tags: int) -> np.random.Generator:

@@ -303,9 +303,22 @@ def test_train_save_to_stdout_redirected_to_a_file_keeps_the_printed_lines(confi
     assert text.startswith("method=expertnet ")
     start, end = text.index('{"format"'), text.rindex("checkpoint written to /dev/stdout")
     assert text.count("epoch ", 0, start) == 2 and text[end:].count("\n") == 1
+    assert text[end - 1] == "\n"  # the checkpoint ends its line; the report has its own
     ckpt = tmp_path / "model.ckpt"
     ckpt.write_text(text[start:end], encoding="utf-8")
     assert load_checkpoint(ckpt).amateur.input_dim == 4
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="no /dev/fd")
+def test_train_save_to_a_closed_descriptor_exits_two_before_training(config_path):
+    # a child process starts with every descriptor above 2 closed
+    src = pathlib.Path(cli_mod.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-m", "expertnet.cli", "train", "--config",
+                           config_path, "--save", "/dev/fd/97"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"})
+    assert done.returncode == 2 and "epoch" not in done.stdout
+    assert done.stderr == ("error: cannot write a checkpoint to /dev/fd/97: "
+                           "that descriptor is not open\n")
 
 
 def test_missing_config_file_exits_two(tmp_path, capsys):
@@ -443,7 +456,7 @@ def test_too_small_counts_exit_two(capsys, argv, key):
 @pytest.mark.parametrize("argv", [["noise-stats", "--classes", "3", "--samples", "2000"],
                                   ["gradcheck", "--cases", "2"]], ids=["noise-stats", "gradcheck"])
 def test_seed_flags_reject_seeds_that_alias_another(capsys, argv, seed):
-    # seeds are masked to 64 bits, so -1 would run as 2**64 - 1 and 2**64 as 0
+    # the rule of the config's seeds and the library's: a seed outside [0, 2**64) is refused
     assert main([*argv, "--seed", str(seed)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: --seed must be in [0, 2**64), got {seed}\n"

@@ -1,12 +1,20 @@
-"""Contract fuzzing of the file readers: a damaged matrix file, table or checkpoint
-either reads or raises an InputError whose message starts with the file's path, and
-no read emits a warning.
+"""Contract fuzzing of the file readers and of `expertnet run`.
 
-The damage is byte edits to a valid file: flips, insertions, deletions, a number
+A damaged matrix file, table or checkpoint either reads or raises an InputError
+whose message starts with the file's path, and no read emits a warning.  The
+damage is byte edits to a valid file: flips, insertions, deletions, a number
 replaced by a huge one, and deep nesting.
+
+`run --set KEY=VALUE` on a tiny grid exits 0, 1 or 2: exit 2 prints one `error:`
+line and writes no report; exit 0 or 1 writes one results.csv row per method x
+mode x cell and is 1 exactly when a row failed; nothing else reaches stderr.
 """
 
+import csv
+import os
+import pathlib
 import re
+import tempfile
 import warnings
 
 import numpy as np
@@ -14,8 +22,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from expertnet.cli import main
 from expertnet.data import load_table
-from expertnet.errors import ConfigurationError, InputError
+from expertnet.errors import InputError
+from expertnet.harness import METHODS, parse_config
 from expertnet.model import build_expertnet, load_checkpoint, save_checkpoint
 from expertnet.noise import load_matrix_csv, save_matrix_csv
 
@@ -82,10 +92,98 @@ def test_a_damaged_file_reads_or_raises_an_input_error_naming_it(tmp_path, valid
             READERS[reader](path)
         except InputError as exc:
             assert str(exc).startswith(str(path))
-        except ConfigurationError as exc:
-            # a checkpoint of another format or version is reported as a ConfigurationError
-            # (the checkpoint tests pin that class); it names the file too
-            assert reader == "checkpoint"
-            assert re.match(re.escape(str(path)) +
-                            "( is not an expertnet-checkpoint file|: unsupported checkpoint "
-                            "version)", str(exc))
+
+
+# --- `run --set` on a tiny grid -------------------------------------------------------
+
+BASE_CONFIG = """
+blobs.classes = 3
+blobs.dim = 4
+blobs.per_class = 20
+blobs.val_per_class = 5
+epochs = 1
+batch_size = 16
+amateur_hidden = 4
+expert_hidden = 4
+"""
+# a size from this list makes every array it sizes larger than 2**47 bytes, beyond what
+# a process can map, so no allocation of it is granted lazily and then touched
+HUGE_SIZES = [str(2**45), str(10**15), str(2**63), str(10**400)]
+BAD = ["", "-1", "-0", "0", "1.5", "1e-300", "1e308", "nan", "inf", "-inf", "x"]
+# each key's usual items; epochs and the blobs row counts stay small enough to train at once
+ITEMS = {
+    "epochs": ["1", "2"],
+    "batch_size": ["1", "16", *HUGE_SIZES],
+    "blobs.classes": ["2", "3", "4", *HUGE_SIZES],
+    "blobs.dim": ["1", "4", *HUGE_SIZES],
+    "blobs.per_class": ["1", "5", "20", *HUGE_SIZES],
+    "blobs.val_per_class": ["1", "5", *HUGE_SIZES],
+    "blobs.separation": ["2.5", "1e-300", "1e308"],
+    "blobs.spread": ["0.5", "1", "1e308"],
+    "amateur_hidden": ["4", "1", "4,4", *HUGE_SIZES],
+    "expert_hidden": ["4", "1", *HUGE_SIZES],
+    "noise_ratios": ["0", "-0", "0.2", "0.125", "0.1250000001", "0.99"],
+    "fractions": ["1", "0.5", "0.0001", "0.99999999999999"],
+    "seeds": ["0", "1", str(2**64 - 1), str(2**64)],
+    "methods": [*METHODS, "mlp"],
+    "lr": ["0", "0.01", "1e300"],
+    "lr_decay_factor": ["0.1", "1"],
+    "lr_decay_period": ["1", "none"],
+    "momentum": ["0.9", "1"],
+    "weight_decay": ["1e-4"],
+    "bootstrap_beta": ["0.8", "1"],
+    "bootstrap_variant": ["soft", "hard"],
+    "expert_terminal": ["softmax", "sigmoid", "relu"],
+    "matrix": ["none", "missing-matrix.csv"],
+    "schema": ["1", "2"],
+    "dataset": ["blobs", "file"],
+    "file.train": ["missing-train.csv"],
+    "file.val": ["missing-val.csv"],
+    "file.label": ["label"],
+    "file.features": ["a", "label"],
+    "blobs.nope": ["1"],
+    "nope": ["1"],
+}
+
+
+def _value(key: str):
+    """One of the key's usual items, a list of distinct ones, or a list with anything."""
+    usual = st.sampled_from(ITEMS[key])
+    return st.one_of(usual, st.lists(usual, min_size=1, max_size=3, unique=True),
+                     st.lists(st.sampled_from(ITEMS[key] + BAD), min_size=1, max_size=3)
+                     ).map(lambda items: items if isinstance(items, str) else ",".join(items))
+
+
+PAIR = st.sampled_from([*ITEMS, "no-equals-sign", "=1", " epochs = 1 "]).flatmap(
+    lambda key: _value(key).map(f"{key}={{}}".format) if key in ITEMS else st.just(key))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pairs=st.lists(PAIR, min_size=1, max_size=3))
+def test_run_with_any_overrides_exits_0_1_or_2_and_reports_accordingly(tmp_path, capsys,
+                                                                        pairs):
+    config = tmp_path / "base.cfg"
+    config.write_text(BASE_CONFIG, encoding="utf-8")
+    out = pathlib.Path(tempfile.mkdtemp(dir=tmp_path)) / "out"
+    argv = ["run", "--config", str(config), "--out", str(out)]
+    for pair in pairs:
+        argv += ["--set", pair]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning escapes main and fails the example
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists() or not os.listdir(out)
+        return
+    assert err == ""
+    overrides = (pair.split("=", 1) for pair in pairs)  # exit 0 or 1: each pair has an '='
+    parsed = parse_config(BASE_CONFIG, {key.strip(): value.strip() for key, value in overrides})
+    with open(out / "results.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    cells = len(parsed.noise_ratios) * len(parsed.fractions) * len(parsed.seeds)
+    assert len(rows) == cells * sum(len(METHODS[m]) for m in parsed.methods)
+    assert code == (1 if any(row["status"] == "failed" for row in rows) else 0)

@@ -27,7 +27,7 @@ from expertnet.data import (
 )
 from expertnet.errors import ConfigurationError, DataError, DimensionError, InputError
 from expertnet.harness import read_config
-from expertnet.noise import load_matrix_csv, save_matrix_csv, symmetric_matrix
+from expertnet.noise import corrupt_labels, load_matrix_csv, save_matrix_csv, symmetric_matrix
 
 
 def test_make_blobs_shape_and_balance():
@@ -116,6 +116,17 @@ def test_subsample_validation():
         subsample(ds, 0.0, seed=0)
     with pytest.raises(ConfigurationError):
         subsample(ds, 0.01, seed=0)  # rounds to zero samples
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("call", [
+    lambda seed: make_blobs(3, 5, 2, 3.0, 1.0, seed=seed),
+    lambda seed: subsample(make_blobs(2, 5, 2, 5.0, 1.0, seed=1), 0.5, seed=seed),
+    lambda seed: corrupt_labels(np.arange(3), symmetric_matrix(3, 0.2), seed),
+], ids=["make_blobs", "subsample", "corrupt_labels"])
+def test_seeds_outside_64_bits_are_rejected_not_aliased(call, seed):
+    with pytest.raises(ConfigurationError, match=re.escape(f"in [0, 2**64), got {seed}")):
+        call(seed)
 
 
 def test_subsample_carries_given_labels():

@@ -717,21 +717,21 @@ def test_checkpoint_sigmoid_variant_and_bad_file(tmp_path):
     assert load_checkpoint(path).expert.terminal_kind == "sigmoid"
     bad = tmp_path / "bad.json"
     bad.write_text('{"format": "something-else"}', encoding="utf-8")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(InputError):
         load_checkpoint(bad)
 
 
 @pytest.mark.parametrize("text, error, what", [
     ("not json", InputError, "not JSON"),
     ('{"format": "expertnet-checkpoint", "version": 1}', InputError, "'amateur'"),
-    ("[]", ConfigurationError, "not an expertnet-checkpoint"),
+    ("[]", InputError, "not an expertnet-checkpoint"),
     ('{"format": "expertnet-checkpoint", "version": 1, "amateur": [1]}', InputError,
      "wrong type"),
     ('{"format": "expertnet-checkpoint", "version": 1, "amateur": null}', InputError,
      "wrong type"),
     ('{"format": "expertnet-checkpoint", "version": 1, "amateur": '
      '[{"kind": "dense", "weight": [["a"]], "bias": [0]}]}', InputError, "wrong type"),
-    ('{"format": "expertnet-checkpoint", "version": 2}', ConfigurationError,
+    ('{"format": "expertnet-checkpoint", "version": 2}', InputError,
      "unsupported checkpoint version 2"),
     # layers that cannot form a network: shapes that do not chain, a stack that does not
     # alternate dense and activation, an unknown activation kind
