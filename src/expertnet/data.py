@@ -123,15 +123,21 @@ def make_blobs(n_classes: int, per_class: int, dim: int, separation: float,
     return Dataset(features, labels, n_classes)
 
 
-def subsample(ds: Dataset, fraction: float, seed: int) -> Dataset:
-    """Uniform subset without replacement of size round(fraction * N), order kept."""
+def subset_size(fraction: float, n: int | None) -> int | None:
+    """round(fraction * n) for a fraction in (0, 1] that keeps at least one of n rows;
+    with n None (rows not read yet) only the range is checked."""
     if not 0.0 < fraction <= 1.0:
         raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
-    size = int(round(fraction * ds.n))
+    size = None if n is None else int(round(fraction * n))
     if size == 0:
-        raise ConfigurationError(f"fraction {fraction} of {ds.n} samples selects nothing")
-    indices = np.sort(derive_rng(seed).choice(ds.n, size=size, replace=False))
-    return ds.take(indices)
+        raise ConfigurationError(f"fraction {fraction} of {n} samples selects nothing")
+    return size
+
+
+def subsample(ds: Dataset, fraction: float, seed: int) -> Dataset:
+    """Uniform subset without replacement of size `subset_size(fraction, N)`, order kept."""
+    size = subset_size(fraction, ds.n)
+    return ds.take(np.sort(derive_rng(seed).choice(ds.n, size=size, replace=False)))
 
 
 def stratified_split(ds: Dataset, per_class: int) -> tuple[Dataset, Dataset]:
@@ -178,7 +184,8 @@ def write_files(texts: dict) -> None:
                 temp = os.dup(int(named[2]) if named[2] else ("in", "out", "err").index(named[1]))
             elif os.path.isfile(path) or not os.path.exists(path):
                 head, name = os.path.split(os.path.realpath(path))
-                temp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+                # 40 characters of the name keep the temporary's within 255 bytes
+                temp = os.path.join(head, f".{name[:40]}.{os.getpid()}.{len(temps)}.tmp")
                 temps[path] = temp, os.path.join(head, name)
             with open(temp, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)

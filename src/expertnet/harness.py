@@ -27,7 +27,7 @@ import numpy as np
 
 from .baselines import BASELINE_KINDS, BaselineSpec, train_baseline
 from .data import (Dataset, check_array_size, load_table, make_blobs, read_text,
-                   stratified_split, subsample, text_lines, write_files)
+                   stratified_split, subsample, subset_size, text_lines, write_files)
 from .errors import ConfigurationError, DataError, DimensionError, ExpertNetError, InputError
 from .model import EpochStats, build_expertnet, check_expert_terminal, train
 from .nn import SgdState, StepDecay, check_mlp_dims
@@ -108,9 +108,6 @@ class ExperimentConfig:
             values = getattr(self, key)
             if not values or len(set(values)) != len(values):
                 raise ConfigurationError(f"{key} must list distinct values, got {values}")
-        for f in self.fractions:
-            if not 0.0 < f <= 1.0:
-                raise ConfigurationError(f"fraction must be in (0, 1], got {f}")
         for s in self.seeds:
             check_seed(s)
         for m in self.methods:
@@ -133,16 +130,17 @@ class ExperimentConfig:
                                      f"value to label the run, got {self.noise_ratios}")
         if not self.out:
             raise ConfigurationError("out must name an output directory, got ''")
-        for key in ("epochs", "batch_size", "amateur_hidden", "expert_hidden"):
-            if min(np.atleast_1d(getattr(self, key)), default=1) < 1:
+        for key in ("epochs", "batch_size"):
+            if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
         # the owners of the remaining rules check values alone: nothing sized by the config
         self.schedule()
         check_expert_terminal(self.expert_terminal)
         SgdState(np.empty(0), self.momentum, self.weight_decay)
         BaselineSpec("bootstrap", self.bootstrap_beta, self.bootstrap_variant)
-        # a file's dims are known only after the read, so its widths are checked alone
-        nets = ((1, *self.amateur_hidden, 1), (1, *self.expert_hidden, 1))
+        # a file's dims and rows are known only after the read: its widths are checked
+        # between the least dims it can have (1 feature, 2 classes), its fractions by range
+        feature_dim, k, rows = 1, 2, None
         if isinstance(self.dataset, BlobsSpec):
             for key, low in (("classes", 2), ("dim", 1), ("per_class", 1), ("val_per_class", 1)):
                 if (value := getattr(self.dataset, key)) < low:
@@ -153,16 +151,17 @@ class ExperimentConfig:
             spec = self.dataset  # make_blobs' largest arrays: the features and center differences
             check_array_size("blobs", spec.classes * (spec.per_class + spec.val_per_class), spec.dim)
             check_array_size("blobs", spec.classes, spec.classes, spec.dim)
-            k = spec.classes
-            nets = ((spec.dim, *self.amateur_hidden, k), (2 * k, *self.expert_hidden, k))
+            feature_dim, k, rows = spec.dim, spec.classes, spec.classes * spec.per_class
         elif len(set(self.dataset.features)) != len(self.dataset.features):
             raise ConfigurationError(
                 f"file.features must list distinct columns, got {self.dataset.features}")
         elif self.dataset.label in self.dataset.features:
             raise ConfigurationError("file.features must not list the label column, "
                                      f"file.label = {self.dataset.label!r}")
-        for dims in nets:
-            check_mlp_dims(dims)
+        for f in self.fractions:
+            subset_size(f, rows)
+        check_mlp_dims((feature_dim, *self.amateur_hidden, k), "amateur_hidden")
+        check_mlp_dims((2 * k, *self.expert_hidden, k), "expert_hidden")
 
     def schedule(self) -> StepDecay:
         return StepDecay(self.lr, self.lr_decay_factor, self.lr_decay_period)

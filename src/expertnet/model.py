@@ -128,13 +128,6 @@ def _join_given(probs: np.ndarray, given_labels) -> np.ndarray:
     return np.concatenate([probs, one_hot_batch(labels, probs.shape[1])], axis=1)
 
 
-def _soft_target(model: ExpertNet, expert_out: np.ndarray) -> np.ndarray:
-    # sigmoid-terminal experts emit unnormalized rows; rescale to distributions
-    if model.expert.terminal_kind == "softmax":
-        return expert_out
-    return expert_out / np.add.reduce(expert_out, axis=1, keepdims=True)
-
-
 def train_step(model: ExpertNet, x, given_labels, true_labels, lr: float):
     """One alternating minibatch update; returns (amateur loss, expert loss).
 
@@ -156,9 +149,9 @@ def train_step(model: ExpertNet, x, given_labels, true_labels, lr: float):
     expert_loss, expert_grads = loss_and_gradients(model.expert, z, true_onehot, CROSS_ENTROPY)
     sgd_step(model.expert.params, expert_grads, model.expert_state, lr)
     expert_out, _ = forward(model.expert, z)
-    amateur_target = _soft_target(model, expert_out)
-    amateur_loss, amateur_grads = backward(model.amateur, amateur_acts, amateur_target,
-                                           CROSS_ENTROPY)
+    if model.expert.terminal_kind == "sigmoid":  # unnormalized rows: rescale to distributions
+        expert_out /= np.add.reduce(expert_out, axis=1, keepdims=True)
+    amateur_loss, amateur_grads = backward(model.amateur, amateur_acts, expert_out, CROSS_ENTROPY)
     sgd_step(model.amateur.params, amateur_grads, model.amateur_state, lr)
     return amateur_loss, expert_loss
 

@@ -133,6 +133,7 @@ class Network:
             if layer.in_dim != prev.out_dim:
                 raise DimensionError(
                     f"layer expects width {layer.in_dim} but receives {prev.out_dim}")
+        check_mlp_dims([dense[0].in_dim, *(l.out_dim for l in dense)], "dense layer")
         self.input_dim, self.output_dim = dense[0].in_dim, dense[-1].out_dim
         self.shapes = [l.weight.shape for l in dense]
         self.params = np.concatenate([a.ravel() for l in dense for a in (l.weight, l.bias)])
@@ -315,10 +316,15 @@ def lr_at(schedule: StepDecay, epoch: int) -> float:
     return schedule.base_lr * schedule.factor ** (epoch // schedule.period)
 
 
-def check_mlp_dims(dims) -> None:
-    """Reject dims `mlp` cannot build, checking the values alone: allocates nothing."""
+def check_mlp_dims(dims, what: str = "mlp") -> None:
+    """Reject dims `mlp` cannot build, checking the values alone: allocates nothing.
+
+    Every width is >= 1 (a zero-width layer can only answer uniform rows); `what`
+    names the dims in that message."""
     if len(dims) < 2:
         raise ConfigurationError("mlp needs at least input and output dims")
+    if min(dims) < 1:
+        raise ConfigurationError(f"{what} width must be >= 1, got {min(dims)}")
     for in_dim, out_dim in zip(dims, dims[1:]):
         check_array_size(f"dense layer {in_dim} -> {out_dim}", out_dim, in_dim)
 
@@ -352,28 +358,16 @@ def epoch_batches(n: int, batch_size: int, seed: int, epoch: int):
         yield order[start:start + batch_size]
 
 
-def finite_difference_gradients(net: Network, batch, targets, loss, h: float = 1e-5):
-    """Central-difference gradients of the scalar loss; checks the backward pass."""
-
-    def value():
-        return loss.value(forward(net, batch)[0], np.asarray(targets, dtype=float))
-
-    p = net.params
-    grads = np.zeros_like(p)
+def gradient_check(net: Network, batch, targets, loss, h: float = 1e-5) -> float:
+    """Max relative error between the analytic gradients and central differences of the loss."""
+    analytic = loss_and_gradients(net, batch, targets, loss)[1]
+    p, numeric, targets = net.params, np.zeros_like(net.params), np.asarray(targets, dtype=float)
     for i in range(p.size):
         orig = p[i]
         p[i] = orig + h
-        up = value()
+        up = loss.value(forward(net, batch)[0], targets)
         p[i] = orig - h
-        down = value()
+        numeric[i] = (up - loss.value(forward(net, batch)[0], targets)) / (2.0 * h)
         p[i] = orig
-        grads[i] = (up - down) / (2.0 * h)
-    return grads
-
-
-def gradient_check(net: Network, batch, targets, loss, h: float = 1e-5) -> float:
-    """Max relative error between analytic and finite-difference gradients."""
-    analytic = loss_and_gradients(net, batch, targets, loss)[1]
-    numeric = finite_difference_gradients(net, batch, targets, loss, h=h)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float((np.abs(analytic - numeric) / denom).max())

@@ -152,6 +152,7 @@ def test_train_save_rejected_for_baseline(config_path, tmp_path, capsys):
     ("seeds=1,,2", "seeds"),
     ("methods=expertnet,", "methods"),
     ("epochs", "--set expects key=value, got 'epochs'"),
+    ("fractions=0.0001", "selects nothing"),  # of the blobs training rows
 ])
 def test_run_rejects_unusable_config_values(config_path, tmp_path, capsys, override, key):
     assert main(["run", "--config", config_path, "--set", override]) == 2

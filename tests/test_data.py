@@ -364,6 +364,19 @@ def test_a_write_that_fails_names_the_path(tmp_path, monkeypatch, write):
         write(path)
 
 
+def test_a_name_near_the_length_limit_is_written_with_a_new_file_mode(tmp_path):
+    """The temporary's name stays within 255 bytes; the file gets `open`'s mode."""
+    path = tmp_path / ("x" * 246 + ".csv")  # 250 bytes
+    matrix = symmetric_matrix(2, 0.2)
+    save_matrix_csv(matrix, path)
+    np.testing.assert_array_equal(load_matrix_csv(path), matrix)
+    with open(tmp_path / "plain", "w", encoding="utf-8"):
+        pass
+    new_file, plain = (stat.S_IMODE(os.stat(p).st_mode) for p in (path, tmp_path / "plain"))
+    assert new_file == plain
+    assert {p.name for p in tmp_path.iterdir()} == {path.name, "plain"}  # no temporary left
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
 def test_a_fifo_is_written_in_place(tmp_path):
     matrix = symmetric_matrix(2, 0.2)

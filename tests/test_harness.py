@@ -236,8 +236,17 @@ def test_each_cell_builds_and_hashes_its_data_once(monkeypatch):
 
 
 def test_cell_build_failure_fails_every_method_of_that_cell_only(tmp_path):
-    # 0.0001 of 75 training rows rounds to none: that cell's build fails
-    config = tiny_config(methods=tuple(METHODS), fractions=(1.0, 0.0001), epochs=1)
+    # 0.0001 of a 75-row training table rounds to none: the config cannot know the
+    # table's rows, so only that cell's build fails
+    ds = make_blobs(3, 25, 4, 5.0, 1.0, seed=9)
+    text = "f0,f1,f2,f3,label\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + f",c{label}\n"
+        for row, label in zip(ds.features, ds.true_labels))
+    for name in ("train", "val"):
+        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+    config = tiny_config(
+        dataset=FileSpec(str(tmp_path / "train.csv"), str(tmp_path / "val.csv"), "label"),
+        methods=tuple(METHODS), fractions=(1.0, 0.0001), epochs=1)
     runs = run_grid(config)
     records = grid_records(runs)
     small = [r for r in records if r.fraction == 0.0001]
@@ -487,6 +496,8 @@ def test_failed_expertnet_cell_reports_both_modes_and_grid_continues(monkeypatch
                  "file.features = a, y", "file.label", id="file.features = a, y"),
     ("fractions = 0", re.escape("fraction must be in (0, 1], got 0.0")),
     ("fractions = 1.5", re.escape("fraction must be in (0, 1], got 1.5")),
+    # 0.0001 of the default 4 x 500 blobs training rows rounds to none
+    ("fractions = 0.0001", re.escape("fraction 0.0001 of 2000 samples selects nothing")),
     # built in Python: parse_config reads an empty matrix as None, the config rejects ''
     pytest.param(dict(matrix="", noise_ratios=(0.2,)), re.escape(
         "matrix must name a file or be None, got ''"), id="ExperimentConfig(matrix='')"),
@@ -569,10 +580,15 @@ def configs(draw, kind):
     # a matrix sets the noise itself, so it comes with the one ratio that labels the run
     ratios = st.lists(st.floats(0, 0.99, **finite), min_size=1, max_size=1 if matrix else 3,
                       unique_by=(pivot_name, "{:g}".format)).map(tuple)
-    fractions = st.lists(st.floats(0, 1, exclude_min=True, **finite), min_size=1, max_size=3,
+    dataset = draw(DATASET_SPECS[kind])
+    # a blobs fraction must keep a training row (config rejects it); a file's rows are unknown
+    rows = dataset.classes * dataset.per_class if kind == "blobs" else None
+    fraction = st.floats(0, 1, exclude_min=True, **finite).filter(
+        lambda f: rows is None or round(f * rows) >= 1)
+    fractions = st.lists(fraction, min_size=1, max_size=3,
                          unique_by="{:g}".format).map(tuple)  # the report's label
     return draw(st.builds(
-        ExperimentConfig, dataset=DATASET_SPECS[kind], noise_ratios=ratios, fractions=fractions,
+        ExperimentConfig, dataset=st.just(dataset), noise_ratios=ratios, fractions=fractions,
         methods=distinct(st.sampled_from(tuple(METHODS))),
         seeds=distinct(st.integers(0, 2**32)),
         matrix=st.just(matrix), epochs=st.integers(1, 500), batch_size=st.integers(1, 512),
@@ -624,7 +640,9 @@ def test_config_renders_parses_and_overrides_round_trip(pair, data):
                 config.dataset, **{name: getattr(other.dataset, name)}))
         else:
             expected = dataclasses.replace(config, **{name: getattr(other, name)})
-    except ConfigurationError:  # the value clashes with another key (a label among features)
+    except ConfigurationError:
+        # the value clashes with another key: a label among the features, or a blobs
+        # fraction and a row count that keep no training row
         with pytest.raises(ConfigurationError):
             parse_config(text, override)
         return

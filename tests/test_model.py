@@ -230,8 +230,9 @@ def reference_step(model, x, given_labels, true_labels, lr):
     true_onehot = one_hot_batch(true_labels, model.amateur.output_dim)
     expert_loss, grads = loss_and_gradients(model.expert, z, true_onehot, CROSS_ENTROPY)
     sgd_step(model.expert.params, grads, model.expert_state, lr)
-    expert_out, _ = forward(model.expert, z)
-    target = model_mod._soft_target(model, expert_out)
+    target, _ = forward(model.expert, z)
+    if model.expert.terminal_kind == "sigmoid":  # sigmoid rows are renormalized to sum to 1
+        target = target / np.add.reduce(target, axis=1, keepdims=True)
     amateur_loss, grads = loss_and_gradients(model.amateur, x, target, CROSS_ENTROPY)
     sgd_step(model.amateur.params, grads, model.amateur_state, lr)
     return amateur_loss, expert_loss
@@ -513,7 +514,8 @@ def test_sigmoid_terminal_expert_renormalizes_soft_targets():
     x = rng.standard_normal((5, 4))
     probs, _ = forward(model.amateur, x)
     out, _ = forward(model.expert, model_mod.expert_input(probs, rng.integers(0, 3, 5)))
-    target = model_mod._soft_target(model, out)
+    assert not np.allclose(out.sum(axis=1), 1.0)  # sigmoid rows are not distributions
+    target = out / np.add.reduce(out, axis=1, keepdims=True)  # the step's renormalization
     np.testing.assert_allclose(target.sum(axis=1), np.ones(5), atol=1e-12)
     # and a step still trains
     l_a, l_e = train_step(model, x, rng.integers(0, 3, 5), rng.integers(0, 3, 5), 0.01)
@@ -524,6 +526,12 @@ def test_model_validation():
     amateur = mlp_for(3, 2)
     with pytest.raises(DimensionError):
         ExpertNet(amateur, mlp_for(3, 2))
+
+
+@pytest.mark.parametrize("widths", [dict(amateur_hidden=(0,)), dict(expert_hidden=(8, 0))])
+def test_build_expertnet_rejects_a_zero_width(widths):
+    with pytest.raises(ConfigurationError, match=re.escape("mlp width must be >= 1, got 0")):
+        build_expertnet(4, 3, seed=1, **widths)
 
 
 @pytest.mark.parametrize("amateur, expert, error, message", [
@@ -745,6 +753,12 @@ def test_checkpoint_sigmoid_variant_and_bad_file(tmp_path):
     ('{"format": "expertnet-checkpoint", "version": 1, "amateur": ['
      '{"kind": "dense", "weight": [[0]], "bias": [0]}, {"kind": "swish"}]}',
      InputError, "unknown activation kind 'swish'"),
+    # a dense layer 0 -> 4 (weight shape (4, 0)), the zero width JSON can spell: a (0, 4)
+    # weight is written as [], which reads as shape (0,)
+    ('{"format": "expertnet-checkpoint", "version": 1, "amateur": ['
+     '{"kind": "dense", "weight": [[], [], [], []], "bias": [0, 0, 0, 0]}, '
+     '{"kind": "softmax"}]}',
+     InputError, "dense layer width must be >= 1, got 0"),
     # Python's json reads NaN and Infinity; a weight must still be a finite number
     ('{"format": "expertnet-checkpoint", "version": 1, '
      '"amateur": [{"kind": "dense", "weight": [[NaN]], "bias": [0]}, {"kind": "softmax"}], '

@@ -578,6 +578,10 @@ def test_network_rejects_mismatched_chain():
                       Dense(np.eye(2), np.zeros(2))]),
      ConfigurationError, "one activation, got ['dense', 'relu', 'dense']"),
     (lambda: Network([]), ConfigurationError, "one activation, got []"),
+    (lambda: mlp((4, 0, 3), rng=derive_rng(0)), ConfigurationError,
+     "mlp width must be >= 1, got 0"),
+    (lambda: Network([Dense(np.zeros((0, 4)), np.zeros(0)), Activation("softmax")]),
+     ConfigurationError, "dense layer width must be >= 1, got 0"),
     (lambda: Dense(np.zeros((2, 3)), np.zeros(3)), DimensionError,
      "dense: weight (2, 3) and bias (3,) are inconsistent"),
     (lambda: next(epoch_batches(0, 4, seed=1, epoch=0)), ConfigurationError,
@@ -588,7 +592,8 @@ def test_network_rejects_mismatched_chain():
                                 [[np.inf, 0.0]], CROSS_ENTROPY), NumericError,
      "non-finite loss value inf"),
 ], ids=["mlp of one dim", "no dense layer", "no activation", "activation first",
-        "two activations", "dense last", "no layer", "dense shapes", "empty dataset",
+        "two activations", "dense last", "no layer", "mlp of a zero width",
+        "network of a zero width", "dense shapes", "empty dataset",
         "batch size 0", "non-finite loss"])
 def test_engine_rejects_unusable_arguments(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
