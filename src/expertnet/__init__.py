@@ -51,9 +51,9 @@ from .nn import (
     Dense,
     ForwardCorrectedLoss,
     Network,
-    SgdState,
     StepDecay,
     backward,
+    check_sgd_setting,
     forward,
     gradient_check,
     loss_and_gradients,

@@ -16,8 +16,7 @@ import numpy as np
 from .data import Dataset, one_hot_batch
 from .errors import ConfigurationError, DataError, DimensionError
 from .model import amateur_network, fit
-from .nn import (CROSS_ENTROPY, ForwardCorrectedLoss, SgdState, StepDecay, backward, forward,
-                 sgd_step)
+from .nn import CROSS_ENTROPY, ForwardCorrectedLoss, StepDecay, backward, forward, sgd_step
 
 BASELINE_KINDS = ("plain-ce", "bootstrap", "forward")
 
@@ -74,7 +73,7 @@ def train_baseline(spec: BaselineSpec, train_set: Dataset, val_set: Dataset,
     Returns (network, history of EpochStats).
     """
     net = amateur_network(train_set.dim, train_set.n_classes, seed, hidden)
-    state = SgdState.for_network(net, momentum, weight_decay)
+    velocity = np.zeros_like(net.params)
     loss = ForwardCorrectedLoss(spec.matrix) if spec.kind == "forward" else CROSS_ENTROPY
 
     def step(x, y, _, lr):
@@ -84,7 +83,7 @@ def train_baseline(spec: BaselineSpec, train_set: Dataset, val_set: Dataset,
         else:
             target = one_hot_batch(y, train_set.n_classes)
         loss_value, grads = backward(net, acts, target, loss)
-        sgd_step(net.params, grads, state, lr)
+        sgd_step(net.params, grads, velocity, lr, momentum, weight_decay)
         return loss_value, None
 
     history = fit(net, step, train_set, val_set, epochs, batch_size, schedule, seed)

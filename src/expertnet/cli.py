@@ -65,6 +65,9 @@ def cmd_train(args) -> int:
                       or not os.path.isdir(os.path.dirname(os.path.abspath(args.save)))):
         raise ConfigurationError(f"cannot write a checkpoint to {args.save}: it is a "
                                  "directory or its directory does not exist")
+    if args.save and len(os.fsencode(os.path.basename(args.save))) > os.pathconf(
+            os.path.dirname(os.path.abspath(args.save)), "PC_NAME_MAX"):
+        raise ConfigurationError(f"cannot write a checkpoint to {args.save}: its name is too long")
     if args.save and DESCRIPTOR_PATH.fullmatch(args.save) and not os.path.exists(args.save):
         raise ConfigurationError(f"cannot write a checkpoint to {args.save}: "
                                  "that descriptor is not open")

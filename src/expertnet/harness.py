@@ -30,7 +30,7 @@ from .data import (Dataset, check_array_size, load_table, make_blobs, read_text,
                    stratified_split, subsample, subset_size, text_lines, write_files)
 from .errors import ConfigurationError, DataError, DimensionError, ExpertNetError, InputError
 from .model import EpochStats, build_expertnet, check_expert_terminal, train
-from .nn import SgdState, StepDecay, check_mlp_dims
+from .nn import StepDecay, check_mlp_dims, check_sgd_setting
 from .noise import corrupt_labels, load_matrix_csv, symmetric_matrix
 from .seeding import (
     STREAM_DATA,
@@ -136,7 +136,7 @@ class ExperimentConfig:
         # the owners of the remaining rules check values alone: nothing sized by the config
         self.schedule()
         check_expert_terminal(self.expert_terminal)
-        SgdState(np.empty(0), self.momentum, self.weight_decay)
+        check_sgd_setting(self.momentum, self.weight_decay)
         BaselineSpec("bootstrap", self.bootstrap_beta, self.bootstrap_variant)
         # a file's dims and rows are known only after the read: its widths are checked
         # between the least dims it can have (1 feature, 2 classes), its fractions by range

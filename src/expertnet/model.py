@@ -11,7 +11,7 @@ Neither step propagates gradients into the other network.
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -23,9 +23,9 @@ from .nn import (
     Activation,
     Dense,
     Network,
-    SgdState,
     StepDecay,
     backward,
+    check_sgd_setting,
     epoch_batches,
     forward,
     loss_and_gradients,
@@ -46,16 +46,16 @@ def check_expert_terminal(kind: str) -> None:
 
 @dataclass
 class ExpertNet:
-    """Amateur and expert networks, each with the SgdState this builds from one setting."""
+    """Amateur and expert networks, their one SGD setting, and a velocity for each network."""
 
     amateur: Network
     expert: Network
-    momentum: InitVar[float] = 0.9
-    weight_decay: InitVar[float] = 1e-4
-    amateur_state: SgdState = field(init=False)
-    expert_state: SgdState = field(init=False)
+    momentum: float = 0.9
+    weight_decay: float = 1e-4
+    amateur_velocity: np.ndarray = field(init=False)
+    expert_velocity: np.ndarray = field(init=False)
 
-    def __post_init__(self, momentum, weight_decay):
+    def __post_init__(self):
         k = self.amateur.output_dim  # the class count every other width follows
         if self.expert.input_dim != 2 * k:
             raise DimensionError(
@@ -67,8 +67,9 @@ class ExpertNet:
         if self.amateur.terminal_kind != "softmax":
             raise ConfigurationError("amateur must end in softmax")
         check_expert_terminal(self.expert.terminal_kind)
-        self.amateur_state = SgdState.for_network(self.amateur, momentum, weight_decay)
-        self.expert_state = SgdState.for_network(self.expert, momentum, weight_decay)
+        check_sgd_setting(self.momentum, self.weight_decay)
+        self.amateur_velocity = np.zeros_like(self.amateur.params)
+        self.expert_velocity = np.zeros_like(self.expert.params)
 
 
 @dataclass(frozen=True)
@@ -147,12 +148,14 @@ def train_step(model: ExpertNet, x, given_labels, true_labels, lr: float):
     z = _join_given(amateur_probs, given_labels)
     true_onehot = one_hot_batch(true_labels, model.amateur.output_dim)
     expert_loss, expert_grads = loss_and_gradients(model.expert, z, true_onehot, CROSS_ENTROPY)
-    sgd_step(model.expert.params, expert_grads, model.expert_state, lr)
+    sgd_step(model.expert.params, expert_grads, model.expert_velocity, lr, model.momentum,
+             model.weight_decay)
     expert_out, _ = forward(model.expert, z)
     if model.expert.terminal_kind == "sigmoid":  # unnormalized rows: rescale to distributions
         expert_out /= np.add.reduce(expert_out, axis=1, keepdims=True)
     amateur_loss, amateur_grads = backward(model.amateur, amateur_acts, expert_out, CROSS_ENTROPY)
-    sgd_step(model.amateur.params, amateur_grads, model.amateur_state, lr)
+    sgd_step(model.amateur.params, amateur_grads, model.amateur_velocity, lr, model.momentum,
+             model.weight_decay)
     return amateur_loss, expert_loss
 
 
@@ -258,8 +261,7 @@ def _layer_from_json(entry):
 
 def save_checkpoint(model: ExpertNet, path) -> None:
     """Write a JSON checkpoint: both networks' layers (decimal values) and their SGD setting."""
-    setting = {"momentum": model.amateur_state.momentum,
-               "weight_decay": model.amateur_state.weight_decay}
+    setting = {"momentum": model.momentum, "weight_decay": model.weight_decay}
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,

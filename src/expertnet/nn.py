@@ -234,11 +234,9 @@ def backward(net: Network, acts, targets, loss):
     """
     if len(acts) != len(net.layers) + 1:
         raise DimensionError(f"{len(acts)} activations for a {len(net.layers)}-layer network")
-    targets = np.asarray(targets, dtype=float)
+    targets = np.asarray(targets, dtype=float)  # prediction_grad negates it
     out = acts[-1]
-    if targets.shape != out.shape:
-        raise DimensionError(f"targets shape {targets.shape} != output shape {out.shape}")
-    value = loss.value(out, targets)
+    value = loss.value(out, targets)  # raises DimensionError for targets of another shape
     if not math.isfinite(value):
         raise NumericError(f"non-finite loss value {value!r}")
     grad = loss.prediction_grad(out, targets)
@@ -254,41 +252,31 @@ def loss_and_gradients(net: Network, batch, targets, loss):
     return backward(net, forward(net, batch)[1], targets, loss)
 
 
-@dataclass
-class SgdState:
-    """Velocity aligned with net.params plus the fixed momentum / weight-decay settings."""
-
-    velocity: np.ndarray
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-
-    def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigurationError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not 0.0 <= self.weight_decay < np.inf:
-            raise ConfigurationError(f"weight decay must be finite and >= 0, got {self.weight_decay}")
-
-    @classmethod
-    def for_network(cls, net: Network, momentum: float = 0.9, weight_decay: float = 1e-4):
-        return cls(np.zeros_like(net.params), momentum, weight_decay)
+def check_sgd_setting(momentum: float, weight_decay: float) -> None:
+    """The one SGD setting's rule: momentum in [0, 1), weight decay finite and >= 0."""
+    if not 0.0 <= momentum < 1.0:
+        raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
+    if not 0.0 <= weight_decay < np.inf:
+        raise ConfigurationError(f"weight decay must be finite and >= 0, got {weight_decay}")
 
 
-def sgd_step(params, grads, state: SgdState, lr: float):
+def sgd_step(params, grads, velocity, lr: float, momentum: float, weight_decay: float):
     """v <- momentum*v + (grad + weight_decay*param); param <- param - lr*v.
 
-    Mutates the flat parameter buffer and the velocity in place; at lr == 0 it
-    checks its arguments and changes nothing.
+    Mutates the flat parameter buffer and its velocity, an array of the same
+    shape, in place; at lr == 0 it checks its arguments and changes nothing.
     """
     if not lr >= 0.0:
         raise ConfigurationError(f"learning rate must be >= 0, got {lr}")
-    v = state.velocity
-    if not params.shape == grads.shape == v.shape:
-        raise DimensionError(f"shape mismatch: param {params.shape}, grad {grads.shape}, velocity {v.shape}")
+    check_sgd_setting(momentum, weight_decay)
+    if not params.shape == grads.shape == velocity.shape:
+        raise DimensionError(f"shape mismatch: param {params.shape}, grad {grads.shape}, "
+                             f"velocity {velocity.shape}")
     if lr == 0.0:
         return
-    v *= state.momentum
-    v += grads + state.weight_decay * params  # one expression: splitting it changes the bytes
-    params -= lr * v
+    velocity *= momentum
+    velocity += grads + weight_decay * params  # one expression: splitting it changes the bytes
+    params -= lr * velocity
 
 
 @dataclass(frozen=True)

@@ -102,8 +102,8 @@ def test_criterion_2_training_step_fidelity(monkeypatch):
         events.append(("grad", net_name(net), snap(net), np.array(targets, copy=True)))
         return real_backward(net, acts, targets, loss)
 
-    def spy_sgd(params, grads, state, lr):
-        real_sgd(params, grads, state, lr)
+    def spy_sgd(params, grads, velocity, lr, momentum, weight_decay):
+        real_sgd(params, grads, velocity, lr, momentum, weight_decay)
         which = "expert" if params is model.expert.params else "amateur"
         events.append(("sgd", which, snap(model.amateur), snap(model.expert)))
 

@@ -273,6 +273,17 @@ def test_train_save_to_an_unusable_path_exits_two(config_path, tmp_path, capsys,
     assert not (tmp_path / "nope").exists()
 
 
+def test_train_save_to_a_name_over_the_limit_exits_two_before_training(config_path, tmp_path,
+                                                                       capsys):
+    ckpt = tmp_path / ("b" * 260 + ".ckpt")
+    before = sorted(os.listdir(tmp_path))
+    assert main(["train", "--config", config_path, "--save", str(ckpt)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write a checkpoint to {ckpt}: its name is too long\n"
+    assert "epoch" not in captured.out  # rejected before training
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_train_save_that_fails_to_write_exits_two(config_path, tmp_path, monkeypatch, capsys):
     ckpt = tmp_path / "model.ckpt"
 

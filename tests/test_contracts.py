@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from expertnet.cli import main
 from expertnet.data import load_table
 from expertnet.errors import InputError
-from expertnet.harness import METHODS, parse_config
+from expertnet.harness import METHODS, parse_config, pivot_name
 from expertnet.model import build_expertnet, load_checkpoint, save_checkpoint
 from expertnet.noise import load_matrix_csv, save_matrix_csv
 
@@ -195,3 +195,36 @@ def test_run_with_any_overrides_exits_0_1_or_2_and_reports_accordingly(tmp_path,
     if not any(key in ("matrix", "dataset") or key.startswith("file.") for key in overrides):
         for row in rows:
             assert row["status"] == "ok" or UNFORESEEABLE.match(row["diagnostic"]), row
+
+
+# --- two runs into one directory ------------------------------------------------------
+
+RUN = st.tuples(st.lists(st.sampled_from(["0", "0.2", "0.4"]), min_size=1, max_size=2,
+                         unique=True),
+                st.lists(st.sampled_from(list(METHODS)), min_size=1, max_size=2, unique=True))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(first=RUN, second=RUN)
+def test_a_second_run_into_one_directory_leaves_exactly_its_own_report(tmp_path, capsys,
+                                                                        first, second):
+    config = tmp_path / "base.cfg"
+    config.write_text(BASE_CONFIG, encoding="utf-8")
+    shared, fresh = (pathlib.Path(tempfile.mkdtemp(dir=tmp_path)) for _ in range(2))
+    (shared / "notes.txt").write_bytes(b"kept\n")
+
+    def run(out, ratios, methods):
+        assert main(["run", "--config", str(config), "--out", str(out),
+                     "--set", f"noise_ratios={','.join(ratios)}",
+                     "--set", f"methods={','.join(methods)}"]) == 0
+
+    run(shared, *first)
+    run(shared, *second)
+    run(fresh, *second)
+    capsys.readouterr()
+    pivots = {pivot_name(float(ratio)) for ratio in second[0]}
+    assert set(os.listdir(shared)) == {"results.csv", "run.log", "notes.txt", *pivots}
+    assert (shared / "notes.txt").read_bytes() == b"kept\n"
+    for name in ("results.csv", *pivots):
+        assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name

@@ -4,6 +4,7 @@ determinism of emitted CSVs, failed-cell handling, and config parsing."""
 import csv
 import dataclasses
 import errno
+import inspect
 import math
 import re
 import string
@@ -34,7 +35,9 @@ from expertnet.harness import (
     pivot_name,
     run_grid,
 )
-from expertnet.model import EpochStats, accuracy
+from expertnet.baselines import BaselineSpec, train_baseline
+from expertnet.model import EpochStats, ExpertNet, accuracy, build_expertnet
+from expertnet.nn import StepDecay
 from expertnet.noise import save_matrix_csv, symmetric_matrix
 
 
@@ -113,6 +116,33 @@ def test_parse_config_defaults_and_overrides():
     assert config.dataset == BlobsSpec()
     overridden = parse_config(CONFIG_TEXT, overrides={"epochs": "99"})
     assert overridden.epochs == 99
+
+
+def test_library_defaults_equal_the_config_defaults():
+    """A default spelled both in the library and in ExperimentConfig says the same in both."""
+    def defaults(call):
+        return {name: p.default for name, p in inspect.signature(call).parameters.items()}
+
+    def field_defaults(cls):
+        return {f.name: f.default for f in dataclasses.fields(cls)}
+
+    # library owner, its parameter, the ExperimentConfig field that sets it
+    spelled_twice = [
+        *((build_expertnet, key, key) for key in ("amateur_hidden", "expert_hidden",
+                                                  "expert_terminal", "momentum", "weight_decay")),
+        (ExpertNet, "momentum", "momentum"), (ExpertNet, "weight_decay", "weight_decay"),
+        (train_baseline, "hidden", "amateur_hidden"), (train_baseline, "momentum", "momentum"),
+        (train_baseline, "weight_decay", "weight_decay"),
+        (BaselineSpec, "beta", "bootstrap_beta"), (BaselineSpec, "variant", "bootstrap_variant"),
+        (StepDecay, "factor", "lr_decay_factor"),
+    ]
+    config = ExperimentConfig()
+    library, configured = {}, {}
+    for owner, name, key in spelled_twice:
+        found = field_defaults(owner) if dataclasses.is_dataclass(owner) else defaults(owner)
+        library[f"{owner.__name__}.{name}"] = found[name]
+        configured[f"{owner.__name__}.{name}"] = getattr(config, key)
+    assert library == configured
 
 
 def test_parse_config_ends_lines_only_at_line_ends():

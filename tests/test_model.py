@@ -118,9 +118,9 @@ class StepSpy:
             self.events.append(("grad", net_name(net), snap(net), np.array(targets, copy=True)))
             return real_backward(net, acts, targets, loss)
 
-        def spy_sgd(params, grads, state, lr):
+        def spy_sgd(params, grads, velocity, lr, momentum, weight_decay):
             which = "expert" if params is model.expert.params else "amateur"
-            real_sgd(params, grads, state, lr)
+            real_sgd(params, grads, velocity, lr, momentum, weight_decay)
             self.events.append(("sgd", which, snap(model.amateur), snap(model.expert)))
 
         monkeypatch.setattr(model_mod, "forward", spy_forward)
@@ -229,12 +229,14 @@ def reference_step(model, x, given_labels, true_labels, lr):
     z = expert_input(amateur_probs, given_labels)
     true_onehot = one_hot_batch(true_labels, model.amateur.output_dim)
     expert_loss, grads = loss_and_gradients(model.expert, z, true_onehot, CROSS_ENTROPY)
-    sgd_step(model.expert.params, grads, model.expert_state, lr)
+    sgd_step(model.expert.params, grads, model.expert_velocity, lr, model.momentum,
+             model.weight_decay)
     target, _ = forward(model.expert, z)
     if model.expert.terminal_kind == "sigmoid":  # sigmoid rows are renormalized to sum to 1
         target = target / np.add.reduce(target, axis=1, keepdims=True)
     amateur_loss, grads = loss_and_gradients(model.amateur, x, target, CROSS_ENTROPY)
-    sgd_step(model.amateur.params, grads, model.amateur_state, lr)
+    sgd_step(model.amateur.params, grads, model.amateur_velocity, lr, model.momentum,
+             model.weight_decay)
     return amateur_loss, expert_loss
 
 
@@ -252,23 +254,23 @@ def test_train_step_bit_identical_to_the_two_pass_reference(terminal):
         assert train_step(model, x, y, t, 0.05) == reference_step(reference, x, y, t, 0.05)
     for net, ref in ((model.amateur, reference.amateur), (model.expert, reference.expert)):
         np.testing.assert_array_equal(net.params, ref.params)
-    for state, ref in ((model.amateur_state, reference.amateur_state),
-                       (model.expert_state, reference.expert_state)):
-        np.testing.assert_array_equal(state.velocity, ref.velocity)
+    for velocity, ref in ((model.amateur_velocity, reference.amateur_velocity),
+                          (model.expert_velocity, reference.expert_velocity)):
+        np.testing.assert_array_equal(velocity, ref)
 
 
 def test_train_step_zero_lr_is_identity():
     model = small_model(seed=6)
     before_a = model.amateur.params.copy()
     before_e = model.expert.params.copy()
-    before_v = [v.copy() for v in (model.amateur_state.velocity, model.expert_state.velocity)]
+    before_v = [v.copy() for v in (model.amateur_velocity, model.expert_velocity)]
     rng = derive_rng(9)
     l_a, l_e = train_step(model, rng.standard_normal((4, 3)),
                           rng.integers(0, 2, 4), rng.integers(0, 2, 4), lr=0.0)
     assert math.isfinite(l_a) and math.isfinite(l_e) and l_a >= 0.0 and l_e >= 0.0
     np.testing.assert_array_equal(model.amateur.params, before_a)
     np.testing.assert_array_equal(model.expert.params, before_e)
-    after_v = (model.amateur_state.velocity, model.expert_state.velocity)
+    after_v = (model.amateur_velocity, model.expert_velocity)
     for v, w in zip(after_v, before_v):
         np.testing.assert_array_equal(v, w)
 
@@ -551,15 +553,33 @@ def test_model_validation_names_the_mismatch(amateur, expert, error, message):
         ExpertNet(a, e)
 
 
-def test_the_model_builds_one_state_per_network_from_one_setting():
+def test_the_model_holds_one_setting_and_one_velocity_per_network():
     amateur, expert = mlp_for(3, 2), mlp_for(4, 2)  # 8 and 10 parameters
     model = ExpertNet(amateur, expert, 0.5, 0.01)
-    assert model.amateur_state is not model.expert_state
-    for net, state in ((amateur, model.amateur_state), (expert, model.expert_state)):
-        assert state.velocity.shape == net.params.shape
-        assert not state.velocity.any()
-        assert (state.momentum, state.weight_decay) == (0.5, 0.01)
-    assert not np.shares_memory(model.amateur_state.velocity, model.expert_state.velocity)
+    assert model.amateur_velocity is not model.expert_velocity
+    for net, velocity in ((amateur, model.amateur_velocity), (expert, model.expert_velocity)):
+        assert velocity.shape == net.params.shape
+        assert not velocity.any()
+    assert (model.momentum, model.weight_decay) == (0.5, 0.01)
+    assert not np.shares_memory(model.amateur_velocity, model.expert_velocity)
+
+
+@pytest.mark.parametrize("momentum, weight_decay, message", [
+    (5, 1e-4, "momentum must be in [0, 1), got 5"),
+    (0.9, -1.0, "weight decay must be finite and >= 0, got -1.0"),
+], ids=["momentum", "weight decay"])
+def test_a_setting_outside_the_rule_is_rejected_at_construction_and_load(
+        tmp_path, momentum, weight_decay, message):
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        ExpertNet(mlp_for(3, 2), mlp_for(4, 2), momentum, weight_decay)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model(seed=3), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    setting = {"momentum": momentum, "weight_decay": weight_decay}
+    path.write_text(json.dumps({**doc, "amateur_opt": setting, "expert_opt": setting}),
+                    encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape(f"{path}: {message}")):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -626,8 +646,7 @@ def test_a_checkpoint_holds_one_sgd_setting(tmp_path):
     assert list(doc) == ["format", "version", "amateur", "expert", "amateur_opt", "expert_opt"]
     assert doc["amateur_opt"] == doc["expert_opt"] == {"momentum": 0.5, "weight_decay": 0.01}
     loaded = load_checkpoint(path)
-    for state in (loaded.amateur_state, loaded.expert_state):
-        assert (state.momentum, state.weight_decay) == (0.5, 0.01)
+    assert (loaded.momentum, loaded.weight_decay) == (0.5, 0.01)
     path.write_text(json.dumps({**doc, "expert_opt": {"momentum": 0.9, "weight_decay": 0.01}}),
                     encoding="utf-8")
     with pytest.raises(InputError,

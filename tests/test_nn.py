@@ -18,7 +18,6 @@ from expertnet.nn import (
     Dense,
     ForwardCorrectedLoss,
     Network,
-    SgdState,
     StepDecay,
     backward,
     epoch_batches,
@@ -420,16 +419,15 @@ def test_forward_corrected_loss_rejects_negative_entries():
 
 def test_sgd_plain_step():
     params = np.array([1.0])
-    state = SgdState(velocity=np.array([0.0]), momentum=0.0, weight_decay=0.0)
-    sgd_step(params, np.array([0.5]), state, lr=0.1)
+    sgd_step(params, np.array([0.5]), np.array([0.0]), 0.1, momentum=0.0, weight_decay=0.0)
     np.testing.assert_allclose(params, [0.95], atol=1e-15)
 
 
 def test_sgd_zero_gradient_fixed_point():
     params = np.array([1.5, -2.0])
-    state = SgdState(velocity=np.zeros(2), momentum=0.0, weight_decay=0.0)
+    velocity = np.zeros(2)
     for _ in range(5):
-        sgd_step(params, np.zeros(2), state, lr=0.1)
+        sgd_step(params, np.zeros(2), velocity, 0.1, momentum=0.0, weight_decay=0.0)
     np.testing.assert_array_equal(params, [1.5, -2.0])
 
 
@@ -437,34 +435,46 @@ def test_sgd_momentum_two_step_recurrence():
     # v1 = g, step eta*g; v2 = 0.9 g + g = 1.9 g, step eta*1.9*g
     g, eta = 0.25, 0.05
     params = np.array([1.0])
-    state = SgdState(velocity=np.array([0.0]), momentum=0.9, weight_decay=0.0)
-    sgd_step(params, np.array([g]), state, lr=eta)
+    velocity = np.array([0.0])
+    sgd_step(params, np.array([g]), velocity, eta, momentum=0.9, weight_decay=0.0)
     assert params[0] == pytest.approx(1.0 - eta * g, abs=1e-15)
-    sgd_step(params, np.array([g]), state, lr=eta)
+    sgd_step(params, np.array([g]), velocity, eta, momentum=0.9, weight_decay=0.0)
     assert params[0] == pytest.approx(1.0 - eta * g - eta * 1.9 * g, abs=1e-15)
 
 
 def test_sgd_negative_lr_rejected():
     params = np.zeros(1)
-    state = SgdState(velocity=np.zeros(1), momentum=0.0, weight_decay=0.0)
     with pytest.raises(ConfigurationError):
-        sgd_step(params, np.zeros(1), state, lr=-0.1)
+        sgd_step(params, np.zeros(1), np.zeros(1), -0.1, momentum=0.0, weight_decay=0.0)
+
+
+@pytest.mark.parametrize("momentum, weight_decay, message", [
+    (1.0, 0.0, "momentum must be in [0, 1), got 1.0"),
+    (-0.1, 0.0, "momentum must be in [0, 1), got -0.1"),
+    (0.9, -1e-4, "weight decay must be finite and >= 0, got -0.0001"),
+    (0.9, math.inf, "weight decay must be finite and >= 0, got inf"),
+], ids=["momentum 1", "negative momentum", "negative decay", "infinite decay"])
+def test_sgd_step_rejects_a_setting_outside_the_rule(momentum, weight_decay, message):
+    params, velocity = np.array([1.0]), np.array([0.5])
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        sgd_step(params, np.array([2.0]), velocity, 0.1, momentum, weight_decay)
+    np.testing.assert_array_equal(params, [1.0])
+    np.testing.assert_array_equal(velocity, [0.5])
 
 
 def test_sgd_shape_mismatch_rejected():
-    state = SgdState(velocity=np.zeros(2), momentum=0.0, weight_decay=0.0)
     with pytest.raises(DimensionError):
-        sgd_step(np.zeros(2), np.zeros(3), state, lr=0.1)
+        sgd_step(np.zeros(2), np.zeros(3), np.zeros(2), 0.1, momentum=0.0, weight_decay=0.0)
 
 
 def test_sgd_zero_lr_changes_nothing_but_still_checks_shapes():
     params = np.array([1.5, -2.0])
-    state = SgdState(velocity=np.array([0.25, -0.5]), momentum=0.9, weight_decay=1e-2)
-    sgd_step(params, np.array([3.0, 4.0]), state, lr=0.0)
+    velocity = np.array([0.25, -0.5])
+    sgd_step(params, np.array([3.0, 4.0]), velocity, 0.0, momentum=0.9, weight_decay=1e-2)
     np.testing.assert_array_equal(params, [1.5, -2.0])
-    np.testing.assert_array_equal(state.velocity, [0.25, -0.5])
+    np.testing.assert_array_equal(velocity, [0.25, -0.5])
     with pytest.raises(DimensionError, match="shape mismatch"):
-        sgd_step(params, np.zeros(3), state, lr=0.0)
+        sgd_step(params, np.zeros(3), velocity, 0.0, momentum=0.9, weight_decay=1e-2)
 
 
 def test_weight_decay_equals_l2_penalty_gradient():
@@ -473,17 +483,16 @@ def test_weight_decay_equals_l2_penalty_gradient():
     lam, lr = 1e-3, 0.05
     net_a = mlp((3, 4, 2), rng=derive_rng(5))
     net_b = mlp((3, 4, 2), rng=derive_rng(5))
-    state_a = SgdState.for_network(net_a, momentum=0.9, weight_decay=lam)
-    state_b = SgdState.for_network(net_b, momentum=0.9, weight_decay=0.0)
+    velocity_a, velocity_b = np.zeros_like(net_a.params), np.zeros_like(net_b.params)
     x = rng.standard_normal((6, 3))
     targets = rng.random((6, 2))
     targets /= targets.sum(axis=1, keepdims=True)
     for _ in range(5):
         ga = loss_and_gradients(net_a, x, targets, CROSS_ENTROPY)[1]
-        sgd_step(net_a.params, ga, state_a, lr)
+        sgd_step(net_a.params, ga, velocity_a, lr, momentum=0.9, weight_decay=lam)
         gb = loss_and_gradients(net_b, x, targets, CROSS_ENTROPY)[1]
         gb = gb + lam * net_b.params
-        sgd_step(net_b.params, gb, state_b, lr)
+        sgd_step(net_b.params, gb, velocity_b, lr, momentum=0.9, weight_decay=0.0)
     np.testing.assert_allclose(net_a.params, net_b.params, atol=1e-8)
 
 
@@ -496,7 +505,7 @@ def test_dense_layers_are_views_into_the_network_buffer():
         assert np.shares_memory(layer.bias, net.params)
     x = derive_rng(4).standard_normal((5, 3))
     before, _ = forward(net, x)
-    sgd_step(net.params, np.ones_like(net.params), SgdState.for_network(net), lr=0.1)
+    sgd_step(net.params, np.ones_like(net.params), np.zeros_like(net.params), 0.1, 0.9, 1e-4)
     after, _ = forward(net, x)
     assert not np.array_equal(before, after)
 
@@ -509,7 +518,7 @@ def test_networks_built_from_one_dense_layer_stay_independent():
     b = Network([layer, Activation("softmax")])
     x = rng.standard_normal((4, 3))
     before_a, before_b = forward(a, x)[0], forward(b, x)[0]
-    sgd_step(a.params, np.ones_like(a.params), SgdState.for_network(a), lr=0.1)
+    sgd_step(a.params, np.ones_like(a.params), np.zeros_like(a.params), 0.1, 0.9, 1e-4)
     assert not np.array_equal(forward(a, x)[0], before_a)
     np.testing.assert_array_equal(forward(b, x)[0], before_b)
     np.testing.assert_array_equal(layer.weight, weight)
@@ -532,14 +541,14 @@ def test_lr_schedule_validation():
 def test_training_is_bit_deterministic():
     def run():
         net = mlp((3, 4, 2), rng=derive_rng(9))
-        state = SgdState.for_network(net, momentum=0.9, weight_decay=1e-4)
+        velocity = np.zeros_like(net.params)
         x = derive_rng(10).standard_normal((8, 3))
         targets = derive_rng(11).random((8, 2))
         targets /= targets.sum(axis=1, keepdims=True)
         for epoch in range(3):
             for idx in epoch_batches(8, 3, seed=77, epoch=epoch):
                 g = loss_and_gradients(net, x[idx], targets[idx], CROSS_ENTROPY)[1]
-                sgd_step(net.params, g, state, 0.05)
+                sgd_step(net.params, g, velocity, 0.05, momentum=0.9, weight_decay=1e-4)
         return net.params.copy()
 
     np.testing.assert_array_equal(run(), run())
