@@ -4,13 +4,12 @@ statistics, and verify the gradient engine."""
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
 
 from . import harness
-from .data import DESCRIPTOR_PATH, check_array_size
+from .data import check_array_size, write_target
 from .errors import ConfigurationError, ExpertNetError
 from .model import save_checkpoint
 from .nn import CROSS_ENTROPY, ForwardCorrectedLoss, gradient_check, mlp
@@ -61,16 +60,8 @@ def cmd_train(args) -> int:
     method = config.methods[0]
     if args.save and method != "expertnet":
         raise ConfigurationError(f"--save writes expertnet checkpoints only, not {method}")
-    if args.save and (os.path.isdir(args.save)
-                      or not os.path.isdir(os.path.dirname(os.path.abspath(args.save)))):
-        raise ConfigurationError(f"cannot write a checkpoint to {args.save}: it is a "
-                                 "directory or its directory does not exist")
-    if args.save and len(os.fsencode(os.path.basename(args.save))) > os.pathconf(
-            os.path.dirname(os.path.abspath(args.save)), "PC_NAME_MAX"):
-        raise ConfigurationError(f"cannot write a checkpoint to {args.save}: its name is too long")
-    if args.save and DESCRIPTOR_PATH.fullmatch(args.save) and not os.path.exists(args.save):
-        raise ConfigurationError(f"cannot write a checkpoint to {args.save}: "
-                                 "that descriptor is not open")
+    if args.save:
+        write_target(args.save)
     ratio, fraction, seed = config.noise_ratios[0], config.fractions[0], config.seeds[0]
     train_set, val_set, matrix = harness.build_cell_datasets(config, ratio, fraction, seed,
                                                              harness.load_source(config))

@@ -4,6 +4,7 @@ one-hot encoding, deterministic splits, and fraction subsampling."""
 from __future__ import annotations
 
 import contextlib
+import errno
 import math
 import os
 import re
@@ -161,33 +162,50 @@ def read_text(path) -> str:
     try:
         with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text or a NUL byte
         raise InputError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
-def write_files(texts: dict) -> None:
-    """Write each {path: text} as UTF-8; a failure raises ConfigurationError naming the path.
+def write_target(path) -> tuple:
+    """How `write_files` writes `path`: ("descriptor", N) through a copy of the open descriptor
+    N it names, ("in place", path) for a device or FIFO, or ("replace", real) for a regular file
+    or a new name; anything else raises ConfigurationError "cannot write PATH: REASON"."""
+    named = DESCRIPTOR_PATH.fullmatch(os.fspath(path))
+    try:
+        try:
+            os.stat(path)
+        except FileNotFoundError:  # a new name: its directory, as given and as linked, exists
+            if named:
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF)) from None
+            real = os.path.realpath(path)  # drops `missing/..`, which the OS does not
+            os.stat(os.path.dirname(path) or os.curdir), os.stat(os.path.dirname(real))
+            return "replace", real
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte
+        raise ConfigurationError(f"cannot write {path}: "
+                                 f"{getattr(exc, 'strerror', None) or exc}") from None
+    if named:
+        return "descriptor", int(named[2]) if named[2] else ("in", "out", "err").index(named[1])
+    return ("replace", os.path.realpath(path)) if os.path.isfile(path) else ("in place", path)
 
-    A regular file, or none yet, is replaced whole through its links: its text goes to a
-    temporary file beside the real target, and the temporaries replace their targets only
-    once every text is written.  A device or FIFO cannot be replaced; it is written in place.
-    A path that names an open descriptor (/dev/stdin, /dev/stdout, /dev/stderr, /dev/fd/N,
-    /proc/self/fd/N) is written through a copy of it, after what Python printed before.
-    """
+
+def write_files(texts: dict) -> None:
+    """Write each {path: text} as UTF-8 where `write_target` says, or raise ConfigurationError
+    naming the path; temporaries replace their real targets only once every text is written."""
     temps = {}  # path: (temporary, real target)
+    sys.stdout.flush()  # a descriptor's text goes after what Python printed
+    sys.stderr.flush()
     try:
         for path, text in texts.items():
-            temp = path  # a device or FIFO in place; a directory fails to open
-            if named := DESCRIPTOR_PATH.fullmatch(os.fspath(path)):
-                sys.stdout.flush()
-                sys.stderr.flush()
-                temp = os.dup(int(named[2]) if named[2] else ("in", "out", "err").index(named[1]))
-            elif os.path.isfile(path) or not os.path.exists(path):
-                head, name = os.path.split(os.path.realpath(path))
+            how, target = write_target(path)
+            if how == "replace":
+                head, name = os.path.split(target)
                 # 40 characters of the name keep the temporary's within 255 bytes
                 temp = os.path.join(head, f".{name[:40]}.{os.getpid()}.{len(temps)}.tmp")
-                temps[path] = temp, os.path.join(head, name)
-            with open(temp, "w", encoding="utf-8", newline="") as fh:
+                temps[path], target = (temp, target), temp
+            with open(os.dup(target) if how == "descriptor" else target, "w", encoding="utf-8",
+                      newline="") as fh:
                 fh.write(text)
         for path, (temp, real) in temps.items():
             os.replace(temp, real)

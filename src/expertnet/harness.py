@@ -454,9 +454,9 @@ def make_output_dir(path) -> None:
     """Create the output directory unless it exists; ConfigurationError when it cannot be."""
     try:
         os.makedirs(path, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte
         raise ConfigurationError(f"cannot use {path} as the output directory: "
-                                 f"{exc.strerror}") from None
+                                 f"{getattr(exc, 'strerror', None) or exc}") from None
 
 
 def emit_report(runs, out_dir) -> list[str]:

@@ -262,15 +262,25 @@ def test_negative_zero_noise_ratio_is_the_ratio_zero(config_path, tmp_path):
     assert b"rho=0 " in outputs["-0"][1]
 
 
-@pytest.mark.parametrize("save", ["nope/model.ckpt", "."])
+@pytest.mark.parametrize("save", ["nope/model.ckpt", ".", "newname/", "dir/", "dangling",
+                                  "link/"])
 def test_train_save_to_an_unusable_path_exits_two(config_path, tmp_path, capsys, save):
-    ckpt = tmp_path / save
-    assert main(["train", "--config", config_path, "--save", str(ckpt)]) == 2
+    """A missing directory, a directory, a trailing slash, a link to a missing directory
+    (`dangling` points to nowhere/x) and a file used as a directory (`link/` points to a
+    file) are all rejected before training, and nothing is written."""
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+    (tmp_path / "dangling").symlink_to("nowhere/x")
+    (tmp_path / "link").symlink_to("file")
+    before = sorted(os.listdir(tmp_path))
+    ckpt = os.path.join(tmp_path, save)  # a pathlib path would drop the trailing slash
+    assert main(["train", "--config", config_path, "--save", ckpt]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and str(ckpt) in captured.err
+    assert captured.err.startswith(f"error: cannot write {ckpt}: ")
     assert captured.err.count("\n") == 1
     assert "epoch" not in captured.out  # rejected before training
-    assert not (tmp_path / "nope").exists()
+    assert sorted(os.listdir(tmp_path)) == before and os.listdir(tmp_path / "dir") == []
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
 
 
 def test_train_save_to_a_name_over_the_limit_exits_two_before_training(config_path, tmp_path,
@@ -279,7 +289,7 @@ def test_train_save_to_a_name_over_the_limit_exits_two_before_training(config_pa
     before = sorted(os.listdir(tmp_path))
     assert main(["train", "--config", config_path, "--save", str(ckpt)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: cannot write a checkpoint to {ckpt}: its name is too long\n"
+    assert captured.err == f"error: cannot write {ckpt}: File name too long\n"
     assert "epoch" not in captured.out  # rejected before training
     assert sorted(os.listdir(tmp_path)) == before
 
@@ -329,8 +339,7 @@ def test_train_save_to_a_closed_descriptor_exits_two_before_training(config_path
                            config_path, "--save", "/dev/fd/97"], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"})
     assert done.returncode == 2 and "epoch" not in done.stdout
-    assert done.stderr == ("error: cannot write a checkpoint to /dev/fd/97: "
-                           "that descriptor is not open\n")
+    assert done.stderr == "error: cannot write /dev/fd/97: Bad file descriptor\n"
 
 
 def test_missing_config_file_exits_two(tmp_path, capsys):

@@ -16,6 +16,7 @@ import os
 import pathlib
 import re
 import tempfile
+import threading
 import warnings
 
 import numpy as np
@@ -135,11 +136,11 @@ ITEMS = {
     "bootstrap_beta": ["0.8", "1"],
     "bootstrap_variant": ["soft", "hard"],
     "expert_terminal": ["softmax", "sigmoid", "relu"],
-    "matrix": ["none", "missing-matrix.csv"],
+    "matrix": ["none", "missing-matrix.csv", "nul\0byte.csv"],
     "schema": ["1", "2"],
     "dataset": ["blobs", "file"],
-    "file.train": ["missing-train.csv"],
-    "file.val": ["missing-val.csv"],
+    "file.train": ["missing-train.csv", "nul\0byte.csv"],
+    "file.val": ["missing-val.csv", "nul\0byte.csv"],
     "file.label": ["label"],
     "file.features": ["a", "label"],
     "blobs.nope": ["1"],
@@ -197,6 +198,27 @@ def test_run_with_any_overrides_exits_0_1_or_2_and_reports_accordingly(tmp_path,
             assert row["status"] == "ok" or UNFORESEEABLE.match(row["diagnostic"]), row
 
 
+def test_a_nul_byte_in_a_config_path_is_a_user_error(tmp_path, capsys):
+    """A config file can hold a NUL byte, which no path can: an `out` holding one exits 2
+    before any cell runs, and a `matrix` holding one fails the cells with an InputError
+    naming the path (and `train` exits 2 with it)."""
+    config = tmp_path / "nul.cfg"
+    config.write_text(BASE_CONFIG + "out = nul\0out\n", encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: cannot use nul\0out as the output directory: "
+                              "embedded null byte\n")
+    config.write_text(BASE_CONFIG + f"noise_ratios = 0.2\nmatrix = nul\0m.csv\n"
+                      f"out = {tmp_path / 'out'}\n", encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 1
+    with open(tmp_path / "out" / "results.csv", encoding="utf-8", newline="") as fh:
+        assert {row["diagnostic"] for row in csv.DictReader(fh)} == {
+            "InputError: nul\0m.csv: embedded null byte"}
+    capsys.readouterr()
+    assert main(["train", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: nul\0m.csv: embedded null byte\n"
+
+
 # --- two runs into one directory ------------------------------------------------------
 
 RUN = st.tuples(st.lists(st.sampled_from(["0", "0.2", "0.4"]), min_size=1, max_size=2,
@@ -228,3 +250,65 @@ def test_a_second_run_into_one_directory_leaves_exactly_its_own_report(tmp_path,
     assert (shared / "notes.txt").read_bytes() == b"kept\n"
     for name in ("results.csv", *pivots):
         assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+# --- `train --save` paths -------------------------------------------------------------
+
+# a save path is a head, a name and a tail under a directory holding `dir`, `file`, `fifo`
+# and links to `dir`, to a missing directory and to `file`; or an open or closed /dev/fd/N
+HEADS = ["", "dir/", "missing/", "to-dir/", "to-missing/", "to-file/", "dir/../",
+         "missing/../", "./"]
+NAMES = ["new.ckpt", "dir", "file", "to-dir", "to-missing", "to-file", ".", "..",
+         "n" * 254, "n" * 255, "n" * 256]
+TAILS = ["", "/", "/.", "/.."]
+SAVE = st.one_of(st.tuples(st.sampled_from(HEADS), st.sampled_from(NAMES),
+                           st.sampled_from(TAILS)).map("".join),
+                 st.sampled_from(["fifo", "open descriptor", "closed descriptor"]))
+
+
+def _tree(root) -> dict:
+    """Every entry under `root` with its bytes (None for a directory, FIFO or link)."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() and not p.is_symlink()
+            else None for p in pathlib.Path(root).rglob("*")}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(save=SAVE)
+def test_train_save_exits_2_before_training_or_writes_a_loadable_checkpoint(tmp_path, capsys,
+                                                                            save):
+    config = tmp_path / "base.cfg"
+    config.write_text(BASE_CONFIG, encoding="utf-8")
+    root = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+    (root / "dir").mkdir()
+    (root / "file").write_bytes(b"kept\n")
+    os.mkfifo(root / "fifo")
+    for link, target in (("to-dir", "dir"), ("to-missing", "missing"), ("to-file", "file")):
+        (root / link).symlink_to(target)
+    received = []
+    if save == "fifo":  # a FIFO takes the save only while a reader waits
+        reader = threading.Thread(target=lambda: received.append((root / "fifo").read_bytes()),
+                                  daemon=True)
+        reader.start()
+    with open(root / "held", "wb") as held:
+        closed = os.dup(held.fileno())
+        os.close(closed)
+        path = {"open descriptor": f"/dev/fd/{held.fileno()}",
+                "closed descriptor": f"/dev/fd/{closed}"}.get(save, f"{root}/{save}")
+        before = _tree(root)
+        capsys.readouterr()
+        code = main(["train", "--config", str(config), "--save", path])
+        if save == "fifo":
+            reader.join(timeout=10)
+        out, err = capsys.readouterr()
+        assert code in (0, 2)
+        if code == 2:
+            assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+            assert "epoch" not in out  # rejected before training
+            assert _tree(root) == before
+            return
+        assert err == "" and out.endswith(f"checkpoint written to {path}\n")
+        if save == "fifo":
+            (root / "fifo.ckpt").write_bytes(received[0])
+            path = root / "fifo.ckpt"
+        assert load_checkpoint(path).amateur.input_dim == 4

@@ -417,6 +417,13 @@ def test_a_file_named_by_its_descriptor_is_written_at_its_offset(tmp_path):
     assert path.read_text(encoding="utf-8") == "printed\nsaved\nprinted after\n"
 
 
+@pytest.mark.parametrize("path", ["/dev/fd/99999999999999999999", "a\0b"],
+                         ids=["descriptor-beyond-any", "nul-byte"])
+def test_a_path_that_names_no_possible_file_is_a_configuration_error(path):
+    with pytest.raises(ConfigurationError, match=re.escape(f"cannot write {path}: ")):
+        save_matrix_csv(symmetric_matrix(2, 0.2), path)
+
+
 def _writes(call: ast.Call) -> bool:
     """Whether a call opens a file to write, append, create or update, or renames one."""
     func = call.func
@@ -462,4 +469,17 @@ def test_only_write_files_opens_a_file_for_writing_or_renames_one():
                 allowed = {id(n) for n in ast.walk(node)}
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Call) and id(node) not in allowed and _writes(node)]
+    assert offenders == []
+
+
+def test_only_data_decides_whether_a_path_can_be_written():
+    """`data.write_target` is the one writability rule: no other module matches a descriptor
+    path or reads a directory's name limit, which would be a second, diverging rule."""
+    offenders = []
+    for path in sorted(pathlib.Path(data_mod.__file__).parent.glob("*.py")):
+        if path.name != "data.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            offenders += [f"{path.name}:{getattr(node, 'lineno', '?')}" for node in ast.walk(tree)
+                          if {getattr(node, key, None) for key in ("id", "attr", "name")}
+                          & {"DESCRIPTOR_PATH", "pathconf"}]
     assert offenders == []
