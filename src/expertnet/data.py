@@ -166,28 +166,47 @@ def read_text(path) -> str:
         raise InputError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
+def temporary_path(target: str, tag) -> str:
+    """The hidden name beside `target` that `write_files` writes before renaming it to
+    `target`, or that `write_target` creates to prove the directory takes a new file."""
+    head, name = os.path.split(target)
+    # 40 characters of the name keep the temporary's within 255 bytes
+    return os.path.join(head, f".{name[:40]}.{os.getpid()}.{tag}.tmp")
+
+
 def write_target(path) -> tuple:
     """How `write_files` writes `path`: ("descriptor", N) through a copy of the open descriptor
     N it names, ("in place", path) for a device or FIFO, or ("replace", real) for a regular file
-    or a new name; anything else raises ConfigurationError "cannot write PATH: REASON"."""
+    or a new name in a directory that takes a new file; anything else raises
+    ConfigurationError "cannot write PATH: REASON"."""
     named = DESCRIPTOR_PATH.fullmatch(os.fspath(path))
     try:
+        if not os.fspath(path):  # os.stat fails, yet realpath names the current directory
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
         try:
             os.stat(path)
-        except FileNotFoundError:  # a new name: its directory, as given and as linked, exists
+        except FileNotFoundError:  # a new name: its directory, as given, exists
             if named:
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF)) from None
-            real = os.path.realpath(path)  # drops `missing/..`, which the OS does not
-            os.stat(os.path.dirname(path) or os.curdir), os.stat(os.path.dirname(real))
-            return "replace", real
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            os.stat(os.path.dirname(path) or os.curdir)
+        else:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            if named:
+                return "descriptor", (int(named[2]) if named[2]
+                                      else ("in", "out", "err").index(named[1]))
+            if not os.path.isfile(path):
+                return "in place", path
+        real = os.path.realpath(path)  # drops `missing/..`, which the OS does not
+        # only a create proves the directory, as linked, takes the temporary: os.access
+        # answers yes for root in a read-only directory, and anyone in /proc
+        probe = temporary_path(real, "probe")
+        os.close(os.open(probe, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+        os.remove(probe)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte
         raise ConfigurationError(f"cannot write {path}: "
                                  f"{getattr(exc, 'strerror', None) or exc}") from None
-    if named:
-        return "descriptor", int(named[2]) if named[2] else ("in", "out", "err").index(named[1])
-    return ("replace", os.path.realpath(path)) if os.path.isfile(path) else ("in place", path)
+    return "replace", real
 
 
 def write_files(texts: dict) -> None:
@@ -200,9 +219,7 @@ def write_files(texts: dict) -> None:
         for path, text in texts.items():
             how, target = write_target(path)
             if how == "replace":
-                head, name = os.path.split(target)
-                # 40 characters of the name keep the temporary's within 255 bytes
-                temp = os.path.join(head, f".{name[:40]}.{os.getpid()}.{len(temps)}.tmp")
+                temp = temporary_path(target, len(temps))
                 temps[path], target = (temp, target), temp
             with open(os.dup(target) if how == "descriptor" else target, "w", encoding="utf-8",
                       newline="") as fh:
@@ -224,6 +241,48 @@ def text_lines(text: str) -> list[str]:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     return lines[:-1] if lines[-1] == "" else lines  # a final line end opens no line
+
+
+def read_rows(rows: list, n_cells: int, feat_idx: list, label_idx: int):
+    """(features, stripped labels) of table rows read by numpy's C reader, or None where a row
+    has other than `n_cells` cells or an empty label, or numpy refuses a feature cell; every
+    cell numpy reads, `float()` reads after `.strip()` to the same value."""
+    if any(row.count(",") != n_cells - 1 for row in rows):
+        return None  # checked first: `usecols` ignores extra cells
+    right = n_cells - 1 - label_idx  # cells after the label
+    if label_idx <= right:
+        labels = [row.split(",", label_idx + 1)[label_idx].strip() for row in rows]
+    else:
+        labels = [row.rsplit(",", right + 1)[-right - 1].strip() for row in rows]
+    if not all(labels):
+        return None
+    try:
+        # comments=None: the default "#" would cut `1.5#2` to 1.5
+        features = np.loadtxt(rows, delimiter=",", usecols=feat_idx, comments=None, ndmin=2)
+    except ValueError:  # a cell only `float()` reads (`1_000`, non-ASCII digits) or none does
+        return None
+    return features, labels
+
+
+def parse_rows(path, linenos: list, rows: list, n_cells: int, feat_idx: list,
+               label_idx: int):
+    """(features, stripped labels) of table rows, one `float()` per feature cell; the first
+    row with other than `n_cells` cells, an empty label or an unreadable cell raises
+    InputError at its line number."""
+    features = np.empty((len(rows), len(feat_idx)))
+    raw_labels = []
+    for lineno, line in zip(linenos, rows):
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != n_cells:
+            raise InputError(f"{path}:{lineno}: expected {n_cells} cells, got {len(cells)}")
+        if not cells[label_idx]:
+            raise InputError(f"{path}:{lineno}: empty label")
+        try:
+            features[len(raw_labels)] = [float(cells[i]) for i in feat_idx]
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
+        raw_labels.append(cells[label_idx])
+    return features, raw_labels
 
 
 # A training table's feature columns, their mean and population standard
@@ -268,26 +327,15 @@ def load_table(path, label_column: str, feature_columns=None,
     feat_idx = [header.index(c) for c in feature_columns]
     label_idx = header.index(label_column)
 
-    features = np.empty((len(lines) - 1, len(feat_idx)))
-    raw_labels, linenos = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != len(header):
-            raise InputError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
-        if not cells[label_idx]:
-            raise InputError(f"{path}:{lineno}: empty label")
-        try:
-            features[len(linenos)] = [float(cells[i]) for i in feat_idx]
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from exc
-        raw_labels.append(cells[label_idx])
-        linenos.append(lineno)
-    if not linenos:
+    numbered = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2)
+                if line.strip()]
+    if not numbered:
         raise InputError(f"{path}:2: no data rows")
+    linenos, rows = (list(column) for column in zip(*numbered))
+    # the per-row loop reads what numpy refuses and names the first bad row
+    features, raw_labels = (read_rows(rows, len(header), feat_idx, label_idx)
+                            or parse_rows(path, linenos, rows, len(header), feat_idx, label_idx))
 
-    features = features[:len(linenos)]
     finite = np.isfinite(features)
     if not finite.all():
         row, col = (int(i[0]) for i in np.nonzero(~finite))

@@ -283,6 +283,32 @@ def test_train_save_to_an_unusable_path_exits_two(config_path, tmp_path, capsys,
     assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
 
 
+@pytest.mark.parametrize("where", [
+    pytest.param("/proc", marks=pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                                                   reason="no /proc")),
+    pytest.param("read-only", marks=pytest.mark.skipif(
+        hasattr(os, "geteuid") and os.geteuid() == 0,
+        reason="root makes files in a read-only directory")),
+])
+def test_train_save_into_a_directory_that_takes_no_file_exits_two(config_path, tmp_path,
+                                                                  capsys, where):
+    """The directory exists, yet no file can be made in it: rejected before training."""
+    directory = where
+    if where == "read-only":
+        directory = tmp_path / "read-only"
+        directory.mkdir()
+        directory.chmod(0o555)
+    ckpt = os.path.join(directory, "x.ckpt")
+    assert main(["train", "--config", config_path, "--save", ckpt]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {ckpt}: ")
+    assert captured.err.count("\n") == 1
+    assert "epoch" not in captured.out  # rejected before training
+    assert not os.path.lexists(ckpt)
+    if where == "read-only":
+        assert os.listdir(directory) == []
+
+
 def test_train_save_to_a_name_over_the_limit_exits_two_before_training(config_path, tmp_path,
                                                                        capsys):
     ckpt = tmp_path / ("b" * 260 + ".ckpt")

@@ -3,7 +3,8 @@
 A damaged matrix file, table or checkpoint either reads or raises an InputError
 whose message starts with the file's path, and no read emits a warning.  The
 damage is byte edits to a valid file: flips, insertions, deletions, a number
-replaced by a huge one, and deep nesting.
+replaced by a huge one, and deep nesting.  A drawn table loads as one `float()`
+per stripped cell reads it: to the same bytes, or with the same first bad line.
 
 `run --set KEY=VALUE` on a tiny grid exits 0, 1 or 2: exit 2 prints one `error:`
 line and writes no report; exit 0 or 1 writes one results.csv row per method x
@@ -94,6 +95,114 @@ def test_a_damaged_file_reads_or_raises_an_input_error_naming_it(tmp_path, valid
             READERS[reader](path)
         except InputError as exc:
             assert str(exc).startswith(str(path))
+
+
+# --- the table reader against one `float()` per stripped cell ------------------------
+
+# Unicode whitespace that `str.strip()` removes, inside a line (no LF or CR, which end it)
+SPACES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+PIECES = [*"0123456789+-.eE_#", *SPACES, "nan", "inf", "\u0661", "\u0665", "\uff11",
+          "\uff15", "\uff0e"]
+NUMERAL = st.one_of(st.floats(-1e6, 1e6).map(repr), st.integers(-10**6, 10**6).map(str),
+                    st.floats(-1e6, 1e6).map("{:.3e}".format),
+                    st.sampled_from(["-0", ".5", "5.", "+1", "1E+2", "0e0", "1e-400"]))
+PAD = st.sampled_from(["", *SPACES])
+PADDED = st.tuples(PAD, NUMERAL, PAD).map("".join)
+# underscores and Arabic-Indic or fullwidth digits, which `float()` reads and numpy does not
+SPELLED = st.one_of(
+    st.integers(1000, 10**6).map("{:_}".format),
+    st.tuples(st.integers(0, 10**6).map(str), st.sampled_from([0x0660, 0xFF10])).map(
+        lambda pair: pair[0].translate({ord("0") + d: pair[1] + d for d in range(10)})))
+CELLS = [PADDED,  # numbers numpy reads
+         st.one_of(PADDED, st.sampled_from(["nan", "-inf", "1e400"])),  # and non-finite ones
+         st.one_of(PADDED, SPELLED),  # and ones only `float()` reads
+         st.one_of(PADDED, PADDED.map("{}#2".format),  # and anything
+                   st.lists(st.sampled_from(PIECES), max_size=6).map("".join))]
+LABELS = ["x", "y", " x ", "\u3000y\x1c", "z#", "", " "]
+BLANK = st.sampled_from(["", " ", "\t", "\x1c", "\u3000"])
+
+
+@st.composite
+def tables(draw):
+    """(header, data lines): rows of numbers, of non-finite or unreadable cells, ragged rows
+    or empty labels, with blank lines between them."""
+    n_features = draw(st.integers(1, 3))
+    header = [f"f{i}" for i in range(n_features)]
+    at = draw(st.integers(0, n_features))
+    header.insert(at, "label")
+    cell = draw(st.sampled_from(CELLS))
+    label = st.sampled_from(LABELS if draw(st.booleans()) else LABELS[:5])
+    ragged = draw(st.integers(0, 3)) == 0
+    width = st.integers(1, len(header) + 1) if ragged else st.just(len(header))
+    row = width.flatmap(
+        lambda n: st.tuples(*[label if i == at else cell for i in range(n)]).map(",".join))
+    lines = draw(st.lists(row, min_size=1, max_size=5))
+    for where, blank in draw(st.lists(st.tuples(st.integers(0, 5), BLANK), max_size=2)):
+        lines.insert(where % (len(lines) + 1), blank)
+    return header, lines
+
+
+def _oracle(path, header, lines):
+    """(features, labels) as one `float()` per stripped cell reads them, or the InputError
+    text `load_table` raises: the first bad line, in the order a reader meets it."""
+    at = header.index("label")
+    features, labels, linenos = [], [], []
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(header):
+            return f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}"
+        if not cells[at].strip():
+            return f"{path}:{lineno}: empty label"
+        try:
+            features.append([float(c.strip()) for i, c in enumerate(cells) if i != at])
+        except ValueError as exc:
+            return f"{path}:{lineno}: {exc}"
+        labels.append(cells[at].strip())
+        linenos.append(lineno)
+    if not labels:
+        return f"{path}:2: no data rows"
+    names = [h for h in header if h != "label"]
+    for lineno, row in zip(linenos, features):
+        for name, value in zip(names, row):
+            if not np.isfinite(value):
+                return f"{path}:{lineno}: column {name!r} is {value}, not a finite number"
+    return features, labels
+
+
+def _loaded(path):
+    """What `load_table` makes of a file: its arrays' bytes and the labels, or the error."""
+    try:
+        ds, schema = load_table(path, "label")
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc).__name__, str(exc)
+    return (ds.features.tobytes(), schema.mean.tobytes(), schema.std.tobytes(),
+            [schema.classes[i] for i in ds.true_labels])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=tables())
+def test_load_table_reads_what_float_reads_in_each_stripped_cell(tmp_path, table):
+    """Where the oracle fails a line, `load_table` raises its text; where it reads the
+    table, `load_table` returns its labels and the bytes of its numbers written plainly."""
+    header, lines = table
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join([",".join(header), *lines]) + "\n", encoding="utf-8")
+    expected = _oracle(path, header, lines)
+    if isinstance(expected, str):
+        assert _loaded(path) == ("InputError", expected)
+        return
+    got = _loaded(path)
+    features, labels = expected
+    plain = [[repr(value) for value in row] for row in features]
+    for cells, name in zip(plain, labels):
+        cells.insert(header.index("label"), name)
+    path.write_text("\n".join(",".join(cells) for cells in [header, *plain]) + "\n",
+                    encoding="utf-8")
+    assert got == _loaded(path)
+    assert len(got) == 2 or got[3] == labels  # an error both tables raise alike, or labels
 
 
 # --- `run --set` on a tiny grid -------------------------------------------------------

@@ -315,13 +315,33 @@ def test_dataset_and_split_reject_unusable_arguments(call, error, message):
     ("a,label\n1.0,x\n2.0,\n3.0,x\n4.0,y\n", None, "t.csv:3: empty label"),
     ("a,b,label\n1.0,1e308,x\n2.0,1e308,y\n3.0,-1e308,x\n4.0,5,y\n", None,
      "t.csv: column 'b' holds values too large to standardize"),
+    ("a,b,label\n1.0,2.0,x\n\n3.0,1.5#2,y\n", None,
+     "t.csv:4: could not convert string to float: '1.5#2'"),
+    ("a,label\n1.0,x\n\n2.0,y,3.0\n", None, "t.csv:4: expected 2 cells, got 3"),
 ], ids=["empty file", "no data rows", "missing feature column", "label column only",
         "label column listed as a feature", "feature column listed twice", "empty label",
-        "values too large to standardize"])
+        "values too large to standardize", "a number then a hash", "an extra cell"])
 def test_load_table_rejects_an_unusable_table(tmp_path, text, columns, message):
     path = _write(tmp_path, "t.csv", text)
     with pytest.raises(InputError, match=re.escape(message)):
         load_table(path, "label", columns)
+
+
+@pytest.mark.parametrize("cell, value", [
+    ("1_000", 1000.0), ("\u0661", 1.0), ("\uff11.\uff15", 1.5), ("\u30002.5\x1c", 2.5),
+], ids=["underscore", "arabic-indic digit", "fullwidth digits", "unicode spaces"])
+def test_load_table_reads_a_cell_as_float_reads_it_stripped(tmp_path, cell, value):
+    """numpy's reader refuses underscores and non-ASCII digits; the table loads to the bytes
+    of the same table with the number written plainly."""
+    loaded = [load_table(_write(tmp_path, f"{name}.csv",
+                                f"a,b,label\n{text},0.5,x\n\n3.0,-1.0,y\n4.0,2.0,x\n"),
+                         "label")
+              for name, text in (("cell", cell), ("plain", repr(value)))]
+    (ds, schema), (plain, plain_schema) = loaded
+    assert ds.features.tobytes() == plain.features.tobytes()
+    assert schema.mean.tobytes() == plain_schema.mean.tobytes()
+    assert schema.std.tobytes() == plain_schema.std.tobytes()
+    np.testing.assert_array_equal(ds.true_labels, [0, 1, 0])
 
 
 def test_load_table_ends_lines_only_at_line_ends(tmp_path):
@@ -417,6 +437,23 @@ def test_a_file_named_by_its_descriptor_is_written_at_its_offset(tmp_path):
     assert path.read_text(encoding="utf-8") == "printed\nsaved\nprinted after\n"
 
 
+def test_an_empty_path_is_rejected_before_any_temporary_is_made(tmp_path, monkeypatch):
+    """`realpath("")` names the current directory; the writer must not read it that way."""
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    opened = []
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(file)
+        return builtins.open(file, *args, **kwargs)
+
+    monkeypatch.setattr(data_mod, "open", recording_open, raising=False)
+    with pytest.raises(ConfigurationError,
+                       match="^" + re.escape("cannot write : No such file or directory") + "$"):
+        write_files({"": "x"})
+    assert opened == [] and os.listdir(tmp_path) == ["cwd"] and os.listdir() == []
+
+
 @pytest.mark.parametrize("path", ["/dev/fd/99999999999999999999", "a\0b"],
                          ids=["descriptor-beyond-any", "nul-byte"])
 def test_a_path_that_names_no_possible_file_is_a_configuration_error(path):
@@ -457,16 +494,40 @@ def test_the_writer_check_reads_a_call(source, writes):
     assert _writes(ast.parse(source).body[0].value) is writes
 
 
+def _creates_a_new_file(call: ast.Call) -> bool:
+    """Whether a call is `os.open(path, flags)` with O_CREAT and O_EXCL in its flags, which
+    makes a new empty file and fails on any existing one."""
+    func = call.func
+    if not (isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os"
+            and func.attr == "open" and len(call.args) > 1):
+        return False
+    return {"O_CREAT", "O_EXCL"} <= {getattr(n, "attr", None) for n in ast.walk(call.args[1])}
+
+
+@pytest.mark.parametrize("source, creates", [
+    ("os.open(p, os.O_WRONLY | os.O_CREAT | os.O_EXCL)", True),
+    ("os.open(p, os.O_WRONLY | os.O_CREAT)", False), ("os.open(p, os.O_EXCL)", False),
+    ("os.open(p, flags)", False), ('open(p, "x")', False),
+])
+def test_the_new_file_check_reads_a_call(source, creates):
+    assert _creates_a_new_file(ast.parse(source).body[0].value) is creates
+
+
 def test_only_write_files_opens_a_file_for_writing_or_renames_one():
     """Every file the package writes goes through `data.write_files`; a second write
-    path would bring back a policy it replaced (in-place writes, a link replaced)."""
+    path would bring back a policy it replaced (in-place writes, a link replaced).
+    `data.write_target` may only make a new empty file, which proves that a directory
+    takes one and can touch no existing file."""
     offenders = []
     for path in sorted(pathlib.Path(data_mod.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         allowed = set()
         for node in tree.body:
             if path.name == "data.py" and getattr(node, "name", None) == "write_files":
-                allowed = {id(n) for n in ast.walk(node)}
+                allowed |= {id(n) for n in ast.walk(node)}
+            if path.name == "data.py" and getattr(node, "name", None) == "write_target":
+                allowed |= {id(n) for n in ast.walk(node)
+                            if isinstance(n, ast.Call) and _creates_a_new_file(n)}
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Call) and id(node) not in allowed and _writes(node)]
     assert offenders == []
