@@ -53,7 +53,7 @@ def bootstrap_target(pred, given_labels, beta: float, variant: str = "soft") -> 
     p = np.asarray(pred, dtype=float)
     if p.ndim != 2:
         raise DimensionError(f"predictions must be (B, K) rows, got shape {p.shape}")
-    labels = np.asarray(given_labels, dtype=np.int64)
+    labels = np.asarray(given_labels)
     if labels.shape != (p.shape[0],):
         raise DataError(f"{p.shape[0]} prediction rows but {labels.shape} labels")
     given = one_hot_batch(labels, p.shape[1])

@@ -46,24 +46,22 @@ class Dataset:
     def __post_init__(self):
         # copy so locking the arrays read-only never reaches back to the caller
         feats = np.array(self.features, dtype=float)
-        true = np.array(self.true_labels, dtype=np.int64)
+        true = np.array(self.true_labels)
         if feats.ndim != 2:
             raise DimensionError(f"features must be 2-D, got shape {feats.shape}")
         if true.shape != (feats.shape[0],):
             raise DimensionError(
                 f"{feats.shape[0]} samples but {true.shape} true labels"
             )
-        if true.size and (true.min() < 0 or true.max() >= self.n_classes):
-            raise DataError(f"true label out of range [0, {self.n_classes})")
+        true = check_labels(true, self.n_classes, "true label")
         for name, arr in (("features", feats), ("true_labels", true)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.given_labels is not None:
-            given = np.array(self.given_labels, dtype=np.int64)
+            given = np.array(self.given_labels)
             if given.shape != true.shape:
                 raise DimensionError("given labels must match true labels in length")
-            if given.size and (given.min() < 0 or given.max() >= self.n_classes):
-                raise DataError(f"given label out of range [0, {self.n_classes})")
+            given = check_labels(given, self.n_classes, "given label")
             given.setflags(write=False)
             object.__setattr__(self, "given_labels", given)
 
@@ -76,7 +74,7 @@ class Dataset:
         return self.features.shape[1]
 
     def with_given(self, given_labels) -> "Dataset":
-        return replace(self, given_labels=np.asarray(given_labels, dtype=np.int64))
+        return replace(self, given_labels=given_labels)
 
     def take(self, indices) -> "Dataset":
         indices = np.asarray(indices, dtype=np.int64)
@@ -85,11 +83,22 @@ class Dataset:
                        self.n_classes, given)
 
 
-def one_hot_batch(labels, n_classes: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
+def check_labels(labels, n_classes: int, what: str = "label") -> np.ndarray:
+    """`labels` as int64 class indices in [0, n_classes): a label that is not a whole number
+    raises DataError "{what} must be a whole number", one outside the range "{what} out of
+    range [0, n_classes)"; an int64 array passes uncopied."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "biu":  # read as floats; NaN and inf never reach a cast
+        labels = labels.astype(float)
+        if not (np.isfinite(labels) & (np.floor(labels) == labels)).all():
+            raise DataError(f"{what} must be a whole number")
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise DataError(f"label out of range [0, {n_classes})")
-    return np.eye(n_classes)[labels.reshape(-1)]
+        raise DataError(f"{what} out of range [0, {n_classes})")
+    return labels.astype(np.int64, copy=False)
+
+
+def one_hot_batch(labels, n_classes: int) -> np.ndarray:
+    return np.eye(n_classes)[check_labels(labels, n_classes).reshape(-1)]
 
 
 def make_blobs(n_classes: int, per_class: int, dim: int, separation: float,
@@ -179,9 +188,10 @@ def write_target(path) -> tuple:
     N it names, ("in place", path) for a device or FIFO, or ("replace", real) for a regular file
     or a new name in a directory that takes a new file; anything else raises
     ConfigurationError "cannot write PATH: REASON"."""
-    named = DESCRIPTOR_PATH.fullmatch(os.fspath(path))
+    path = os.fsdecode(path)
+    named = DESCRIPTOR_PATH.fullmatch(path)
     try:
-        if not os.fspath(path):  # os.stat fails, yet realpath names the current directory
+        if not path:  # os.stat fails, yet realpath names the current directory
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
         try:
             os.stat(path)
@@ -250,10 +260,7 @@ def read_rows(rows: list, n_cells: int, feat_idx: list, label_idx: int):
     if any(row.count(",") != n_cells - 1 for row in rows):
         return None  # checked first: `usecols` ignores extra cells
     right = n_cells - 1 - label_idx  # cells after the label
-    if label_idx <= right:
-        labels = [row.split(",", label_idx + 1)[label_idx].strip() for row in rows]
-    else:
-        labels = [row.rsplit(",", right + 1)[-right - 1].strip() for row in rows]
+    labels = [row.rsplit(",", right + 1)[-right - 1].strip() for row in rows]
     if not all(labels):
         return None
     try:

@@ -123,7 +123,7 @@ def expert_input(amateur_probs, given_labels) -> np.ndarray:
 
 def _join_given(probs: np.ndarray, given_labels) -> np.ndarray:
     # (B, K) rows + one-hot given labels; the caller vouches that rows are distributions
-    labels = np.asarray(given_labels, dtype=np.int64)
+    labels = np.asarray(given_labels)
     if labels.shape != (probs.shape[0],):
         raise DimensionError(f"{probs.shape[0]} probability rows but {labels.shape} labels")
     return np.concatenate([probs, one_hot_batch(labels, probs.shape[1])], axis=1)

@@ -10,14 +10,17 @@ import pathlib
 import re
 import stat
 import threading
+import warnings
 from math import inf, nan
 
 import numpy as np
 import pytest
 
 import expertnet.data as data_mod
+from expertnet.baselines import bootstrap_target
 from expertnet.data import (
     Dataset,
+    check_labels,
     load_table,
     make_blobs,
     one_hot_batch,
@@ -27,7 +30,14 @@ from expertnet.data import (
 )
 from expertnet.errors import ConfigurationError, DataError, DimensionError, InputError
 from expertnet.harness import read_config
-from expertnet.noise import corrupt_labels, load_matrix_csv, save_matrix_csv, symmetric_matrix
+from expertnet.model import expert_input
+from expertnet.noise import (
+    corrupt_labels,
+    empirical_matrix,
+    load_matrix_csv,
+    save_matrix_csv,
+    symmetric_matrix,
+)
 
 
 def test_make_blobs_shape_and_balance():
@@ -151,6 +161,43 @@ def test_one_hot_round_trip_exhaustive():
     batch = one_hot_batch(np.arange(k), k)
     np.testing.assert_array_equal(np.argmax(batch, axis=1), np.arange(k))
     np.testing.assert_array_equal(batch.sum(axis=1), np.ones(k))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.7, nan, inf, -inf])
+@pytest.mark.parametrize("call, what", [
+    (lambda y: one_hot_batch([0, y], 2), "label"),
+    (lambda y: Dataset(np.zeros((2, 1)), [0, y], 2), "true label"),
+    (lambda y: Dataset(np.zeros((2, 1)), [0, 1], 2, given_labels=[0, y]), "given label"),
+    (lambda y: Dataset(np.zeros((2, 1)), [0, 1], 2).with_given([0, y]), "given label"),
+    (lambda y: corrupt_labels([0, y], symmetric_matrix(2, 0.2), 0), "label"),
+    (lambda y: empirical_matrix([0, y], [0, 1], 2), "true label"),
+    (lambda y: empirical_matrix([0, 1], [0, y], 2), "given label"),
+    (lambda y: expert_input([[0.5, 0.5], [0.5, 0.5]], [0, y]), "label"),
+    (lambda y: bootstrap_target(np.full((2, 2), 0.5), [0, y], 0.5), "label"),
+], ids=["one_hot_batch", "Dataset true", "Dataset given", "with_given", "corrupt_labels",
+        "empirical_matrix true", "empirical_matrix given", "expert_input", "bootstrap_target"])
+def test_a_label_that_is_not_a_whole_number_is_rejected_silently(call, what, bad, capfd):
+    """A class label is a whole number: truncating 1.7 to class 1 would train on a label
+    nobody gave, and a NaN cast to int64 is an arbitrary class."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=f"^{what} must be a whole number$"):
+            call(bad)
+    assert capfd.readouterr().err == ""
+
+
+def test_check_labels_passes_whole_labels_and_an_int64_array_uncopied():
+    for labels in ([0.0, 1.0], np.array([0, 1], dtype=np.int32), np.array([False, True])):
+        out = check_labels(labels, 2)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, [0, 1])
+    labels = np.array([1, 0])
+    assert check_labels(labels, 2) is labels
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # never cast before the range check
+        for huge in ([1e300], np.array([2**64 - 1], dtype=np.uint64)):
+            with pytest.raises(DataError, match=re.escape("label out of range [0, 2)")):
+                check_labels(huge, 2)
 
 
 def test_dataset_is_immutable_and_validated():
@@ -530,6 +577,51 @@ def test_only_write_files_opens_a_file_for_writing_or_renames_one():
                             if isinstance(n, ast.Call) and _creates_a_new_file(n)}
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Call) and id(node) not in allowed and _writes(node)]
+    assert offenders == []
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_files({path: "1.0,0.0\n0.0,1.0\n"}),
+    lambda path: save_matrix_csv(np.eye(2), path),
+], ids=["write_files", "save_matrix_csv"])
+def test_a_bytes_path_is_written(tmp_path, write):
+    write(os.fsencode(tmp_path / "m.csv"))
+    np.testing.assert_array_equal(load_matrix_csv(tmp_path / "m.csv"), np.eye(2))
+
+
+def _tests_the_label_range(node: ast.AST) -> bool:
+    """`X.min() < 0` or `X.max() >= Y`, the range test of a class label."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    return any(isinstance(left, ast.Call) and isinstance(left.func, ast.Attribute)
+               and (left.func.attr == "min" and isinstance(op, ast.Lt)
+                    and isinstance(right, ast.Constant) and right.value == 0
+                    or left.func.attr == "max" and isinstance(op, ast.GtE))
+               for left, op, right in zip(operands, node.ops, operands[1:]))
+
+
+@pytest.mark.parametrize("source, tests", [
+    ("y.min() < 0", True), ("y.max() >= k", True), ("0 <= y.min() < 0", True),
+    ("y.min() <= 0", False), ("y.min() < 1", False), ("y.max() > k", False),
+    ("min(y) < 0", False), ("abs(d).max() >= tol", True),
+])
+def test_the_label_range_check_reads_a_comparison(source, tests):
+    assert _tests_the_label_range(ast.parse(source, mode="eval").body) is tests
+
+
+def test_only_check_labels_tests_the_label_range():
+    """`data.check_labels` is the one label rule; a second range test would come back with
+    its own view of which labels are whole and which are in range."""
+    offenders = []
+    for path in sorted(pathlib.Path(data_mod.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for node in tree.body:
+            if path.name == "data.py" and getattr(node, "name", None) == "check_labels":
+                allowed |= {id(n) for n in ast.walk(node)}
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if id(node) not in allowed and _tests_the_label_range(node)]
     assert offenders == []
 
 
