@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, one_hot_batch
-from .errors import ConfigurationError, DataError, DimensionError
+from .errors import ConfigurationError, DimensionError
 from .model import amateur_network, fit
 from .nn import CROSS_ENTROPY, ForwardCorrectedLoss, StepDecay, backward, forward, sgd_step
 
@@ -53,10 +53,7 @@ def bootstrap_target(pred, given_labels, beta: float, variant: str = "soft") -> 
     p = np.asarray(pred, dtype=float)
     if p.ndim != 2:
         raise DimensionError(f"predictions must be (B, K) rows, got shape {p.shape}")
-    labels = np.asarray(given_labels)
-    if labels.shape != (p.shape[0],):
-        raise DataError(f"{p.shape[0]} prediction rows but {labels.shape} labels")
-    given = one_hot_batch(labels, p.shape[1])
+    given = one_hot_batch(given_labels, p.shape[1], len(p))
     model_part = p if variant == "soft" else one_hot_batch(np.argmax(p, axis=1), p.shape[1])
     return beta * given + (1.0 - beta) * model_part
 

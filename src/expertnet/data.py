@@ -46,22 +46,15 @@ class Dataset:
     def __post_init__(self):
         # copy so locking the arrays read-only never reaches back to the caller
         feats = np.array(self.features, dtype=float)
-        true = np.array(self.true_labels)
         if feats.ndim != 2:
             raise DimensionError(f"features must be 2-D, got shape {feats.shape}")
-        if true.shape != (feats.shape[0],):
-            raise DimensionError(
-                f"{feats.shape[0]} samples but {true.shape} true labels"
-            )
-        true = check_labels(true, self.n_classes, "true label")
+        true = check_labels(np.array(self.true_labels), self.n_classes, "true label", len(feats))
         for name, arr in (("features", feats), ("true_labels", true)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.given_labels is not None:
-            given = np.array(self.given_labels)
-            if given.shape != true.shape:
-                raise DimensionError("given labels must match true labels in length")
-            given = check_labels(given, self.n_classes, "given label")
+            given = check_labels(np.array(self.given_labels), self.n_classes, "given label",
+                                 len(true))
             given.setflags(write=False)
             object.__setattr__(self, "given_labels", given)
 
@@ -83,22 +76,29 @@ class Dataset:
                        self.n_classes, given)
 
 
-def check_labels(labels, n_classes: int, what: str = "label") -> np.ndarray:
-    """`labels` as int64 class indices in [0, n_classes): a label that is not a whole number
-    raises DataError "{what} must be a whole number", one outside the range "{what} out of
-    range [0, n_classes)"; an int64 array passes uncopied."""
+def check_labels(labels, n_classes: int, what: str = "label",
+                 rows: int | None = None) -> np.ndarray:
+    """`labels` as int64 class indices in [0, n_classes), one per row (of `rows` when given),
+    or DimensionError "{what}s must be one per row of N, got shape S", or DataError "{what}
+    must be a whole number" or "{what} out of range [0, n_classes)"; int64 passes uncopied."""
     labels = np.asarray(labels)
+    if labels.ndim != 1 or rows is not None and len(labels) != rows:
+        of = "" if rows is None else f" of {rows}"
+        raise DimensionError(f"{what}s must be one per row{of}, got shape {labels.shape}")
     if labels.dtype.kind not in "biu":  # read as floats; NaN and inf never reach a cast
-        labels = labels.astype(float)
-        if not (np.isfinite(labels) & (np.floor(labels) == labels)).all():
+        try:  # text, complex and items float() cannot read are no number
+            labels = labels.astype(float) if labels.dtype.kind in "fO" else None
+        except (ArithmeticError, TypeError, ValueError):
+            labels = None
+        if labels is None or not (np.isfinite(labels) & (np.floor(labels) == labels)).all():
             raise DataError(f"{what} must be a whole number")
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise DataError(f"{what} out of range [0, {n_classes})")
     return labels.astype(np.int64, copy=False)
 
 
-def one_hot_batch(labels, n_classes: int) -> np.ndarray:
-    return np.eye(n_classes)[check_labels(labels, n_classes).reshape(-1)]
+def one_hot_batch(labels, n_classes: int, rows: int | None = None) -> np.ndarray:
+    return np.eye(n_classes)[check_labels(labels, n_classes, rows=rows)]
 
 
 def make_blobs(n_classes: int, per_class: int, dim: int, separation: float,

@@ -123,10 +123,8 @@ def expert_input(amateur_probs, given_labels) -> np.ndarray:
 
 def _join_given(probs: np.ndarray, given_labels) -> np.ndarray:
     # (B, K) rows + one-hot given labels; the caller vouches that rows are distributions
-    labels = np.asarray(given_labels)
-    if labels.shape != (probs.shape[0],):
-        raise DimensionError(f"{probs.shape[0]} probability rows but {labels.shape} labels")
-    return np.concatenate([probs, one_hot_batch(labels, probs.shape[1])], axis=1)
+    return np.concatenate([probs, one_hot_batch(given_labels, probs.shape[1], len(probs))],
+                          axis=1)
 
 
 def train_step(model: ExpertNet, x, given_labels, true_labels, lr: float):
@@ -146,7 +144,7 @@ def train_step(model: ExpertNet, x, given_labels, true_labels, lr: float):
     amateur_probs, amateur_acts = forward(model.amateur, x)
     # the amateur ends in softmax (ExpertNet checks), so its rows are distributions
     z = _join_given(amateur_probs, given_labels)
-    true_onehot = one_hot_batch(true_labels, model.amateur.output_dim)
+    true_onehot = one_hot_batch(true_labels, model.amateur.output_dim, len(z))
     expert_loss, expert_grads = loss_and_gradients(model.expert, z, true_onehot, CROSS_ENTROPY)
     sgd_step(model.expert.params, expert_grads, model.expert_velocity, lr, model.momentum,
              model.weight_decay)
@@ -161,8 +159,7 @@ def train_step(model: ExpertNet, x, given_labels, true_labels, lr: float):
 
 def accuracy(predictions, truths) -> float:
     """Fraction of predictions equal to the true labels."""
-    p = np.asarray(predictions, dtype=np.int64)
-    t = np.asarray(truths, dtype=np.int64)
+    p, t = np.asarray(predictions), np.asarray(truths)
     if p.shape != t.shape or p.ndim != 1:
         raise DataError(f"prediction/truth shapes differ: {p.shape} vs {t.shape}")
     if p.size == 0:

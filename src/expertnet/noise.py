@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 
 from .data import check_array_size, check_labels, read_text, text_lines, write_files
-from .errors import ConfigurationError, DataError, DimensionError, InputError
+from .errors import ConfigurationError, DimensionError, InputError
 from .seeding import derive_rng
 
 ROW_SUM_TOL = 1e-9
@@ -51,10 +51,7 @@ def corrupt_labels(true_labels, matrix, seed: int) -> np.ndarray:
     """
     matrix = validate_transition_matrix(matrix)
     n_classes = matrix.shape[0]
-    labels = np.asarray(true_labels)
-    if labels.ndim != 1:
-        raise DataError(f"labels must be 1-D, got shape {labels.shape}")
-    labels = check_labels(labels, n_classes)
+    labels = check_labels(true_labels, n_classes)
     cumulative = np.cumsum(matrix, axis=1)
     cumulative[:, -1] = 1.0  # guard against rounding in the final bin
     u = derive_rng(seed).random(labels.size)
@@ -67,10 +64,8 @@ def empirical_matrix(true_labels, given_labels, n_classes: int) -> np.ndarray:
 
     Rows with no samples are returned uniform; a warning flags them.
     """
-    t, g = np.asarray(true_labels), np.asarray(given_labels)
-    if t.shape != g.shape or t.ndim != 1:
-        raise DataError(f"label sequences must be equal-length 1-D, got {t.shape} and {g.shape}")
-    t, g = check_labels(t, n_classes, "true label"), check_labels(g, n_classes, "given label")
+    t = check_labels(true_labels, n_classes, "true label")
+    g = check_labels(given_labels, n_classes, "given label", len(t))
     counts = np.zeros((n_classes, n_classes))
     np.add.at(counts, (t, g), 1.0)
     support = counts.sum(axis=1)

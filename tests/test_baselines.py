@@ -15,7 +15,7 @@ from expertnet.baselines import (
     train_baseline,
 )
 from expertnet.data import make_blobs, stratified_split
-from expertnet.errors import ConfigurationError, DataError, DimensionError
+from expertnet.errors import ConfigurationError, DimensionError
 from expertnet.model import build_expertnet, train
 from expertnet.nn import ForwardCorrectedLoss, StepDecay
 from expertnet.noise import corrupt_labels, symmetric_matrix
@@ -65,7 +65,8 @@ def test_bootstrap_target_validation():
         bootstrap_target(np.array([[1.0, 0.0]]), [0], beta=0.5, variant="medium")
     with pytest.raises(DimensionError):
         bootstrap_target(np.array([1.0, 0.0]), [0], beta=0.5)  # a single row must be (1, K)
-    with pytest.raises(DataError, match=re.escape("2 prediction rows but (1,) labels")):
+    with pytest.raises(DimensionError,
+                       match=re.escape("labels must be one per row of 2, got shape (1,)")):
         bootstrap_target(np.full((2, 2), 0.5), [0], beta=0.5)
 
 

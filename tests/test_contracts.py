@@ -361,6 +361,54 @@ def test_a_second_run_into_one_directory_leaves_exactly_its_own_report(tmp_path,
         assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
+# --- a sub-grid reports the full grid's rows ------------------------------------------
+
+AXES = {"methods": list(METHODS), "noise_ratios": ["0", "0.2", "0.4"],
+        "fractions": ["1", "0.5"], "seeds": ["0", "1", str(2**64 - 1)]}
+
+
+@st.composite
+def grid_and_subgrid(draw):
+    """A tiny blobs grid and a sub-grid of it: each axis, in drawn order, keeps a subset."""
+    full = {key: draw(st.lists(st.sampled_from(items), min_size=1, unique=True))
+            for key, items in AXES.items()}
+    return full, {key: draw(st.lists(st.sampled_from(items), min_size=1, unique=True))
+                  for key, items in full.items()}
+
+
+def _results(config, out, grid) -> list[str]:
+    """The lines of results.csv from `run` over `grid`."""
+    argv = ["run", "--config", str(config), "--out", str(out)]
+    for key, items in grid.items():
+        argv += ["--set", f"{key}={','.join(items)}"]
+    assert main(argv) == 0
+    return (out / "results.csv").read_bytes().decode("utf-8").splitlines(keepends=True)
+
+
+def _cell(line: str):
+    """(method, ratio, fraction, seed) of a results.csv row."""
+    method, _, ratio, fraction, seed = next(csv.reader([line]))[:5]
+    return method, float(ratio), float(fraction), int(seed)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(grids=grid_and_subgrid())
+def test_a_subgrid_reports_exactly_the_full_grids_rows_for_its_cells(tmp_path, capsys, grids):
+    """A cell's rows depend on its (ratio, fraction, seed) and method only, never on which
+    other cells or methods run beside it or in what order they are listed."""
+    full, sub = grids
+    config = tmp_path / "base.cfg"
+    config.write_text(BASE_CONFIG, encoding="utf-8")
+    out = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+    whole, part = _results(config, out / "full", full), _results(config, out / "sub", sub)
+    capsys.readouterr()
+    cells = {(method, float(ratio), float(fraction), int(seed)) for method in sub["methods"]
+             for ratio in sub["noise_ratios"] for fraction in sub["fractions"]
+             for seed in sub["seeds"]}
+    assert part == whole[:1] + [line for line in whole[1:] if _cell(line) in cells]
+
+
 # --- `train --save` paths -------------------------------------------------------------
 
 # a save path is a head, a name and a tail under a directory holding `dir`, `file`, `fifo`

@@ -30,7 +30,7 @@ from expertnet.data import (
 )
 from expertnet.errors import ConfigurationError, DataError, DimensionError, InputError
 from expertnet.harness import read_config
-from expertnet.model import expert_input
+from expertnet.model import build_expertnet, expert_input, train_step
 from expertnet.noise import (
     corrupt_labels,
     empirical_matrix,
@@ -299,6 +299,62 @@ def test_load_table_rejects_a_repeated_column(tmp_path):
         load_table(path, "label")
 
 
+@pytest.mark.parametrize("labels", [
+    ["a"], np.array(["1"]), [b"1"], [1 + 0j], np.array([1], dtype=np.complex64),
+    np.array([object()]), np.array(["a"], dtype=object), np.array([1 + 0j], dtype=object),
+    np.array([10**400], dtype=object), np.array([None]),
+], ids=["str", "numeral str", "bytes", "complex", "complex64", "object", "str object",
+        "complex object", "huge int object", "None object"])
+def test_a_label_that_is_no_number_is_rejected_silently(labels, capfd):
+    """Text and complex labels are no class index, even where numpy would read them as
+    floats (`'1'`) or drop an imaginary part with a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="^label must be a whole number$"):
+            check_labels(labels, 2)
+    assert capfd.readouterr().err == ""
+
+
+def test_a_whole_object_array_passes_as_its_classes():
+    out = check_labels(np.array([0, 1.0, True], dtype=object), 2)
+    assert out.dtype == np.int64
+    np.testing.assert_array_equal(out, [0, 1, 1])
+
+
+def _step(given, true):
+    model = build_expertnet(1, 2, seed=0, amateur_hidden=(2,), expert_hidden=(2,))
+    return train_step(model, np.zeros((2, 1)), given, true, 0.1)
+
+
+BATCH = [[0.5, 0.5], [0.5, 0.5]]  # two probability rows
+
+
+@pytest.mark.parametrize("call, bad, message", [
+    (lambda y: Dataset(np.zeros((2, 1)), y, 2), [0, 1, 1], "true labels must be one per row of 2"),
+    (lambda y: Dataset(np.zeros((2, 1)), [0, 1], 2, given_labels=y), [0],
+     "given labels must be one per row of 2"),
+    (lambda y: one_hot_batch(y, 2, rows=2), [0, 1, 1], "labels must be one per row of 2"),
+    (lambda y: expert_input(BATCH, y), [0], "labels must be one per row of 2"),
+    (lambda y: _step(y, [0, 1]), [0, 1, 1], "labels must be one per row of 2"),
+    (lambda y: _step([0, 1], y), [0], "labels must be one per row of 2"),
+    (lambda y: bootstrap_target(np.array(BATCH), y, 0.5), [0], "labels must be one per row of 2"),
+    (lambda y: corrupt_labels(y, symmetric_matrix(2, 0.2), 0), 1, "labels must be one per row"),
+    (lambda y: empirical_matrix(y, [0, 1], 2), 1, "true labels must be one per row"),
+    (lambda y: empirical_matrix([0, 1], y, 2), [0, 1, 1], "given labels must be one per row of 2"),
+], ids=["Dataset true", "Dataset given", "one_hot_batch", "expert_input", "train_step given",
+        "train_step true", "bootstrap_target", "corrupt_labels", "empirical_matrix true",
+        "empirical_matrix given"])
+@pytest.mark.parametrize("two_d", [False, True], ids=["wrong length", "2-D"])
+def test_labels_that_are_not_one_per_row_raise_the_one_shape_error(call, bad, message, two_d):
+    """Each label array lines up one per row with its batch, checked by `check_labels`; a
+    label array that sets the row count itself (`corrupt_labels`, `empirical_matrix`'s true
+    labels) can only miss it by not being 1-D, so its "wrong length" is a scalar. The 2-D
+    array has one label per row, which `one_hot_batch` used to flatten and accept."""
+    bad = np.array([[0], [1]]) if two_d else np.array(bad)
+    with pytest.raises(DimensionError, match=f"^{re.escape(f'{message}, got shape {bad.shape}')}$"):
+        call(bad)
+
+
 def test_load_table_missing_file_is_input_error(tmp_path):
     with pytest.raises(InputError, match="nope.csv: "):
         load_table(tmp_path / "nope.csv", "label")
@@ -337,7 +393,7 @@ def test_load_table_takes_columns_or_a_schema_not_both(tmp_path):
     (lambda: Dataset(np.zeros(3), [0, 0, 1], 2), DimensionError,
      "features must be 2-D, got shape (3,)"),
     (lambda: Dataset(np.zeros((3, 1)), [0, 0, 1], 2, given_labels=[0, 1]), DimensionError,
-     "given labels must match true labels in length"),
+     "given labels must be one per row of 3, got shape (2,)"),
     (lambda: Dataset(np.zeros((3, 1)), [0, 0, 1], 2, given_labels=[0, 1, 2]), DataError,
      "given label out of range [0, 2)"),
     (lambda: stratified_split(make_blobs(2, 3, 2, 5.0, 1.0, seed=0), 0), ConfigurationError,
@@ -622,6 +678,54 @@ def test_only_check_labels_tests_the_label_range():
                 allowed |= {id(n) for n in ast.walk(node)}
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if id(node) not in allowed and _tests_the_label_range(node)]
+    assert offenders == []
+
+
+def _tests_a_label_shape(node: ast.AST) -> bool:
+    """`X.ndim` compared with 1 or `X.shape` with a one-element tuple, the shape test of a
+    label array."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    return any(isinstance(attr, ast.Attribute)
+               and (attr.attr == "ndim" and isinstance(other, ast.Constant) and other.value == 1
+                    or attr.attr == "shape" and isinstance(other, ast.Tuple)
+                    and len(other.elts) == 1)
+               for left, right in zip(operands, operands[1:])
+               for attr, other in ((left, right), (right, left)))
+
+
+@pytest.mark.parametrize("source, tests", [
+    ("y.ndim != 1", True), ("1 == y.ndim", True), ("y.shape != (n,)", True),
+    ("(len(x),) == y.shape", True), ("y.ndim != 2", False), ("y.shape != x.shape", False),
+    ("y.shape != (n, k)", False), ("y.size == 1", False), ("y.shape[0] != 1", False),
+])
+def test_the_label_shape_check_reads_a_comparison(source, tests):
+    assert _tests_a_label_shape(ast.parse(source, mode="eval").body) is tests
+
+
+def _functions(tree: ast.Module):
+    """(qualified name, node) of each module-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{fn.name}", fn) for fn in node.body
+                        if isinstance(fn, ast.FunctionDef))
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node
+
+
+def test_only_check_labels_tests_the_label_shape():
+    """`data.check_labels` is the one shape rule for label arrays: a second test of a 1-D
+    array would bring back its own message and error class. `model.accuracy` scores arrays
+    that are not class labels yet and keeps its own test, as `Dense` does for its bias."""
+    allowed_functions = {"data.check_labels", "model.accuracy", "nn.Dense.__init__"}
+    offenders = []
+    for path in sorted(pathlib.Path(data_mod.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node) for name, fn in _functions(tree)
+                   if f"{path.stem}.{name}" in allowed_functions for node in ast.walk(fn)}
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if id(node) not in allowed and _tests_a_label_shape(node)]
     assert offenders == []
 
 

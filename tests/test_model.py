@@ -591,6 +591,12 @@ def test_scoring_and_expert_input_reject_unusable_arguments(call, message):
         call()
 
 
+def test_accuracy_compares_the_values_it_is_given():
+    """A prediction of 1.9 is not class 1: scoring compares values and truncates none."""
+    assert accuracy([0.5, 1.9], [0, 1]) == 0.0
+    assert accuracy([0.0, 1.0], [0, 1]) == 1.0
+
+
 def mlp_for(in_dim, out_dim):
     rng = derive_rng(99)
     return Network([Dense(rng.standard_normal((out_dim, in_dim)), np.zeros(out_dim)),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expertnet.errors import ConfigurationError, DataError, InputError
+from expertnet.errors import ConfigurationError, DataError, DimensionError, InputError
 from expertnet.noise import (
     corrupt_labels,
     empirical_matrix,
@@ -171,7 +171,8 @@ def test_empirical_matrix_against_independent_tally():
 
 
 def test_empirical_matrix_length_mismatch():
-    with pytest.raises(DataError):
+    with pytest.raises(DimensionError,
+                       match=re.escape("given labels must be one per row of 2, got shape (1,)")):
         empirical_matrix([0, 1], [0], 2)
 
 
@@ -231,13 +232,13 @@ def test_load_matrix_csv_skips_blank_lines(tmp_path):
     np.testing.assert_array_equal(load_matrix_csv(path), [[0.75, 0.25], [0.5, 0.5]])
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: corrupt_labels(np.zeros((2, 2)), symmetric_matrix(2, 0.2), 0),
-     "labels must be 1-D, got shape (2, 2)"),
-    (lambda: empirical_matrix([0, 2], [0, 1], 2), "true label out of range [0, 2)"),
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: corrupt_labels(np.zeros((2, 2)), symmetric_matrix(2, 0.2), 0), DimensionError,
+     "labels must be one per row, got shape (2, 2)"),
+    (lambda: empirical_matrix([0, 2], [0, 1], 2), DataError, "true label out of range [0, 2)"),
 ], ids=["2-D labels", "label out of range"])
-def test_label_arguments_are_checked(call, message):
-    with pytest.raises(DataError, match=re.escape(message)):
+def test_label_arguments_are_checked(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
         call()
 
 
