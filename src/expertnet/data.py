@@ -9,6 +9,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from collections import namedtuple
 from dataclasses import dataclass, replace
 
@@ -48,13 +49,13 @@ class Dataset:
         feats = np.array(self.features, dtype=float)
         if feats.ndim != 2:
             raise DimensionError(f"features must be 2-D, got shape {feats.shape}")
-        true = check_labels(np.array(self.true_labels), self.n_classes, "true label", len(feats))
+        true = np.array(check_labels(self.true_labels, self.n_classes, "true label", len(feats)))
         for name, arr in (("features", feats), ("true_labels", true)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.given_labels is not None:
-            given = check_labels(np.array(self.given_labels), self.n_classes, "given label",
-                                 len(true))
+            given = np.array(check_labels(self.given_labels, self.n_classes, "given label",
+                                          len(true)))
             given.setflags(write=False)
             object.__setattr__(self, "given_labels", given)
 
@@ -78,17 +79,22 @@ class Dataset:
 
 def check_labels(labels, n_classes: int, what: str = "label",
                  rows: int | None = None) -> np.ndarray:
-    """`labels` as int64 class indices in [0, n_classes), one per row (of `rows` when given),
-    or DimensionError "{what}s must be one per row of N, got shape S", or DataError "{what}
-    must be a whole number" or "{what} out of range [0, n_classes)"; int64 passes uncopied."""
-    labels = np.asarray(labels)
+    """`labels` as int64 class indices in [0, n_classes), one per row (of `rows` when given), or
+    DimensionError "{what}s must be one per row of N, got shape S" (or "a ragged sequence"), or
+    DataError "{what} must be a whole number" or "{what} out of range"; int64 passes uncopied."""
+    try:
+        labels = np.asarray(labels)
+    except ValueError:  # numpy's error for a ragged sequence, which has no shape
+        raise DimensionError(f"{what}s must be one per row, got a ragged sequence") from None
     if labels.ndim != 1 or rows is not None and len(labels) != rows:
         of = "" if rows is None else f" of {rows}"
         raise DimensionError(f"{what}s must be one per row{of}, got shape {labels.shape}")
     if labels.dtype.kind not in "biu":  # read as floats; NaN and inf never reach a cast
         try:  # text, complex and items float() cannot read are no number
-            labels = labels.astype(float) if labels.dtype.kind in "fO" else None
-        except (ArithmeticError, TypeError, ValueError):
+            with warnings.catch_warnings():  # numpy's ComplexWarning is a RuntimeWarning
+                warnings.simplefilter("error", RuntimeWarning)
+                labels = labels.astype(float) if labels.dtype.kind in "fO" else None
+        except (ArithmeticError, TypeError, ValueError, RuntimeWarning):
             labels = None
         if labels is None or not (np.isfinite(labels) & (np.floor(labels) == labels)).all():
             raise DataError(f"{what} must be a whole number")

@@ -29,7 +29,7 @@ from .baselines import BASELINE_KINDS, BaselineSpec, train_baseline
 from .data import (Dataset, check_array_size, load_table, make_blobs, read_text,
                    stratified_split, subsample, subset_size, text_lines, write_files)
 from .errors import ConfigurationError, DataError, DimensionError, ExpertNetError, InputError
-from .model import EpochStats, build_expertnet, check_expert_terminal, train
+from .model import EpochStats, build_expertnet, check_expert_terminal, check_fit_setting, train
 from .nn import StepDecay, check_mlp_dims, check_sgd_setting
 from .noise import corrupt_labels, load_matrix_csv, symmetric_matrix
 from .seeding import (
@@ -130,10 +130,8 @@ class ExperimentConfig:
                                      f"value to label the run, got {self.noise_ratios}")
         if not self.out:
             raise ConfigurationError("out must name an output directory, got ''")
-        for key in ("epochs", "batch_size"):
-            if getattr(self, key) < 1:
-                raise ConfigurationError(f"{key} must be >= 1, got {getattr(self, key)}")
         # the owners of the remaining rules check values alone: nothing sized by the config
+        check_fit_setting(self.epochs, self.batch_size)
         self.schedule()
         check_expert_terminal(self.expert_terminal)
         check_sgd_setting(self.momentum, self.weight_decay)

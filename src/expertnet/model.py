@@ -26,14 +26,13 @@ from .nn import (
     StepDecay,
     backward,
     check_sgd_setting,
-    epoch_batches,
     forward,
     loss_and_gradients,
     lr_at,
     mlp,
     sgd_step,
 )
-from .seeding import STREAM_INIT, derive_rng
+from .seeding import STREAM_INIT, STREAM_SHUFFLE, derive_rng
 
 DISTRIBUTION_TOL = 1e-6
 
@@ -182,16 +181,23 @@ def _full_predictions(model: ExpertNet, probs, given_labels) -> np.ndarray:
     return np.argmax(forward(model.expert, expert_input(probs, given_labels))[0], axis=1)
 
 
+def check_fit_setting(epochs: int, batch_size: int) -> None:
+    """The one rule for `fit`'s epochs and batch size, which the config shares: both >= 1."""
+    for key, value in (("epochs", epochs), ("batch_size", batch_size)):
+        if value < 1:
+            raise ConfigurationError(f"{key} must be >= 1, got {value}")
+
+
 def fit(net: Network, step, train_set: Dataset, val_set: Dataset, epochs: int,
         batch_size: int, schedule: StepDecay, seed: int, full=None):
     """The epoch loop every training procedure shares.
 
-    Rejects empty splits and a train split without given labels.  Per epoch,
-    `step(features, given_labels, true_labels, lr)` updates on each seeded
-    batch and returns (amateur loss, expert loss or None); then one pass of
-    `net` over the validation split scores the amateur, and `full(probs)`,
-    when given, turns that pass into full-mode predictions, which read the
-    validation split's given labels.  Returns the history of EpochStats.
+    Rejects empty splits and a train split without given labels.  Each epoch cuts one
+    permutation of the train rows, drawn from (seed, epoch) alone so that equal seeds give
+    every method the same batches, into `batch_size` slices, the last one partial, and calls
+    `step(features, given_labels, true_labels, lr)` on each for (amateur loss, expert loss or
+    None).  One pass of `net` over the validation split then scores the amateur, `full(probs)`,
+    when given, turns it into full-mode predictions, and one EpochStats per epoch is returned.
     """
     for name, ds, needs_given in (("train", train_set, True),
                                   ("validation", val_set, full is not None)):
@@ -199,17 +205,17 @@ def fit(net: Network, step, train_set: Dataset, val_set: Dataset, epochs: int,
             raise ConfigurationError(f"{name} set is empty")
         if needs_given and ds.given_labels is None:
             raise ConfigurationError(f"{name} set has no given labels; inject noise first")
-    if epochs < 1:
-        raise ConfigurationError(f"epochs must be >= 1, got {epochs}")
+    check_fit_setting(epochs, batch_size)
     history: list[EpochStats] = []
     # overflow surfaces as NumericError from the non-finite checks, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(epochs):
             lr = lr_at(schedule, epoch)
+            order = derive_rng(seed, STREAM_SHUFFLE, epoch).permutation(train_set.n)
             amateur_losses, expert_losses = zip(*[
                 step(train_set.features[idx], train_set.given_labels[idx],
                      train_set.true_labels[idx], lr)
-                for idx in epoch_batches(train_set.n, batch_size, seed, epoch)])
+                for idx in (order[i:i + batch_size] for i in range(0, train_set.n, batch_size))])
             probs = forward(net, val_set.features)[0]
             history.append(EpochStats(
                 epoch=epoch,

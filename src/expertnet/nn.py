@@ -17,7 +17,6 @@ import numpy as np
 from .data import check_array_size
 from .errors import ConfigurationError, DimensionError, NumericError
 from .noise import validate_transition_matrix
-from .seeding import STREAM_SHUFFLE, derive_rng
 
 LOG_EPS = 1e-12  # clamp inside logarithms
 
@@ -329,21 +328,6 @@ def mlp(dims, hidden: str = "relu", terminal: str = "softmax",
         kind = terminal if i == len(dims) - 2 else hidden
         layers.append(Activation(kind, slope=leaky_slope))
     return Network(layers)
-
-
-def epoch_batches(n: int, batch_size: int, seed: int, epoch: int):
-    """Seeded shuffle of range(n) cut into batches; the last partial batch is kept.
-
-    The shuffle stream depends only on (seed, epoch), so different training
-    procedures given the same seed consume identical batch sequences.
-    """
-    if n < 1:
-        raise ConfigurationError("cannot batch an empty dataset")
-    if batch_size < 1:
-        raise ConfigurationError(f"batch size must be >= 1, got {batch_size}")
-    order = derive_rng(seed, STREAM_SHUFFLE, epoch).permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
 
 
 def gradient_check(net: Network, batch, targets, loss, h: float = 1e-5) -> float:

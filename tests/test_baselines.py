@@ -164,29 +164,33 @@ def test_bootstrap_runs_the_network_once_per_batch(monkeypatch):
 
 
 def test_baselines_share_batching_with_cotraining(monkeypatch):
-    """Equal seed -> identical batch index sequences across training procedures."""
+    """Equal seed -> identical batch sequences across training procedures."""
     recorded = {"model": [], "baselines": []}
-    real_batches = model_mod.epoch_batches
-    procedure = "model"
+    real_fit = model_mod.fit
 
-    def batches(n, batch_size, seed, epoch):
-        out = [idx.copy() for idx in real_batches(n, batch_size, seed, epoch)]
-        recorded[procedure].extend(out)
-        return iter(out)
+    def recording_fit(procedure):
+        def fit(net, step, *args, **kwargs):
+            def recorded_step(x, given, true, lr):
+                recorded[procedure].append((x.copy(), given.copy(), true.copy()))
+                return step(x, given, true, lr)
+            return real_fit(net, recorded_step, *args, **kwargs)
+        return fit
 
-    monkeypatch.setattr(model_mod, "epoch_batches", batches)
+    # `train` calls `fit` through `model`, `train_baseline` through the name it imported
+    monkeypatch.setattr(model_mod, "fit", recording_fit("model"))
+    monkeypatch.setattr(baselines_mod, "fit", recording_fit("baselines"))
 
     train_set, val_set = noisy_sets()
     model = build_expertnet(4, 3, seed=77, amateur_hidden=(8,), expert_hidden=(8,))
     train(model, train_set, val_set, epochs=2, batch_size=16,
           schedule=StepDecay(0.01), seed=42)
-    procedure = "baselines"
     train_baseline(BaselineSpec("plain-ce"), train_set, val_set, epochs=2,
                    batch_size=16, schedule=StepDecay(0.01), seed=42, hidden=(8,))
 
     assert len(recorded["model"]) == len(recorded["baselines"]) > 0
     for a, b in zip(recorded["model"], recorded["baselines"]):
-        np.testing.assert_array_equal(a, b)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
 
 def test_forward_passes_belong_to_the_steps_and_one_per_network_to_each_evaluation(monkeypatch):
@@ -214,15 +218,16 @@ def test_forward_passes_belong_to_the_steps_and_one_per_network_to_each_evaluati
     assert len(calls) == steps + 2 == 18
 
 
-def co_train(train_set, val_set, epochs=1):
+def co_train(train_set, val_set, epochs=1, batch_size=16):
     model = build_expertnet(4, 3, seed=77, amateur_hidden=(8,), expert_hidden=(8,))
-    return train(model, train_set, val_set, epochs=epochs, batch_size=16,
+    return train(model, train_set, val_set, epochs=epochs, batch_size=batch_size,
                  schedule=StepDecay(0.01), seed=42)[1]
 
 
-def plain_ce(train_set, val_set, epochs=1):
+def plain_ce(train_set, val_set, epochs=1, batch_size=16):
     return train_baseline(BaselineSpec("plain-ce"), train_set, val_set, epochs=epochs,
-                          batch_size=16, schedule=StepDecay(0.01), seed=42, hidden=(8,))[1]
+                          batch_size=batch_size, schedule=StepDecay(0.01), seed=42,
+                          hidden=(8,))[1]
 
 
 @pytest.mark.parametrize("procedure", [co_train, plain_ce], ids=["train", "train_baseline"])
@@ -233,20 +238,22 @@ def plain_ce(train_set, val_set, epochs=1):
     # baselines infer without given labels
     (1, "no given", ["validation set has no given labels; inject noise first", None]),
     (None, "zero epochs", ["epochs must be >= 1, got 0"] * 2),
+    (None, "zero batch size", ["batch_size must be >= 1, got 0"] * 2),
 ], ids=["empty train", "empty validation", "train without given", "validation without given",
-        "zero epochs"])
+        "zero epochs", "zero batch size"])
 def test_training_checks_its_splits(procedure, split, change, errors):
     sets = list(noisy_sets())
     if split is not None:
         ds = sets[split]
         sets[split] = ds.take(np.arange(0)) if change == "empty" else replace(ds, given_labels=None)
     epochs = 0 if change == "zero epochs" else 1
+    batch_size = 0 if change == "zero batch size" else 16
     error = errors[procedure is plain_ce]
     if error is None:
-        assert len(procedure(*sets, epochs)) == 1
+        assert len(procedure(*sets, epochs, batch_size)) == 1
     else:
         with pytest.raises(ConfigurationError, match=f"^{re.escape(error)}$"):
-            procedure(*sets, epochs)
+            procedure(*sets, epochs, batch_size)
 
 
 def test_plain_ce_noise_free_blobs_reach_99():

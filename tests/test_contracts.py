@@ -10,8 +10,11 @@ per stripped cell reads it: to the same bytes, or with the same first bad line.
 line and writes no report; exit 0 or 1 writes one results.csv row per method x
 mode x cell and is 1 exactly when a row failed; nothing else reaches stderr.  On
 blobs data the config foresees every cell failure but overflow and memory.
+
+An `ast` pin holds the batch plan to `model.fit`: every method walks its batches.
 """
 
+import ast
 import csv
 import os
 import pathlib
@@ -25,6 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import expertnet.model as model_mod
 from expertnet.cli import main
 from expertnet.data import load_table
 from expertnet.errors import InputError
@@ -469,3 +473,26 @@ def test_train_save_exits_2_before_training_or_writes_a_loadable_checkpoint(tmp_
             (root / "fifo.ckpt").write_bytes(received[0])
             path = root / "fifo.ckpt"
         assert load_checkpoint(path).amateur.input_dim == 4
+
+
+def _holds_the_batch_plan(path: pathlib.Path, node: ast.stmt) -> bool:
+    """`seeding`'s definition of the shuffle tag, `model`'s import of it, and `model.fit`."""
+    if path.name == "seeding.py":
+        return isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "STREAM_SHUFFLE"
+    return path.name == "model.py" and (
+        isinstance(node, ast.ImportFrom) and node.module == "seeding"
+        or isinstance(node, ast.FunctionDef) and node.name == "fit")
+
+
+def test_only_fit_draws_a_batch_order():
+    """`model.fit` draws each epoch's batch order from the `STREAM_SHUFFLE` stream, so every
+    method walks the same batches; a second user of the tag would be a second batch plan."""
+    offenders = []
+    for path in sorted(pathlib.Path(model_mod.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(n) for node in tree.body if _holds_the_batch_plan(path, node)
+                   for n in ast.walk(node)}
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if id(node) not in allowed and "STREAM_SHUFFLE" in
+                      {getattr(node, key, None) for key in ("id", "attr", "name")}]
+    assert offenders == []

@@ -303,8 +303,10 @@ def test_load_table_rejects_a_repeated_column(tmp_path):
     ["a"], np.array(["1"]), [b"1"], [1 + 0j], np.array([1], dtype=np.complex64),
     np.array([object()]), np.array(["a"], dtype=object), np.array([1 + 0j], dtype=object),
     np.array([10**400], dtype=object), np.array([None]),
+    np.array([np.complex128(1 + 2j)], dtype=object), np.array([np.complex128(1)], dtype=object),
 ], ids=["str", "numeral str", "bytes", "complex", "complex64", "object", "str object",
-        "complex object", "huge int object", "None object"])
+        "complex object", "huge int object", "None object", "numpy complex object",
+        "numpy complex object of no imaginary part"])
 def test_a_label_that_is_no_number_is_rejected_silently(labels, capfd):
     """Text and complex labels are no class index, even where numpy would read them as
     floats (`'1'`) or drop an imaginary part with a warning."""
@@ -353,6 +355,18 @@ def test_labels_that_are_not_one_per_row_raise_the_one_shape_error(call, bad, me
     bad = np.array([[0], [1]]) if two_d else np.array(bad)
     with pytest.raises(DimensionError, match=f"^{re.escape(f'{message}, got shape {bad.shape}')}$"):
         call(bad)
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda y: check_labels(y, 3), "labels"),
+    (lambda y: Dataset(np.zeros((2, 1)), y, 3), "true labels"),
+    (lambda y: Dataset(np.zeros((2, 1)), [0, 1], 3, given_labels=y), "given labels"),
+    (lambda y: one_hot_batch(y, 3, rows=2), "labels"),
+], ids=["check_labels", "Dataset true", "Dataset given", "one_hot_batch"])
+def test_a_ragged_label_list_raises_the_one_shape_error(call, what):
+    """numpy cannot shape a ragged list; it is labels that are not one per row."""
+    with pytest.raises(DimensionError, match=f"^{what} must be one per row, got a ragged sequence$"):
+        call([[0], [1, 2]])
 
 
 def test_load_table_missing_file_is_input_error(tmp_path):

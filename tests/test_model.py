@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 
 import expertnet.data as data_mod
 import expertnet.model as model_mod
-from expertnet.data import make_blobs, one_hot_batch, stratified_split
+from expertnet.data import Dataset, make_blobs, one_hot_batch, stratified_split
 from expertnet.errors import ConfigurationError, DataError, DimensionError, InputError
 from expertnet.model import (
     ExpertNet,
     accuracy,
     build_expertnet,
     expert_input,
+    fit,
     infer_amateur,
     infer_full,
     load_checkpoint,
@@ -37,10 +38,11 @@ from expertnet.nn import (
     StepDecay,
     forward,
     loss_and_gradients,
+    mlp,
     sgd_step,
 )
 from expertnet.noise import corrupt_labels, symmetric_matrix
-from expertnet.seeding import derive_rng
+from expertnet.seeding import STREAM_SHUFFLE, derive_rng
 
 
 def copy_expert(n_classes, scale=30.0):
@@ -466,6 +468,31 @@ def test_train_single_batch_calls_one_step_per_epoch(monkeypatch):
                        batch_size=train_set.n, schedule=StepDecay(0.01), seed=5)
     assert len(calls) == 2  # one batch per epoch
     assert len(history) == 2
+
+
+def test_fit_cuts_one_seeded_permutation_per_epoch_and_keeps_the_partial_batch():
+    """10 rows at batch size 4: batches of 4, 4 and 2 rows that cover every row once, in
+    an order that depends only on (seed, epoch)."""
+    rows = Dataset(np.arange(10.0).reshape(10, 1), np.arange(10) % 2, 2, np.arange(10) % 2)
+
+    def batches(seed, epochs):
+        seen = []
+
+        def step(x, given, true, lr):
+            seen.append(x[:, 0].astype(int).tolist())
+            return 0.0, None
+
+        fit(mlp((1, 2), rng=derive_rng(0)), step, rows, rows, epochs, 4, StepDecay(0.01), seed)
+        return [seen[i:i + 3] for i in range(0, len(seen), 3)]
+
+    first, second = batches(seed=3, epochs=2)
+    for epoch, order in enumerate((first, second)):
+        assert [len(b) for b in order] == [4, 4, 2]
+        assert sorted(sum(order, [])) == list(range(10))
+        assert sum(order, []) == derive_rng(3, STREAM_SHUFFLE, epoch).permutation(10).tolist()
+    assert first != second
+    assert batches(seed=3, epochs=1) == [first]
+    assert batches(seed=4, epochs=1) != [first]
 
 
 def test_train_history_length_and_determinism():

@@ -20,7 +20,6 @@ from expertnet.nn import (
     Network,
     StepDecay,
     backward,
-    epoch_batches,
     forward,
     gradient_check,
     loss_and_gradients,
@@ -545,24 +544,13 @@ def test_training_is_bit_deterministic():
         x = derive_rng(10).standard_normal((8, 3))
         targets = derive_rng(11).random((8, 2))
         targets /= targets.sum(axis=1, keepdims=True)
-        for epoch in range(3):
-            for idx in epoch_batches(8, 3, seed=77, epoch=epoch):
+        for _ in range(3):
+            for idx in (slice(0, 3), slice(3, 6), slice(6, 8)):
                 g = loss_and_gradients(net, x[idx], targets[idx], CROSS_ENTROPY)[1]
                 sgd_step(net.params, g, velocity, 0.05, momentum=0.9, weight_decay=1e-4)
         return net.params.copy()
 
     np.testing.assert_array_equal(run(), run())
-
-
-def test_epoch_batches_keeps_partial_batch_and_is_seed_stable():
-    batches = list(epoch_batches(10, 4, seed=3, epoch=0))
-    assert [len(b) for b in batches] == [4, 4, 2]
-    assert sorted(np.concatenate(batches).tolist()) == list(range(10))
-    again = list(epoch_batches(10, 4, seed=3, epoch=0))
-    for a, b in zip(batches, again):
-        np.testing.assert_array_equal(a, b)
-    other_epoch = list(epoch_batches(10, 4, seed=3, epoch=1))
-    assert any(not np.array_equal(a, b) for a, b in zip(batches, other_epoch))
 
 
 def test_network_rejects_mismatched_chain():
@@ -593,17 +581,12 @@ def test_network_rejects_mismatched_chain():
      ConfigurationError, "dense layer width must be >= 1, got 0"),
     (lambda: Dense(np.zeros((2, 3)), np.zeros(3)), DimensionError,
      "dense: weight (2, 3) and bias (3,) are inconsistent"),
-    (lambda: next(epoch_batches(0, 4, seed=1, epoch=0)), ConfigurationError,
-     "cannot batch an empty dataset"),
-    (lambda: next(epoch_batches(10, 0, seed=1, epoch=0)), ConfigurationError,
-     "batch size must be >= 1, got 0"),
     (lambda: loss_and_gradients(mlp((3, 4, 2), rng=derive_rng(0)), np.ones((1, 3)),
                                 [[np.inf, 0.0]], CROSS_ENTROPY), NumericError,
      "non-finite loss value inf"),
 ], ids=["mlp of one dim", "no dense layer", "no activation", "activation first",
         "two activations", "dense last", "no layer", "mlp of a zero width",
-        "network of a zero width", "dense shapes", "empty dataset",
-        "batch size 0", "non-finite loss"])
+        "network of a zero width", "dense shapes", "non-finite loss"])
 def test_engine_rejects_unusable_arguments(call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call()
